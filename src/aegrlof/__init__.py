@@ -32,7 +32,6 @@ from .data import (  # noqa: F401
 )
 from .autoencoder import (  # noqa: F401
     EpochStats,
-    GradientRecord,
     LayerParams,
     Network,
     TrainConfig,
@@ -44,9 +43,7 @@ from .autoencoder import (  # noqa: F401
     encode,
     forward,
     gradient_score,
-    load_model,
     reconstruction_error,
-    save_model,
     sgd_step,
     smooth_l1_loss,
     train,
@@ -63,8 +60,10 @@ from .metrics import (  # noqa: F401
 from .pipeline import (  # noqa: F401
     VARIANT_MATRIX,
     ScoredRun,
+    TrainedNetwork,
     VariantSpec,
     augment,
     prune,
     run_variant,
+    train_network,
 )

@@ -27,16 +27,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, NormParams
-from .storage import atomic_write_text, write_npz
+from .data import Dataset
+from .storage import atomic_write_text
 
 ACTIVATIONS = ("tanh", "identity")
 
 # Index of the weight layer whose output is the bottleneck, in the fixed
 # [n, h, m, h, n] architecture.
 BOTTLENECK_LAYER = 1
-
-MODEL_VERSION = 1
 
 # Per-parameter gradients, one (dW, db) pair per weight layer.
 Gradients = list[tuple[np.ndarray, np.ndarray]]
@@ -132,23 +130,6 @@ class TrainConfig:
 
 
 @dataclass
-class GradientRecord:
-    """Stored gradients of one batch plus its scalar gradient score."""
-
-    batch_id: int
-    score: float
-    gradients: Gradients
-
-    def __post_init__(self) -> None:
-        recomputed = gradient_score(self.gradients[BOTTLENECK_LAYER][0])
-        if abs(self.score - recomputed) > 1e-9 * max(1.0, recomputed):
-            raise ValueError(
-                f"gradient score {self.score} does not match stored "
-                f"gradients (recomputed {recomputed})"
-            )
-
-
-@dataclass
 class EpochStats:
     epoch: int
     train_loss: float
@@ -214,21 +195,19 @@ def forward(net: Network, batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarr
     return activations, out
 
 
+def _smooth_l1(output: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Element-wise smooth-L1: 0.5*e^2 where |e| < 1, |e| - 0.5 elsewhere."""
+    err = np.abs(output - target)
+    return np.where(err < 1.0, 0.5 * err * err, err - 0.5)
+
+
 def smooth_l1_loss(output: np.ndarray, target: np.ndarray) -> float:
-    """Mean smooth-L1: 0.5*e^2 where |e| < 1, |e| - 0.5 elsewhere."""
+    """Mean smooth-L1 over every element."""
     output = np.asarray(output, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if output.shape != target.shape:
         raise ValueError(f"shape mismatch: {output.shape} vs {target.shape}")
-    err = np.abs(output - target)
-    per_elem = np.where(err < 1.0, 0.5 * err * err, err - 0.5)
-    return float(per_elem.mean())
-
-
-def _smooth_l1_rows(output: np.ndarray, target: np.ndarray) -> np.ndarray:
-    err = np.abs(output - target)
-    per_elem = np.where(err < 1.0, 0.5 * err * err, err - 0.5)
-    return per_elem.mean(axis=1)
+    return float(_smooth_l1(output, target).mean())
 
 
 def backward(
@@ -274,10 +253,6 @@ def gradient_score(bottleneck_weight_grad: np.ndarray) -> float:
     return float(np.sqrt(np.sum(g * g)))
 
 
-def _copy_grads(grads: Gradients) -> Gradients:
-    return [(dw.copy(), db.copy()) for dw, db in grads]
-
-
 def train(
     net: Network,
     train_data: Dataset,
@@ -319,7 +294,11 @@ def train(
 
     for epoch in range(1, cfg.max_epochs + 1):
         reversal_active = epoch > cfg.gr_start_epoch
-        best_record: GradientRecord | None = None
+        # highest gradient score this epoch (nan until reversal is active)
+        # and the gradients behind it; backward returns fresh arrays and
+        # sgd_step does not modify them, so keeping them needs no copy
+        best_score = math.nan
+        best_grads: Gradients | None = None
         loss_sum = 0.0
 
         for batch_id, start in enumerate(range(0, n, cfg.batch_size)):
@@ -335,20 +314,17 @@ def train(
             grads = backward(net, activations, batch)
             if reversal_active:
                 score = gradient_score(grads[BOTTLENECK_LAYER][0])
-                if best_record is None or score > best_record.score:
-                    best_record = GradientRecord(batch_id, score, _copy_grads(grads))
+                if best_grads is None or score > best_score:
+                    best_score, best_grads = score, grads
             sgd_step(net, grads, cfg.learning_rate)
 
-        reversal_applied = False
-        max_gs = math.nan
-        if best_record is not None:
+        reversal_applied = best_grads is not None
+        if reversal_applied:
             # Invert the highest-scoring batch's stored update. The stored
             # gradient predates later batch updates in this epoch; that
             # staleness is inherent to scoring in-loop and reversing at
             # epoch end.
-            sgd_step(net, best_record.gradients, -cfg.learning_rate)
-            reversal_applied = True
-            max_gs = best_record.score
+            sgd_step(net, best_grads, -cfg.learning_rate)
 
         val_loss = smooth_l1_loss(forward(net, x_val)[1], x_val)
         if not math.isfinite(val_loss):
@@ -356,7 +332,7 @@ def train(
                 f"training diverged: non-finite validation loss at epoch {epoch}"
             )
         history.append(
-            EpochStats(epoch, loss_sum / n, val_loss, max_gs, reversal_applied)
+            EpochStats(epoch, loss_sum / n, val_loss, best_score, reversal_applied)
         )
 
         if val_loss < best_val - cfg.min_improvement:
@@ -382,7 +358,7 @@ def encode(net: Network, data: Dataset) -> np.ndarray:
 def reconstruction_error(net: Network, data: Dataset) -> np.ndarray:
     """Per-row mean smooth-L1 between the reconstruction and the input."""
     _, output = forward(net, data.features)
-    return _smooth_l1_rows(output, data.features)
+    return _smooth_l1(output, data.features).mean(axis=1)
 
 
 def history_to_csv(history: Sequence[EpochStats], path: str | Path) -> None:
@@ -394,39 +370,3 @@ def history_to_csv(history: Sequence[EpochStats], path: str | Path) -> None:
             f"{int(s.reversal_applied)}"
         )
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def save_model(path: str | Path, net: Network, norm: NormParams | None = None) -> None:
-    """Serialize a trained network (and optionally its NormParams)."""
-    arrays: dict[str, np.ndarray] = {
-        "model_version": np.array(MODEL_VERSION, dtype=np.int64),
-        "widths": np.array(net.widths, dtype=np.int64),
-        "activations": np.array([layer.activation for layer in net.layers]),
-    }
-    for i, layer in enumerate(net.layers):
-        arrays[f"weights_{i}"] = layer.weights
-        arrays[f"bias_{i}"] = layer.bias
-    if norm is not None:
-        arrays["norm_min"] = norm.minimum
-        arrays["norm_max"] = norm.maximum
-    write_npz(path, arrays)
-
-
-def load_model(path: str | Path) -> tuple[Network, NormParams | None]:
-    """Load a network written by :func:`save_model`; round-trips exactly."""
-    with np.load(path, allow_pickle=False) as npz:
-        version = int(npz["model_version"])
-        if version != MODEL_VERSION:
-            raise ValueError(
-                f"{path}: model version {version} unsupported "
-                f"(expected {MODEL_VERSION})"
-            )
-        tags = [str(t) for t in npz["activations"]]
-        layers = [
-            LayerParams(npz[f"weights_{i}"], npz[f"bias_{i}"], tag)
-            for i, tag in enumerate(tags)
-        ]
-        norm = None
-        if "norm_min" in npz.files:
-            norm = NormParams(npz["norm_min"], npz["norm_max"])
-    return Network(layers), norm

@@ -22,7 +22,8 @@ import logging
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -32,14 +33,20 @@ from . import __version__
 from . import autoencoder as ae
 from . import metrics
 from .data import (
-    PreparedData,
     SplitSpec,
     load_cache,
     load_csv,
     prepare,
     save_cache,
 )
-from .pipeline import VARIANT_MATRIX, ScoredRun, VariantSpec, run_variant
+from .pipeline import (
+    VARIANT_MATRIX,
+    ScoredRun,
+    TrainedNetwork,
+    VariantSpec,
+    run_variant,
+    train_network,
+)
 from .plots import kde_curve
 from .storage import atomic_write_text, file_sha256, write_npz, write_scores_csv
 
@@ -47,13 +54,11 @@ logger = logging.getLogger(__name__)
 
 CACHE_FILENAME = "dataset_cache.npz"
 
+# The seed comes from the run's seed list; batch_size None is resolved
+# from the training-set size.
 TRAIN_DEFAULTS = {
-    "max_epochs": 100,
-    "batch_size": None,  # resolved from training-set size
-    "learning_rate": 0.01,
-    "gr_start_epoch": 5,
-    "patience": 10,
-    "min_improvement": 1e-4,
+    **{f.name: f.default for f in fields(ae.TrainConfig) if f.name != "seed"},
+    "batch_size": None,
 }
 
 SPLIT_DEFAULTS = {
@@ -63,6 +68,12 @@ SPLIT_DEFAULTS = {
     "seed": 0,
     "subsample_fraction": None,
 }
+
+CONFIG_KEYS = ("dataset", "split", "train", "lof", "variants", "seeds",
+               "wilcoxon_pairs", "output_dir")
+DATASET_KEYS = ("path", "has_header", "schema")
+LOF_KEYS = ("min_pts",)
+VARIANT_KEYS = ("detector", "modifier", "aug_factor", "aug_sigma")
 
 
 @dataclass
@@ -82,11 +93,25 @@ class ExperimentConfig:
     resolved: dict = field(default_factory=dict)
 
 
-def _parse_variant_entry(entry: Any) -> dict[str, Any]:
+def _check_keys(path: Path, where: str, section: dict, known) -> None:
+    unknown = set(section) - set(known)
+    if unknown:
+        raise ValueError(
+            f"{path}: unknown {where} keys {sorted(unknown)} "
+            f"(expected from {sorted(known)})"
+        )
+
+
+def _duplicates(values: list) -> list:
+    return sorted({v for v in values if values.count(v) > 1})
+
+
+def _parse_variant_entry(path: Path, entry: Any) -> dict[str, Any]:
     if isinstance(entry, str):
         detector, _, modifier = entry.partition("/")
         return {"detector": detector, "modifier": modifier or "none"}
     if isinstance(entry, dict):
+        _check_keys(path, "variant", entry, VARIANT_KEYS)
         out = {"detector": entry["detector"], "modifier": entry.get("modifier", "none")}
         for key in ("aug_factor", "aug_sigma"):
             if key in entry:
@@ -103,9 +128,14 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
 
+    _check_keys(path, "top-level", raw, CONFIG_KEYS)
     dataset = raw.get("dataset")
     if not isinstance(dataset, dict) or "path" not in dataset:
         raise ValueError(f"{path}: config needs dataset.path")
+    _check_keys(path, "dataset", dataset, DATASET_KEYS)
+    for section, known in (("split", SPLIT_DEFAULTS), ("train", TRAIN_DEFAULTS),
+                           ("lof", LOF_KEYS)):
+        _check_keys(path, section, raw.get(section, {}), known)
     has_header = dataset.get("has_header")
     schema_raw = dataset.get("schema", {})
     schema: dict[str | int, str] = {}
@@ -115,13 +145,6 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         else:
             schema[key] = kind
 
-    for section, defaults in (("split", SPLIT_DEFAULTS), ("train", TRAIN_DEFAULTS)):
-        unknown = set(raw.get(section, {})) - set(defaults)
-        if unknown:
-            raise ValueError(
-                f"{path}: unknown {section} keys {sorted(unknown)} "
-                f"(expected from {sorted(defaults)})"
-            )
     split_cfg = {**SPLIT_DEFAULTS, **raw.get("split", {})}
     split = SplitSpec(**split_cfg)
     train_cfg = {**TRAIN_DEFAULTS, **raw.get("train", {})}
@@ -131,13 +154,21 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     if variants_raw == "matrix":
         variants = [{"detector": d, "modifier": m} for d, m in VARIANT_MATRIX]
     else:
-        variants = [_parse_variant_entry(v) for v in variants_raw]
+        variants = [_parse_variant_entry(path, v) for v in variants_raw]
     if not variants:
         raise ValueError(f"{path}: at least one variant required")
+    # report rows, score files and shared networks are keyed by
+    # (detector/modifier, seed), so each may appear only once
+    duplicate_variants = _duplicates([VariantSpec(**v).key for v in variants])
+    if duplicate_variants:
+        raise ValueError(f"{path}: duplicate variants {duplicate_variants}")
 
     seeds = [int(s) for s in raw.get("seeds", [0])]
     if not seeds:
         raise ValueError(f"{path}: seeds must be non-empty")
+    duplicate_seeds = _duplicates(seeds)
+    if duplicate_seeds:
+        raise ValueError(f"{path}: duplicate seeds {duplicate_seeds}")
 
     resolved = {
         "dataset": {"path": dataset["path"], "schema": schema_raw,
@@ -202,14 +233,8 @@ def _variant_filename(spec: VariantSpec, seed: int, prefix: str, ext: str) -> st
     return f"{prefix}_{spec.detector}_{spec.modifier}_{seed}.{ext}"
 
 
-def _execute_task(
-    spec: VariantSpec,
-    prepared: PreparedData,
-    cfg: ae.TrainConfig,
-    min_pts: int,
-) -> ScoredRun:
-    return run_variant(spec, prepared.train, prepared.val, prepared.test,
-                       cfg, min_pts=min_pts)
+# One executed (variant, seed): its run, or the error that stopped it.
+_Outcome = tuple[VariantSpec, ScoredRun | None, str | None]
 
 
 def cmd_run(
@@ -218,7 +243,13 @@ def cmd_run(
     jobs: int = 1,
     seed_override: int | None = None,
 ) -> int:
-    """Run every (variant, seed), evaluate, and write reports."""
+    """Run every (variant, seed), evaluate, and write reports.
+
+    The unit of work is one trained network: per seed, the plain network
+    serves ``ae_re`` and ``ae_lof/*`` and the reversal network serves
+    ``aegr_lof/*``. ``lof_raw`` does not depend on the seed, so one fit
+    fills every seed's row. ``jobs`` workers run these units in parallel.
+    """
     cache_path = out_dir / CACHE_FILENAME
     if not cache_path.exists():
         raise FileNotFoundError(
@@ -234,36 +265,64 @@ def cmd_run(
     train_cfg_fields = dict(config.train)
     if train_cfg_fields.get("batch_size") is None:
         train_cfg_fields["batch_size"] = ae.default_batch_size(prepared.train.n_rows)
-    base_cfg = ae.TrainConfig(seed=seeds[0], **train_cfg_fields)
-
-    tasks: list[VariantSpec] = []
-    for variant in config.variants:
-        for seed in seeds:
-            tasks.append(VariantSpec(seed=seed, **variant))
+    base_cfg = ae.TrainConfig(**train_cfg_fields)
+    specs = [VariantSpec(**variant) for variant in config.variants]
 
     started = time.time()
-    results: dict[tuple[str, int], ScoredRun] = {}
     failures: list[dict[str, Any]] = []
 
-    def _run_one(spec: VariantSpec) -> tuple[VariantSpec, ScoredRun | None, str | None]:
+    def _run_head(spec: VariantSpec,
+                  network: TrainedNetwork | None = None) -> _Outcome:
         try:
-            return spec, _execute_task(spec, prepared, base_cfg, config.min_pts), None
+            return spec, run_variant(spec, prepared.train, prepared.val,
+                                     prepared.test, base_cfg,
+                                     min_pts=config.min_pts,
+                                     network=network), None
         except Exception as exc:  # recorded per-variant, run continues
             logger.exception("variant %s seed %d failed", spec.key, spec.seed)
             return spec, None, f"{type(exc).__name__}: {exc}"
 
+    def _run_raw(spec: VariantSpec) -> list[_Outcome]:
+        _, run, error = _run_head(replace(spec, seed=seeds[0]))
+        return [(replace(spec, seed=seed),
+                 None if run is None else replace(
+                     run, variant=replace(spec, seed=seed),
+                     metadata={**run.metadata, "seed": seed}),
+                 error) for seed in seeds]
+
+    def _run_network(seed: int, reversal: bool,
+                     heads: list[VariantSpec]) -> list[_Outcome]:
+        try:
+            network = train_network(seed, reversal, prepared.train,
+                                    prepared.val, prepared.test, base_cfg)
+        except Exception as exc:  # every head of this network fails alike
+            logger.exception("network seed %d reversal=%s failed", seed, reversal)
+            error = f"{type(exc).__name__}: {exc}"
+            return [(spec, None, error) for spec in heads]
+        return [_run_head(spec, network) for spec in heads]
+
+    units = [partial(_run_raw, spec) for spec in specs
+             if spec.detector == "lof_raw"]
+    for seed in seeds:
+        for reversal in (False, True):
+            heads = [replace(spec, seed=seed) for spec in specs
+                     if spec.detector != "lof_raw"
+                     and (spec.detector == "aegr_lof") == reversal]
+            if heads:
+                units.append(partial(_run_network, seed, reversal, heads))
+
     if jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_one, tasks))
+            per_unit = list(pool.map(lambda unit: unit(), units))
     else:
-        outcomes = [_run_one(spec) for spec in tasks]
+        per_unit = [unit() for unit in units]
+    outcomes = [outcome for unit_outcomes in per_unit for outcome in unit_outcomes]
 
     rows: list[dict[str, Any]] = []
     for spec, run, error in outcomes:
         if run is None:
             failures.append({"variant": spec.key, "seed": spec.seed, "error": error})
             continue
-        results[(spec.key, spec.seed)] = run
         result = metrics.compute_metrics(run.scores, run.labels)
         rows.append(
             {
@@ -318,7 +377,7 @@ def cmd_run(
     )
     atomic_write_text(out_dir / "report.md", _render_markdown(report, seeds))
 
-    print(f"completed {len(rows)}/{len(tasks)} runs -> {out_dir / 'report.json'}")
+    print(f"completed {len(rows)}/{len(outcomes)} runs -> {out_dir / 'report.json'}")
     for failure in failures:
         print(f"  FAILED {failure['variant']} seed {failure['seed']}: "
               f"{failure['error']}", file=sys.stderr)
@@ -500,7 +559,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="experiment config JSON")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="parallel variant workers (default 1)")
+                       help="parallel workers, one trained network each "
+                       "(default 1)")
     p_run.add_argument("--seed-override", type=int, default=None,
                        help="run only this seed instead of the configured list")
 

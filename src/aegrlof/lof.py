@@ -21,11 +21,8 @@ Definitions, for neighborhood size ``min_pts``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from .storage import write_scores_csv
 
 EPSILON = 1e-10
 
@@ -170,8 +167,3 @@ def score(model: LofModel, queries: np.ndarray) -> np.ndarray:
         )
     counts, lrds, member_lrd_sums = _query_stats(model, queries)
     return member_lrd_sums / (counts * lrds)
-
-
-def scores_to_csv(path: str | Path, scores: np.ndarray) -> None:
-    """Export scores as ``row_index,lof_score`` CSV."""
-    write_scores_csv(path, scores, value_column="lof_score")

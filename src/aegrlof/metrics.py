@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from .storage import atomic_write_text
 
 
 @dataclass(frozen=True)
@@ -173,45 +170,3 @@ def wilcoxon_signed_rank(
             p = 0.5 * math.erfc(-z / math.sqrt(2.0))
 
     return WilcoxonResult(w_statistic=w, p_value=min(p, 1.0), n_effective=n_eff)
-
-
-def curve_points(scores: np.ndarray, labels: np.ndarray) -> list[dict[str, float]]:
-    """Operating points per distinct threshold (descending) for plotting.
-
-    Each row holds threshold, precision, recall, tpr, fpr with predictions
-    positive at score >= threshold.
-    """
-    scores, labels = _check_binary(scores, labels)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    block_end = np.nonzero(
-        np.append(sorted_scores[1:] != sorted_scores[:-1], True)
-    )[0]
-    tp = np.cumsum(sorted_labels)[block_end]
-    predicted = block_end + 1
-    fp = predicted - tp
-    rows = []
-    for i in range(block_end.size):
-        rows.append(
-            {
-                "threshold": float(sorted_scores[block_end[i]]),
-                "precision": float(tp[i] / predicted[i]),
-                "recall": float(tp[i] / n_pos) if n_pos else math.nan,
-                "tpr": float(tp[i] / n_pos) if n_pos else math.nan,
-                "fpr": float(fp[i] / n_neg) if n_neg else math.nan,
-            }
-        )
-    return rows
-
-
-def write_curve_csv(path: str | Path, scores: np.ndarray,
-                    labels: np.ndarray) -> None:
-    """Write the per-threshold operating points for external plotting."""
-    columns = ("threshold", "precision", "recall", "tpr", "fpr")
-    lines = [",".join(columns)]
-    for row in curve_points(scores, labels):
-        lines.append(",".join(repr(row[c]) for c in columns))
-    atomic_write_text(path, "\n".join(lines) + "\n")

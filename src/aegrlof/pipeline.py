@@ -9,6 +9,11 @@ set handed to LOF: pruning drops training rows whose reconstruction error
 exceeds the mean (the network itself is not refitted), and augmentation
 appends Gaussian-noised copies of the surviving latents to re-densify the
 reference set.
+
+Every detector but ``lof_raw`` is a scoring head on one trained network:
+``ae_re`` and ``ae_lof/*`` on the plain network, ``aegr_lof/*`` on the
+gradient-reversal one. :func:`train_network` trains a network once, and
+each head that shares it passes it to :func:`run_variant`.
 """
 
 from __future__ import annotations
@@ -143,20 +148,49 @@ def augment(
     return np.vstack([latents, base + noise])
 
 
-def _train_autoencoder(
-    spec: VariantSpec,
+@dataclass
+class TrainedNetwork:
+    """One trained autoencoder with its latents and per-row reconstruction
+    errors on the training and test splits, computed once for all heads."""
+
+    seed: int
+    reversal: bool
+    net: ae.Network
+    history: list[ae.EpochStats]
+    train_latents: np.ndarray
+    train_errors: np.ndarray
+    test_latents: np.ndarray
+    test_errors: np.ndarray
+
+
+def train_network(
+    seed: int,
+    reversal: bool,
     train_data: Dataset,
     val_data: Dataset,
+    test_data: Dataset,
     cfg: ae.TrainConfig,
-    reversal: bool,
-) -> tuple[ae.Network, list[ae.EpochStats]]:
+) -> TrainedNetwork:
+    """Train one autoencoder and encode the training and test splits.
+
+    ``seed`` drives initialization and batch shuffling and overrides
+    ``cfg.seed``. Without ``reversal`` the reversal start is moved to
+    ``cfg.max_epochs``, which yields plain SGD.
+    """
     cfg = replace(
         cfg,
-        seed=spec.seed,
+        seed=seed,
         gr_start_epoch=cfg.gr_start_epoch if reversal else cfg.max_epochs,
     )
-    net = ae.build_architecture(train_data.n_features, seed=spec.seed)
-    return ae.train(net, train_data, val_data, cfg)
+    net = ae.build_architecture(train_data.n_features, seed=seed)
+    net, history = ae.train(net, train_data, val_data, cfg)
+    return TrainedNetwork(
+        seed, reversal, net, history,
+        train_latents=ae.encode(net, train_data),
+        train_errors=ae.reconstruction_error(net, train_data),
+        test_latents=ae.encode(net, test_data),
+        test_errors=ae.reconstruction_error(net, test_data),
+    )
 
 
 def run_variant(
@@ -166,6 +200,7 @@ def run_variant(
     test_data: Dataset,
     cfg: ae.TrainConfig,
     min_pts: int = 20,
+    network: TrainedNetwork | None = None,
 ) -> ScoredRun:
     """Execute one variant end to end and score the test split.
 
@@ -181,6 +216,10 @@ def run_variant(
 
     The spec's seed drives network initialization, batch shuffling, and
     augmentation noise, so identical inputs yield identical scores.
+
+    ``network`` is a :func:`train_network` result for the same splits,
+    config, seed and reversal setting. Passing it skips training; the
+    result is the same as without it. ``lof_raw`` ignores it.
     """
     meta: dict = {
         "detector": spec.detector,
@@ -197,7 +236,15 @@ def run_variant(
         return ScoredRun(spec, scores, test_data.labels, meta)
 
     reversal = spec.detector == "aegr_lof"
-    net, history = _train_autoencoder(spec, train_data, val_data, cfg, reversal)
+    if network is None:
+        network = train_network(spec.seed, reversal, train_data, val_data,
+                                test_data, cfg)
+    elif (network.seed, network.reversal) != (spec.seed, reversal):
+        raise ValueError(
+            f"{spec.key} seed {spec.seed} cannot use the network trained with "
+            f"seed {network.seed}, reversal={network.reversal}"
+        )
+    history = network.history
     meta.update(
         epochs_run=len(history),
         best_val_loss=min(h.val_loss for h in history),
@@ -205,15 +252,12 @@ def run_variant(
     )
 
     if spec.detector == "ae_re":
-        scores = ae.reconstruction_error(net, test_data)
-        return ScoredRun(spec, scores, test_data.labels, meta)
+        return ScoredRun(spec, network.test_errors, test_data.labels, meta)
 
-    train_latents = ae.encode(net, train_data)
-    reference = train_latents
+    reference = train_latents = network.train_latents
     pruned_mask = np.zeros(train_data.n_rows, dtype=bool)
     if spec.modifier in ("prune", "prune_da"):
-        res = ae.reconstruction_error(net, train_data)
-        reference, kept = prune(train_latents, res)
+        reference, kept = prune(train_latents, network.train_errors)
         pruned_mask = ~kept
         meta["rows_after_prune"] = int(reference.shape[0])
     if spec.modifier == "prune_da":
@@ -221,9 +265,9 @@ def run_variant(
         meta["rows_after_augment"] = int(reference.shape[0])
 
     model = lof.fit(reference, min_pts)
-    scores = lof.score(model, ae.encode(net, test_data))
+    scores = lof.score(model, network.test_latents)
     meta.update(min_pts=min_pts, reference_rows=model.n_reference,
-                latent_dim=net.bottleneck_width)
+                latent_dim=network.net.bottleneck_width)
     logger.info("variant %s seed %d: %d reference rows, %d epochs",
                 spec.key, spec.seed, model.n_reference, len(history))
     return ScoredRun(spec, scores, test_data.labels, meta,

@@ -67,10 +67,9 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def write_scores_csv(path: str | Path, scores: np.ndarray,
-                     value_column: str = "score") -> None:
-    """Write anomaly scores as ``row_index,<value_column>`` CSV."""
-    lines = [f"row_index,{value_column}"]
+def write_scores_csv(path: str | Path, scores: np.ndarray) -> None:
+    """Write anomaly scores as ``row_index,score`` CSV."""
+    lines = ["row_index,score"]
     for i, s in enumerate(np.asarray(scores, dtype=float)):
         lines.append(f"{i},{float(s)!r}")
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aegrlof import autoencoder as ae
-from aegrlof.data import Dataset, NormParams
+from aegrlof.data import Dataset
 
 from conftest import finite_difference_grads, reference_plain_sgd
 
@@ -191,19 +191,6 @@ class TestGradientScore:
     def test_ones(self):
         assert ae.gradient_score(np.ones((2, 2))) == 2.0
 
-    def test_record_invariant_enforced(self):
-        net = ae.build_architecture(5, seed=0)
-        grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias))
-                 for l in net.layers]
-        grads[ae.BOTTLENECK_LAYER] = (
-            np.ones_like(grads[ae.BOTTLENECK_LAYER][0]),
-            grads[ae.BOTTLENECK_LAYER][1],
-        )
-        true_score = ae.gradient_score(grads[ae.BOTTLENECK_LAYER][0])
-        ae.GradientRecord(0, true_score, grads)  # consistent: fine
-        with pytest.raises(ValueError, match="score"):
-            ae.GradientRecord(0, true_score + 1.0, grads)
-
 
 class TestTrain:
     def test_bitwise_deterministic(self):
@@ -342,26 +329,6 @@ class TestEncodeAndErrors:
 
 
 class TestSerialization:
-    def test_model_round_trip_exact(self, tmp_path):
-        net = ae.build_architecture(9, seed=11)
-        norm = NormParams(np.arange(9.0), np.arange(9.0) + 2.0)
-        path = tmp_path / "model.npz"
-        ae.save_model(path, net, norm)
-        loaded, loaded_norm = ae.load_model(path)
-        assert loaded.widths == net.widths
-        for la, lb in zip(net.layers, loaded.layers):
-            np.testing.assert_array_equal(la.weights, lb.weights)
-            np.testing.assert_array_equal(la.bias, lb.bias)
-            assert la.activation == lb.activation
-        np.testing.assert_array_equal(loaded_norm.minimum, norm.minimum)
-
-    def test_model_without_norm(self, tmp_path):
-        net = ae.build_architecture(4, seed=0)
-        path = tmp_path / "model.npz"
-        ae.save_model(path, net)
-        _, norm = ae.load_model(path)
-        assert norm is None
-
     def test_history_csv(self, tmp_path):
         history = [ae.EpochStats(1, 0.5, 0.6, math.nan, False),
                    ae.EpochStats(2, 0.4, 0.5, 1.25, True)]

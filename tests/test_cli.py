@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from aegrlof import cli
+from aegrlof import autoencoder, cli, lof
 
 from conftest import make_embedded_blob, write_dataset_csv
 
@@ -53,6 +54,26 @@ class TestConfig:
                                     "variants": "matrix"}))
         config = cli.load_experiment_config(path)
         assert len(config.variants) == 8
+
+    @pytest.mark.parametrize("change,offender", [
+        ({"seedz": [0, 1]}, "seedz"),
+        ({"dataset": {"path": "x.csv", "delimiter": ","}}, "delimiter"),
+        ({"lof": {"min_ptz": 5}}, "min_ptz"),
+        ({"variants": [{"detector": "ae_lof", "modifer": "prune"}]}, "modifer"),
+        ({"seeds": [0, 0, 0, 1, 2]}, "duplicate seeds [0]"),
+        ({"variants": ["lof_raw", "lof_raw/none", "ae_re"]},
+         "duplicate variants ['lof_raw/none']"),
+    ], ids=["top_level_key", "dataset_key", "lof_key", "variant_key",
+            "duplicate_seeds", "duplicate_variants"])
+    def test_invalid_config_fails_before_loading_data(self, experiment, tmp_path,
+                                                      capsys, change, offender):
+        _, out_dir, config = experiment
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**config, **change}))
+        for command in ("prepare", "run"):
+            assert cli.main([command, "--config", str(path)]) == 1
+            assert offender in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_defaults_echoed(self, experiment):
         config_path, _, _ = experiment
@@ -148,6 +169,52 @@ class TestRun:
         report = json.loads((out_dir / "report.json").read_text())["report"]
         assert report["failures"]
         assert all("min_pts" in f["error"] for f in report["failures"])
+
+    def test_matrix_trains_each_network_once(self, experiment, tmp_path,
+                                             monkeypatch):
+        _, out_dir, config = experiment
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({**config, "variants": "matrix"}))
+        cli.main(["prepare", "--config", str(path)])
+        calls = Counter()
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(autoencoder, "train",
+                            counted("train", autoencoder.train))
+        monkeypatch.setattr(lof, "fit", counted("fit", lof.fit))
+        assert cli.main(["run", "--config", str(path)]) == 0
+        # 2 seeds x (plain + reversal) networks; lof_raw once plus
+        # 2 seeds x 6 latent-LOF heads
+        assert calls == {"train": 4, "fit": 13}
+        report = json.loads((out_dir / "report.json").read_text())["report"]
+        assert len(report["rows"]) == 16
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_failed_network_fails_each_of_its_heads(self, experiment, tmp_path):
+        _, out_dir, config = experiment
+        config = {**config, "variants": "matrix",
+                  "train": {**config["train"], "learning_rate": 1e307}}
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(config))
+        cli.main(["prepare", "--config", str(path)])
+        assert cli.main(["run", "--config", str(path)]) == 1
+        report = json.loads((out_dir / "report.json").read_text())["report"]
+        heads = [f"{d}/{m}" for d, m in cli.VARIANT_MATRIX if d != "lof_raw"]
+        assert [(f["variant"], f["seed"]) for f in report["failures"]] == sorted(
+            (head, seed) for head in heads for seed in (0, 1))
+        assert all("training diverged" in f["error"] for f in report["failures"])
+        for seed in (0, 1):
+            for reversal in (False, True):
+                errors = {f["error"] for f in report["failures"] if f["seed"] == seed
+                          and f["variant"].startswith("aegr_lof") == reversal}
+                assert len(errors) == 1
+        assert {(r["detector"], r["seed"]) for r in report["rows"]} == {
+            ("lof_raw", 0), ("lof_raw", 1)}
 
     def test_wilcoxon_needs_five_seeds(self, experiment, tmp_path):
         config_path, out_dir, config = experiment

@@ -170,9 +170,3 @@ class TestScore:
         model = lof.fit(np.random.default_rng(0).normal(size=(10, 3)), 2)
         with pytest.raises(ValueError, match="width"):
             lof.score(model, np.zeros((2, 4)))
-
-
-def test_scores_csv_export(tmp_path):
-    path = tmp_path / "scores.csv"
-    lof.scores_to_csv(path, np.array([1.25, 0.9]))
-    assert path.read_text() == "row_index,lof_score\n0,1.25\n1,0.9\n"

@@ -174,26 +174,3 @@ class TestComputeMetrics:
         assert result.roc_auc == 0.75
         assert result.pr_auc == pytest.approx(5.0 / 6.0)
         assert (result.n_pos, result.n_neg) == (2, 2)
-
-
-class TestCurvePoints:
-    def test_monotone_recall_and_final_point(self):
-        rng = np.random.default_rng(50)
-        scores = np.round(rng.normal(size=30), 1)
-        labels = rng.integers(0, 2, 30)
-        labels[:2] = [0, 1]
-        rows = metrics.curve_points(scores, labels)
-        thresholds = [r["threshold"] for r in rows]
-        assert thresholds == sorted(thresholds, reverse=True)
-        recalls = [r["recall"] for r in rows]
-        assert recalls == sorted(recalls)
-        assert rows[-1]["recall"] == 1.0
-        assert rows[-1]["fpr"] == 1.0
-
-    def test_csv_export(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        metrics.write_curve_csv(path, np.array([0.9, 0.7, 0.5, 0.3]),
-                                np.array([1, 0, 1, 0]))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "threshold,precision,recall,tpr,fpr"
-        assert len(lines) == 5

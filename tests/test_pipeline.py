@@ -170,3 +170,34 @@ class TestRunVariant:
             pipeline.VariantSpec("ae_re", seed=0), train, val, test, _FAST_CFG)
         np.testing.assert_array_equal(run.labels, test.labels)
         assert len(run.scores) == test.n_rows
+
+
+_NETWORK_VARIANTS = [v for v in pipeline.VARIANT_MATRIX if v[0] != "lof_raw"]
+
+
+class TestSharedNetwork:
+    @pytest.mark.parametrize("detector,modifier", _NETWORK_VARIANTS)
+    def test_shared_network_matches_fresh_run(self, detector, modifier):
+        train, val, test = _prepared_splits(seed=7, n_normal=200, n_anom=10)
+        spec = pipeline.VariantSpec(detector, modifier, seed=2)
+        network = pipeline.train_network(2, detector == "aegr_lof",
+                                         train, val, test, _FAST_CFG)
+        shared = pipeline.run_variant(spec, train, val, test, _FAST_CFG,
+                                      network=network)
+        fresh = pipeline.run_variant(spec, train, val, test, _FAST_CFG)
+        np.testing.assert_array_equal(shared.scores, fresh.scores)
+        assert shared.metadata == fresh.metadata
+        for attr in ("train_latents", "pruned_mask"):
+            a, b = getattr(shared, attr), getattr(fresh, attr)
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_array_equal(a, b)
+
+    def test_network_of_other_seed_or_reversal_rejected(self):
+        train, val, test = _prepared_splits(seed=8, n_normal=120, n_anom=6)
+        network = pipeline.train_network(0, False, train, val, test, _FAST_CFG)
+        for spec in (pipeline.VariantSpec("aegr_lof", seed=0),
+                     pipeline.VariantSpec("ae_lof", seed=1)):
+            with pytest.raises(ValueError, match="cannot use the network"):
+                pipeline.run_variant(spec, train, val, test, _FAST_CFG,
+                                     network=network)
