@@ -48,7 +48,7 @@ from .autoencoder import (  # noqa: F401
     smooth_l1_loss,
     train,
 )
-from .lof import LofModel, fit, lrd, reach_dist, score  # noqa: F401
+from .lof import LofModel, fit, score  # noqa: F401
 from .metrics import (  # noqa: F401
     MetricResult,
     WilcoxonResult,

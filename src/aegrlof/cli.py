@@ -112,6 +112,8 @@ def _parse_variant_entry(path: Path, entry: Any) -> dict[str, Any]:
         return {"detector": detector, "modifier": modifier or "none"}
     if isinstance(entry, dict):
         _check_keys(path, "variant", entry, VARIANT_KEYS)
+        if "detector" not in entry:
+            raise ValueError(f"{path}: variant {entry!r} needs a detector")
         out = {"detector": entry["detector"], "modifier": entry.get("modifier", "none")}
         for key in ("aug_factor", "aug_sigma"):
             if key in entry:
@@ -163,7 +165,10 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     if duplicate_variants:
         raise ValueError(f"{path}: duplicate variants {duplicate_variants}")
 
-    seeds = [int(s) for s in raw.get("seeds", [0])]
+    seeds_raw = raw.get("seeds", [0])
+    if not isinstance(seeds_raw, list):
+        raise ValueError(f"{path}: seeds must be a list, got {seeds_raw!r}")
+    seeds = [int(s) for s in seeds_raw]
     if not seeds:
         raise ValueError(f"{path}: seeds must be non-empty")
     duplicate_seeds = _duplicates(seeds)
@@ -259,6 +264,14 @@ def cmd_run(
     if prepared.test.labels is None:
         raise ValueError(
             "test split has no labels; evaluation requires a label column"
+        )
+    # lof_raw and the unmodified latent heads fit LOF on exactly the
+    # training rows, so a min_pts they cannot hold fails before training
+    n_train = prepared.train.n_rows
+    if not 1 <= config.min_pts < n_train:
+        raise ValueError(
+            f"lof.min_pts must be at least 1 and below the {n_train} training "
+            f"rows, got {config.min_pts}"
         )
 
     seeds = [seed_override] if seed_override is not None else config.seeds

@@ -16,6 +16,34 @@ Definitions, for neighborhood size ``min_pts``:
   reachability distance is zero (duplicate points) the density is capped
   at 1/EPSILON instead of dividing by zero.
 * score(p) = mean of lrd(o)/lrd(p) over o in N(p).
+
+Algorithm. ``fit`` (each reference point against the other references)
+and ``score`` (each query against the references) share one routine,
+:func:`_neighborhoods`, which looks at every (row, reference) pair once:
+
+1. Screen. Squared distances for a block of rows come from one BLAS
+   product, |a|^2 + |b|^2 - 2 a.b. That form rounds, and loses the exact
+   zero of coincident points. It and the explicit-difference form are
+   each within (d + 2) * eps * (|a|^2 + |b|^2) of the exact value (the
+   gamma_d bound on d-term sums, Higham, "Accuracy and Stability of
+   Numerical Algorithms", ch. 3), so each entry gets more than twice
+   their sum, (4d + 16) * eps * (|a|^2 + |b|^2), as its margin. A
+   reference is a candidate when its lower bound (sq - margin) is at most
+   the row's min_pts-th smallest upper bound (sq + margin). At least
+   min_pts references lie within that bound, so every neighbor is a
+   candidate.
+2. Recompute. Candidate distances are recomputed from explicit coordinate
+   differences, so coincident points are exactly 0 apart and ties are
+   exact. The k-distance is the min_pts-th smallest of these distances,
+   and every candidate at or below it (``<=``) is a neighbor.
+3. Aggregate. Neighbors come back as row-sorted (row, column, distance)
+   lists with O(n * min_pts) entries; only exact ties add more. LRDs,
+   neighbor-LRD sums and scores are ``np.bincount`` sums over them.
+
+Rows are screened in blocks of at most ``_ELEMENT_BUDGET`` (row,
+reference) entries, and candidate differences are gathered in chunks of
+the same budget, so working memory stays bounded even when every pair
+ties; only the neighbor lists grow with the number of ties.
 """
 
 from __future__ import annotations
@@ -26,12 +54,11 @@ import numpy as np
 
 EPSILON = 1e-10
 
-# Distances are computed in row blocks so fitting ~10k references stays
-# within a few tens of MB instead of materializing the full n^2 matrix.
-_BLOCK_ROWS = 256
-# Cap on elements of the (rows, cols, features) difference tensor built at
-# once inside _pairwise_distances (8M elements ~ 64 MB of float64).
-_DIFF_ELEMENT_BUDGET = 1 << 23
+# Cap on (row, reference) entries screened at once, and on candidate
+# difference elements gathered at once (256k float64 = 2 MB per array,
+# small enough to stay in cache).
+_ELEMENT_BUDGET = 1 << 18
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass
@@ -42,39 +69,89 @@ class LofModel:
     min_pts: int
     k_distances: np.ndarray
     lrds: np.ndarray
+    sq_norms: np.ndarray
 
     @property
     def n_reference(self) -> int:
         return self.reference.shape[0]
 
 
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances via explicit differences (no dot-product trick,
-    so exactly coincident points yield exactly zero)."""
-    n_features = a.shape[1]
-    out = np.empty((a.shape[0], b.shape[0]))
-    chunk = max(1, _DIFF_ELEMENT_BUDGET // max(1, a.shape[0] * n_features))
-    for start in range(0, b.shape[0], chunk):
-        stop = min(start + chunk, b.shape[0])
-        diff = a[:, None, :] - b[None, start:stop, :]
-        out[:, start:stop] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return out
+def _sq_norms(points: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", points, points)
 
 
-def _lrd_from_distances(
-    dists: np.ndarray, ref_k_distances: np.ndarray, k_distance: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Neighborhood counts and LRDs for a block of points.
+def _neighborhoods(
+    points: np.ndarray,
+    points_sq: np.ndarray,
+    reference: np.ndarray,
+    reference_sq: np.ndarray,
+    min_pts: int,
+    exclude_self: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Tie-inclusive min_pts-neighborhoods of ``points`` in ``reference``.
 
-    ``dists`` rows are distances to every reference (self distances must
-    already be inf for fit-side rows); membership is d <= own k-distance.
+    ``points_sq``/``reference_sq`` are the squared row norms. With
+    ``exclude_self``, ``points`` is ``reference`` and row i never counts
+    itself. Returns (rows, columns, distances) of every neighbor, sorted
+    by row and then column, and the k-distance of each row.
     """
-    member = dists <= k_distance[:, None]
-    reach = np.maximum(ref_k_distances[None, :], dists)
-    reach_sum = np.where(member, reach, 0.0).sum(axis=1)
-    counts = member.sum(axis=1)
-    lrds = np.where(reach_sum > 0.0, counts / np.where(reach_sum > 0, reach_sum, 1.0),
-                    1.0 / EPSILON)
+    n_points, n_features = points.shape
+    n_reference = reference.shape[0]
+    margin_scale = (4 * n_features + 16) * _EPS
+    # sq +- margin = (1 +- margin_scale) * (|a|^2 + |b|^2) - 2 a.b
+    hi, lo = 1.0 + margin_scale, 1.0 - margin_scale
+    hi_ref, lo_ref = hi * reference_sq, lo * reference_sq
+    block = max(1, _ELEMENT_BUDGET // n_reference)
+    chunk = max(1, _ELEMENT_BUDGET // n_features)
+    k_distances = np.empty(n_points)
+    rows, cols, dists = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+    for start in range(0, n_points, block):
+        stop = min(start + block, n_points)
+        bounds = (-2.0 * points[start:stop]) @ reference.T
+        if exclude_self:
+            bounds[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        # adding a per-row term keeps each row's order, so it is added
+        # after the partition and, for the lower bound, to the limit
+        upper = bounds + hi_ref
+        upper.partition(min_pts - 1, axis=1)
+        # a neighbor's distance can round to the k-distance after the
+        # square root although its square is a little larger
+        limit = upper[:, min_pts - 1] + hi * points_sq[start:stop]
+        limit *= 1.0 + 4.0 * _EPS
+        del upper
+        bounds += lo_ref
+        r, c = np.nonzero(bounds <= (limit - lo * points_sq[start:stop])[:, None])
+        del bounds
+
+        d = np.empty(r.size)
+        for at in range(0, r.size, chunk):
+            diff = points[start + r[at:at + chunk]] - reference[c[at:at + chunk]]
+            d[at:at + chunk] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+        # every row has at least min_pts candidates; take the min_pts-th
+        # smallest exact distance within each row's run
+        counts = np.bincount(r, minlength=stop - start)
+        first = np.cumsum(counts) - counts
+        k_block = d[np.lexsort((d, r))[first + min_pts - 1]]
+        member = d <= k_block[r]
+        k_distances[start:stop] = k_block
+        rows.append(r[member] + start)
+        cols.append(c[member])
+        dists.append(d[member])
+    return (np.concatenate(rows), np.concatenate(cols), np.concatenate(dists),
+            k_distances)
+
+
+def _densities(
+    rows: np.ndarray, cols: np.ndarray, dists: np.ndarray,
+    ref_k_distances: np.ndarray, n_rows: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Neighborhood sizes and LRDs from neighbor lists."""
+    counts = np.bincount(rows, minlength=n_rows)
+    reach_sums = np.bincount(rows, weights=np.maximum(ref_k_distances[cols], dists),
+                             minlength=n_rows)
+    lrds = np.full(n_rows, 1.0 / EPSILON)
+    np.divide(counts, reach_sums, out=lrds, where=reach_sums > 0.0)
     return counts, lrds
 
 
@@ -100,63 +177,18 @@ def fit(reference: np.ndarray, min_pts: int) -> LofModel:
     if not np.all(np.isfinite(reference)):
         raise ValueError("reference contains non-finite values")
 
-    k_distances = np.empty(n)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        dists = _pairwise_distances(reference[start:stop], reference)
-        dists[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        k_distances[start:stop] = np.partition(dists, min_pts - 1, axis=1)[
-            :, min_pts - 1
-        ]
-
-    lrds = np.empty(n)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        dists = _pairwise_distances(reference[start:stop], reference)
-        dists[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        _, lrds[start:stop] = _lrd_from_distances(
-            dists, k_distances, k_distances[start:stop]
-        )
-
-    return LofModel(reference, min_pts, k_distances, lrds)
-
-
-def reach_dist(model: LofModel, p: np.ndarray, o: int) -> float:
-    """max(k-distance(o), d(p, o)) for reference index o."""
-    p = np.asarray(p, dtype=np.float64)
-    d = float(np.sqrt(np.sum((p - model.reference[o]) ** 2)))
-    return max(float(model.k_distances[o]), d)
-
-
-def lrd(model: LofModel, p: np.ndarray) -> float:
-    """Local reachability density of a query point against the reference."""
-    _, lrds, _ = _query_stats(model, np.asarray(p, dtype=np.float64)[None, :])
-    return float(lrds[0])
-
-
-def _query_stats(
-    model: LofModel, queries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-query neighborhood count, LRD, and sum of member LRDs."""
-    counts = np.empty(queries.shape[0])
-    lrds = np.empty(queries.shape[0])
-    member_lrd_sums = np.empty(queries.shape[0])
-    for start in range(0, queries.shape[0], _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, queries.shape[0])
-        dists = _pairwise_distances(queries[start:stop], model.reference)
-        k_distance = np.partition(dists, model.min_pts - 1, axis=1)[
-            :, model.min_pts - 1
-        ]
-        member = dists <= k_distance[:, None]
-        counts[start:stop], lrds[start:stop] = _lrd_from_distances(
-            dists, model.k_distances, k_distance
-        )
-        member_lrd_sums[start:stop] = member @ model.lrds
-    return counts, lrds, member_lrd_sums
+    sq_norms = _sq_norms(reference)
+    rows, cols, dists, k_distances = _neighborhoods(
+        reference, sq_norms, reference, sq_norms, min_pts, exclude_self=True)
+    _, lrds = _densities(rows, cols, dists, k_distances, n)
+    return LofModel(reference, min_pts, k_distances, lrds, sq_norms)
 
 
 def score(model: LofModel, queries: np.ndarray) -> np.ndarray:
-    """LOF scores for query points; higher means more anomalous."""
+    """LOF scores for query points; higher means more anomalous.
+
+    A query with a non-finite coordinate scores NaN.
+    """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim == 1:
         queries = queries[None, :]
@@ -165,5 +197,16 @@ def score(model: LofModel, queries: np.ndarray) -> np.ndarray:
             f"query width {queries.shape[1]} does not match reference "
             f"width {model.reference.shape[1]}"
         )
-    counts, lrds, member_lrd_sums = _query_stats(model, queries)
-    return member_lrd_sums / (counts * lrds)
+    scores = np.full(queries.shape[0], np.nan)
+    finite = np.all(np.isfinite(queries), axis=1)
+    if not finite.all():
+        queries = queries[finite]
+    rows, cols, dists, _ = _neighborhoods(
+        queries, _sq_norms(queries), model.reference, model.sq_norms,
+        model.min_pts, exclude_self=False)
+    counts, lrds = _densities(rows, cols, dists, model.k_distances,
+                              queries.shape[0])
+    member_lrd_sums = np.bincount(rows, weights=model.lrds[cols],
+                                  minlength=queries.shape[0])
+    scores[finite] = member_lrd_sums / (counts * lrds)
+    return scores

@@ -10,9 +10,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import settings
 
 from aegrlof import autoencoder as ae
 from aegrlof.data import Dataset
+
+# Property tests draw the same examples on every run and write no example
+# database, so the suite stays deterministic.
+settings.register_profile("deterministic", deadline=None, derandomize=True,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 # ---------------------------------------------------------------------------
@@ -101,32 +108,32 @@ def _dist(a: np.ndarray, b: np.ndarray) -> float:
 
 def naive_lof_scores(reference: np.ndarray, min_pts: int,
                      queries: np.ndarray) -> np.ndarray:
-    """Literal per-point LOF: k-distances, reachability, LRD, score."""
+    """Literal per-point LOF: k-distances, reachability, LRD, score.
+
+    Each point's distances to the reference are computed once and reused
+    for its k-distance, its neighborhood and its reachability distances.
+    """
     n = reference.shape[0]
     k_dist = np.empty(n)
+    ref_dists: list[list[float]] = []
     neigh: list[list[int]] = []
     for o in range(n):
-        dists = sorted(_dist(reference[o], reference[j]) for j in range(n) if j != o)
-        k_dist[o] = dists[min_pts - 1]
-        members = [
-            j for j in range(n)
-            if j != o and _dist(reference[o], reference[j]) <= k_dist[o]
-        ]
-        neigh.append(members)
+        dists = [_dist(reference[o], reference[j]) for j in range(n)]
+        k_dist[o] = sorted(dists[j] for j in range(n) if j != o)[min_pts - 1]
+        neigh.append([j for j in range(n) if j != o and dists[j] <= k_dist[o]])
+        ref_dists.append(dists)
 
     lrd = np.empty(n)
     for o in range(n):
-        total = sum(max(k_dist[j], _dist(reference[o], reference[j]))
-                    for j in neigh[o])
+        total = sum(max(k_dist[j], ref_dists[o][j]) for j in neigh[o])
         lrd[o] = len(neigh[o]) / total if total > 0 else 1.0 / 1e-10
 
     scores = np.empty(queries.shape[0])
     for qi in range(queries.shape[0]):
-        dists = sorted(_dist(queries[qi], reference[j]) for j in range(n))
-        k_q = dists[min_pts - 1]
-        members = [j for j in range(n) if _dist(queries[qi], reference[j]) <= k_q]
-        total = sum(max(k_dist[j], _dist(queries[qi], reference[j]))
-                    for j in members)
+        dists = [_dist(queries[qi], reference[j]) for j in range(n)]
+        k_q = sorted(dists)[min_pts - 1]
+        members = [j for j in range(n) if dists[j] <= k_q]
+        total = sum(max(k_dist[j], dists[j]) for j in members)
         lrd_q = len(members) / total if total > 0 else 1.0 / 1e-10
         scores[qi] = sum(lrd[j] for j in members) / (len(members) * lrd_q)
     return scores

@@ -63,8 +63,11 @@ class TestConfig:
         ({"seeds": [0, 0, 0, 1, 2]}, "duplicate seeds [0]"),
         ({"variants": ["lof_raw", "lof_raw/none", "ae_re"]},
          "duplicate variants ['lof_raw/none']"),
+        ({"variants": [{"modifier": "prune"}]}, "needs a detector"),
+        ({"seeds": 3}, "seeds must be a list"),
     ], ids=["top_level_key", "dataset_key", "lof_key", "variant_key",
-            "duplicate_seeds", "duplicate_variants"])
+            "duplicate_seeds", "duplicate_variants", "variant_without_detector",
+            "seeds_not_list"])
     def test_invalid_config_fails_before_loading_data(self, experiment, tmp_path,
                                                       capsys, change, offender):
         _, out_dir, config = experiment
@@ -159,16 +162,23 @@ class TestRun:
         report = json.loads((out_dir / "report.json").read_text())["report"]
         assert sorted({row["seed"] for row in report["rows"]}) == [9]
 
-    def test_failed_variant_recorded_and_exit_nonzero(self, experiment, tmp_path):
-        config_path, out_dir, config = experiment
-        config["lof"] = {"min_pts": 10_000}  # larger than the reference set
-        bad_path = tmp_path / "bad.json"
-        bad_path.write_text(json.dumps(config))
-        cli.main(["prepare", "--config", str(bad_path)])
-        assert cli.main(["run", "--config", str(bad_path)]) == 1
-        report = json.loads((out_dir / "report.json").read_text())["report"]
-        assert report["failures"]
-        assert all("min_pts" in f["error"] for f in report["failures"])
+    def test_min_pts_out_of_range_fails_before_training(self, experiment, tmp_path,
+                                                        capsys, monkeypatch):
+        _, out_dir, config = experiment
+        trained = []
+        monkeypatch.setattr(autoencoder, "train",
+                            lambda *args, **kwargs: trained.append(args))
+        # lof_raw fits its reference on the 180 training rows
+        for min_pts in (0, 180, 10_000):
+            bad_path = tmp_path / "bad.json"
+            bad_path.write_text(json.dumps({**config, "lof": {"min_pts": min_pts}}))
+            assert cli.main(["prepare", "--config", str(bad_path)]) == 0
+            capsys.readouterr()
+            assert cli.main(["run", "--config", str(bad_path)]) == 1
+            assert (f"lof.min_pts must be at least 1 and below the 180 "
+                    f"training rows, got {min_pts}") in capsys.readouterr().err
+        assert trained == []
+        assert not (out_dir / "report.json").exists()
 
     def test_matrix_trains_each_network_once(self, experiment, tmp_path,
                                              monkeypatch):
