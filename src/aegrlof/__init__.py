@@ -21,7 +21,6 @@ from .data import (  # noqa: F401
     PreparedData,
     RawTable,
     SplitSpec,
-    build_vocabulary,
     load_csv,
     normalize_apply,
     normalize_fit,
@@ -35,7 +34,6 @@ from .autoencoder import (  # noqa: F401
     LayerParams,
     Network,
     TrainConfig,
-    activation_tanh,
     backward,
     build_architecture,
     bottleneck_width,

@@ -169,11 +169,6 @@ def build_architecture(n_features: int, seed: int = 0) -> Network:
     return Network(layers)
 
 
-def activation_tanh(x):
-    """Hyperbolic tangent, numerically stable for any finite input."""
-    return np.tanh(x)
-
-
 def forward(net: Network, batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Run a batch through the network.
 
@@ -190,7 +185,7 @@ def forward(net: Network, batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarr
     out = batch
     for layer in net.layers:
         pre = out @ layer.weights.T + layer.bias
-        out = activation_tanh(pre) if layer.activation == "tanh" else pre
+        out = np.tanh(pre) if layer.activation == "tanh" else pre
         activations.append(out)
     return activations, out
 

@@ -61,19 +61,31 @@ TRAIN_DEFAULTS = {
     "batch_size": None,
 }
 
-SPLIT_DEFAULTS = {
-    "train_fraction": 0.6,
-    "val_fraction": 0.2,
-    "test_fraction": 0.2,
-    "seed": 0,
-    "subsample_fraction": None,
-}
+SPLIT_DEFAULTS = {f.name: f.default for f in fields(SplitSpec)}
+
+LOF_DEFAULTS = {"min_pts": 20}
 
 CONFIG_KEYS = ("dataset", "split", "train", "lof", "variants", "seeds",
                "wilcoxon_pairs", "output_dir")
 DATASET_KEYS = ("path", "has_header", "schema")
-LOF_KEYS = ("min_pts",)
 VARIANT_KEYS = ("detector", "modifier", "aug_factor", "aug_sigma")
+
+
+def _field_types(cls) -> dict[str, str]:
+    # annotations are strings under `from __future__ import annotations`;
+    # "float | None" -> "float"
+    return {f.name: f.type.split(" | ")[0] for f in fields(cls)}
+
+
+# Numeric config sections: (name, defaults, field type names). An int
+# field takes a JSON integer, a float field any JSON number; booleans are
+# rejected, and null is allowed only where the default is null.
+NUMERIC_SECTIONS = (
+    ("split", SPLIT_DEFAULTS, _field_types(SplitSpec)),
+    ("train", TRAIN_DEFAULTS, _field_types(ae.TrainConfig)),
+    ("lof", LOF_DEFAULTS, {"min_pts": "int"}),
+)
+_JSON_NUMBERS = {"int": (int,), "float": (int, float)}
 
 
 @dataclass
@@ -84,7 +96,7 @@ class ExperimentConfig:
     schema: dict[str | int, str]
     has_header: bool | None
     split: SplitSpec
-    train: dict[str, Any]
+    train: ae.TrainConfig
     min_pts: int
     variants: list[dict[str, Any]]
     seeds: list[int]
@@ -100,6 +112,19 @@ def _check_keys(path: Path, where: str, section: dict, known) -> None:
             f"{path}: unknown {where} keys {sorted(unknown)} "
             f"(expected from {sorted(known)})"
         )
+
+
+def _check_numeric_section(path: Path, where: str, section: Any,
+                           defaults: dict, types: dict[str, str]) -> None:
+    if not isinstance(section, dict):
+        raise ValueError(f"{path}: {where} must be an object, got {section!r}")
+    _check_keys(path, where, section, defaults)
+    for key, value in section.items():
+        if value is None and defaults[key] is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, _JSON_NUMBERS[types[key]]):
+            kind = "an integer" if types[key] == "int" else "a number"
+            raise ValueError(f"{path}: {where}.{key} must be {kind}, got {value!r}")
 
 
 def _duplicates(values: list) -> list:
@@ -135,9 +160,8 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(dataset, dict) or "path" not in dataset:
         raise ValueError(f"{path}: config needs dataset.path")
     _check_keys(path, "dataset", dataset, DATASET_KEYS)
-    for section, known in (("split", SPLIT_DEFAULTS), ("train", TRAIN_DEFAULTS),
-                           ("lof", LOF_KEYS)):
-        _check_keys(path, section, raw.get(section, {}), known)
+    for section, defaults, types in NUMERIC_SECTIONS:
+        _check_numeric_section(path, section, raw.get(section, {}), defaults, types)
     has_header = dataset.get("has_header")
     schema_raw = dataset.get("schema", {})
     schema: dict[str | int, str] = {}
@@ -150,7 +174,10 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     split_cfg = {**SPLIT_DEFAULTS, **raw.get("split", {})}
     split = SplitSpec(**split_cfg)
     train_cfg = {**TRAIN_DEFAULTS, **raw.get("train", {})}
-    min_pts = int(raw.get("lof", {}).get("min_pts", 20))
+    # a null batch_size keeps the TrainConfig default here and is resolved
+    # from the training rows at run time
+    train = ae.TrainConfig(**{k: v for k, v in train_cfg.items() if v is not None})
+    lof_cfg = {**LOF_DEFAULTS, **raw.get("lof", {})}
 
     variants_raw = raw.get("variants", "matrix")
     if variants_raw == "matrix":
@@ -161,9 +188,20 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         raise ValueError(f"{path}: at least one variant required")
     # report rows, score files and shared networks are keyed by
     # (detector/modifier, seed), so each may appear only once
-    duplicate_variants = _duplicates([VariantSpec(**v).key for v in variants])
+    keys = [VariantSpec(**v).key for v in variants]
+    duplicate_variants = _duplicates(keys)
     if duplicate_variants:
         raise ValueError(f"{path}: duplicate variants {duplicate_variants}")
+    pairs = raw.get("wilcoxon_pairs", [])
+    if not isinstance(pairs, list):
+        raise ValueError(f"{path}: wilcoxon_pairs must be a list, got {pairs!r}")
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1]
+                and all(key in keys for key in pair)):
+            raise ValueError(
+                f"{path}: wilcoxon pair {pair!r} must name two distinct "
+                f"configured variants from {sorted(keys)}"
+            )
 
     seeds_raw = raw.get("seeds", [0])
     if not isinstance(seeds_raw, list):
@@ -180,21 +218,21 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
                     "has_header": has_header},
         "split": split_cfg,
         "train": train_cfg,
-        "lof": {"min_pts": min_pts},
+        "lof": lof_cfg,
         "variants": variants,
         "seeds": seeds,
-        "wilcoxon_pairs": raw.get("wilcoxon_pairs", []),
+        "wilcoxon_pairs": pairs,
     }
     return ExperimentConfig(
         dataset_path=dataset["path"],
         schema=schema,
         has_header=has_header,
         split=split,
-        train=train_cfg,
-        min_pts=min_pts,
+        train=train,
+        min_pts=lof_cfg["min_pts"],
         variants=variants,
         seeds=seeds,
-        wilcoxon_pairs=[list(p) for p in raw.get("wilcoxon_pairs", [])],
+        wilcoxon_pairs=pairs,
         output_dir=raw.get("output_dir", "out"),
         resolved=resolved,
     )
@@ -265,6 +303,12 @@ def cmd_run(
         raise ValueError(
             "test split has no labels; evaluation requires a label column"
         )
+    test_classes = np.unique(prepared.test.labels)
+    if test_classes.size < 2:
+        raise ValueError(
+            f"test split holds only label {test_classes[0]}; evaluation needs "
+            "both classes"
+        )
     # lof_raw and the unmodified latent heads fit LOF on exactly the
     # training rows, so a min_pts they cannot hold fails before training
     n_train = prepared.train.n_rows
@@ -275,10 +319,9 @@ def cmd_run(
         )
 
     seeds = [seed_override] if seed_override is not None else config.seeds
-    train_cfg_fields = dict(config.train)
-    if train_cfg_fields.get("batch_size") is None:
-        train_cfg_fields["batch_size"] = ae.default_batch_size(prepared.train.n_rows)
-    base_cfg = ae.TrainConfig(**train_cfg_fields)
+    base_cfg = config.train
+    if config.resolved["train"]["batch_size"] is None:
+        base_cfg = replace(base_cfg, batch_size=ae.default_batch_size(n_train))
     specs = [VariantSpec(**variant) for variant in config.variants]
 
     started = time.time()
@@ -287,21 +330,16 @@ def cmd_run(
     def _run_head(spec: VariantSpec,
                   network: TrainedNetwork | None = None) -> _Outcome:
         try:
-            return spec, run_variant(spec, prepared.train, prepared.val,
-                                     prepared.test, base_cfg,
-                                     min_pts=config.min_pts,
-                                     network=network), None
+            return spec, run_variant(spec, prepared.train, prepared.test,
+                                     config.min_pts, network), None
         except Exception as exc:  # recorded per-variant, run continues
             logger.exception("variant %s seed %d failed", spec.key, spec.seed)
             return spec, None, f"{type(exc).__name__}: {exc}"
 
     def _run_raw(spec: VariantSpec) -> list[_Outcome]:
+        # lof_raw does not depend on the seed: one result fills every row
         _, run, error = _run_head(replace(spec, seed=seeds[0]))
-        return [(replace(spec, seed=seed),
-                 None if run is None else replace(
-                     run, variant=replace(spec, seed=seed),
-                     metadata={**run.metadata, "seed": seed}),
-                 error) for seed in seeds]
+        return [(replace(spec, seed=seed), run, error) for seed in seeds]
 
     def _run_network(seed: int, reversal: bool,
                      heads: list[VariantSpec]) -> list[_Outcome]:
@@ -336,7 +374,7 @@ def cmd_run(
         if run is None:
             failures.append({"variant": spec.key, "seed": spec.seed, "error": error})
             continue
-        result = metrics.compute_metrics(run.scores, run.labels)
+        result = metrics.compute_metrics(run.scores, prepared.test.labels)
         rows.append(
             {
                 "detector": spec.detector,
@@ -346,7 +384,8 @@ def cmd_run(
                 "pr_auc": result.pr_auc,
                 "n_pos": result.n_pos,
                 "n_neg": result.n_neg,
-                "metadata": run.metadata,
+                "metadata": {**run.metadata, "detector": spec.detector,
+                             "modifier": spec.modifier, "seed": spec.seed},
             }
         )
         write_scores_csv(
@@ -407,10 +446,6 @@ def _wilcoxon_comparisons(
     out = []
     for pair in pairs:
         entry: dict[str, Any] = {"pair": list(pair), "metric": "pr_auc"}
-        if len(pair) != 2:
-            entry["error"] = "a comparison pair needs exactly 2 variant keys"
-            out.append(entry)
-            continue
         a_by_seed = by_key.get(pair[0], {})
         b_by_seed = by_key.get(pair[1], {})
         common = [s for s in seeds if s in a_by_seed and s in b_by_seed]

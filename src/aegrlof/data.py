@@ -17,7 +17,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -163,22 +163,17 @@ def load_csv(
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        raw_rows = [row for row in reader if row]
+        # blank lines are skipped but still counted, so errors name the
+        # line as an editor shows it
+        data_rows = [(reader.line_num, row) for row in reader if row]
 
-    if has_header:
-        if not raw_rows:
-            raise ValueError(f"{path}: no rows")
-        header = [c.strip() for c in raw_rows[0]]
-        data_rows = raw_rows[1:]
-        first_line = 2
-    else:
-        header = None
-        data_rows = raw_rows
-        first_line = 1
+    header = None
+    if has_header and data_rows:
+        header = [c.strip() for c in data_rows.pop(0)[1]]
     if not data_rows:
         raise ValueError(f"{path}: no rows")
 
-    width = len(data_rows[0])
+    width = len(data_rows[0][1])
     names = header if header is not None else [f"col{i}" for i in range(width)]
     if len(names) != width:
         raise ValueError(
@@ -204,8 +199,7 @@ def load_csv(
                 raise ValueError(f"schema column {key!r} not found in header") from None
 
     rows: list[tuple] = []
-    for i, row in enumerate(data_rows):
-        line = first_line + i
+    for line, row in data_rows:
         if len(row) != width:
             raise ValueError(
                 f"{path} line {line}: expected {width} fields, got {len(row)}"
@@ -240,31 +234,14 @@ def load_csv(
     return RawTable(columns=list(zip(names, kinds)), rows=rows)
 
 
-def build_vocabulary(table: RawTable) -> dict[str, tuple[str, ...]]:
-    """Distinct values per categorical column, sorted for determinism."""
-    vocab: dict[str, tuple[str, ...]] = {}
-    for j, (name, kind) in enumerate(table.columns):
-        if kind == "categorical":
-            vocab[name] = tuple(sorted({row[j] for row in table.rows}))
-    return vocab
-
-
-def one_hot_encode(
-    table: RawTable,
-    vocabulary: Mapping[str, Sequence[str]] | None = None,
-) -> Dataset:
+def one_hot_encode(table: RawTable) -> Dataset:
     """Expand categorical columns into binary indicator blocks.
 
     Each categorical column with ``c`` distinct values becomes ``c`` binary
-    columns named ``<column>=<value>``; numeric columns pass through in
-    place. When ``vocabulary`` is given (apply mode, e.g. encoding a test
-    file with the training file's vocabulary), a value absent from the
-    vocabulary encodes as all zeros in its block. The label column, if
-    present, is returned as ``Dataset.labels`` and excluded from features.
+    columns named ``<column>=<value>``, values sorted for determinism;
+    numeric columns pass through in place. The label column, if present,
+    is returned as ``Dataset.labels`` and excluded from features.
     """
-    if vocabulary is None:
-        vocabulary = build_vocabulary(table)
-
     names: list[str] = []
     builders: list[tuple[int, str, dict[str, int] | None]] = []
     label_idx: int | None = None
@@ -275,7 +252,7 @@ def one_hot_encode(
             builders.append((j, "numeric", None))
             names.append(name)
         else:
-            cats = vocabulary.get(name, ())
+            cats = sorted({row[j] for row in table.rows})
             index = {c: k for k, c in enumerate(cats)}
             builders.append((j, "categorical", index))
             names.extend(f"{name}={c}" for c in cats)
@@ -289,10 +266,7 @@ def one_hot_encode(
                 features[i, col] = row[j]
                 col += 1
             else:
-                assert index is not None
-                k = index.get(row[j])
-                if k is not None:
-                    features[i, col + k] = 1.0
+                features[i, col + index[row[j]]] = 1.0
                 col += len(index)
 
     if not np.all(np.isfinite(features)):
@@ -383,17 +357,13 @@ class PreparedData:
     meta: dict = field(default_factory=dict)
 
 
-def prepare(
-    table: RawTable,
-    spec: SplitSpec,
-    vocabulary: Mapping[str, Sequence[str]] | None = None,
-) -> PreparedData:
+def prepare(table: RawTable, spec: SplitSpec) -> PreparedData:
     """Full preprocessing chain: encode, split, subsample, normalize.
 
     Normalization statistics are fitted on the final (post-subsample)
     training split and applied unchanged to validation and test.
     """
-    encoded = one_hot_encode(table, vocabulary)
+    encoded = one_hot_encode(table)
     train, val, test = split(encoded, spec)
     if spec.subsample_fraction is not None and spec.subsample_fraction < 1.0:
         train = subsample(train, spec.subsample_fraction, spec.seed)

@@ -13,7 +13,8 @@ reference set.
 Every detector but ``lof_raw`` is a scoring head on one trained network:
 ``ae_re`` and ``ae_lof/*`` on the plain network, ``aegr_lof/*`` on the
 gradient-reversal one. :func:`train_network` trains a network once, and
-each head that shares it passes it to :func:`run_variant`.
+:func:`run_variant` scores one head from it; a head reads the network's
+arrays and never changes them, so every head of a network can share it.
 """
 
 from __future__ import annotations
@@ -85,9 +86,7 @@ class ScoredRun:
     is True for rows *removed* by pruning.
     """
 
-    variant: VariantSpec
     scores: np.ndarray
-    labels: np.ndarray | None
     metadata: dict = field(default_factory=dict)
     train_latents: np.ndarray | None = None
     pruned_mask: np.ndarray | None = None
@@ -96,10 +95,6 @@ class ScoredRun:
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if not np.all(np.isfinite(self.scores)):
             raise ValueError("scores must be finite")
-        if self.labels is not None and len(self.labels) != len(self.scores):
-            raise ValueError(
-                f"{len(self.scores)} scores for {len(self.labels)} labels"
-            )
 
 
 def prune(latents: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,50 +191,41 @@ def train_network(
 def run_variant(
     spec: VariantSpec,
     train_data: Dataset,
-    val_data: Dataset,
     test_data: Dataset,
-    cfg: ae.TrainConfig,
-    min_pts: int = 20,
+    min_pts: int,
     network: TrainedNetwork | None = None,
 ) -> ScoredRun:
-    """Execute one variant end to end and score the test split.
+    """Score the test split with one variant.
 
     Detector behavior:
         lof_raw: LOF fitted on normalized training features scores the
             raw test features.
-        ae_re: plain autoencoder (reversal disabled); the score is each
-            test row's reconstruction error.
-        ae_lof: plain autoencoder; LOF fitted on training latents scores
+        ae_re: the plain network's reconstruction error of each test row.
+        ae_lof: plain network; LOF fitted on training latents scores
             test latents.
-        aegr_lof: gradient-reversal autoencoder; LOF fitted on training
+        aegr_lof: gradient-reversal network; LOF fitted on training
             latents, optionally pruned and augmented, scores test latents.
 
-    The spec's seed drives network initialization, batch shuffling, and
-    augmentation noise, so identical inputs yield identical scores.
-
-    ``network`` is a :func:`train_network` result for the same splits,
-    config, seed and reversal setting. Passing it skips training; the
-    result is the same as without it. ``lof_raw`` ignores it.
+    ``lof_raw`` takes no network. Every other detector scores
+    ``network``, a :func:`train_network` result for the same splits with
+    the spec's seed and the detector's reversal setting; anything else
+    raises ``ValueError``. The spec's seed also drives augmentation noise,
+    so identical inputs yield identical scores.
     """
-    meta: dict = {
-        "detector": spec.detector,
-        "modifier": spec.modifier,
-        "seed": spec.seed,
-        "train_rows": train_data.n_rows,
-        "test_rows": test_data.n_rows,
-    }
+    meta: dict = {"train_rows": train_data.n_rows, "test_rows": test_data.n_rows}
 
     if spec.detector == "lof_raw":
+        if network is not None:
+            raise ValueError("lof_raw scores the raw features and takes no network")
         model = lof.fit(train_data.features, min_pts)
         scores = lof.score(model, test_data.features)
         meta.update(min_pts=min_pts, reference_rows=model.n_reference)
-        return ScoredRun(spec, scores, test_data.labels, meta)
+        return ScoredRun(scores, meta)
 
     reversal = spec.detector == "aegr_lof"
     if network is None:
-        network = train_network(spec.seed, reversal, train_data, val_data,
-                                test_data, cfg)
-    elif (network.seed, network.reversal) != (spec.seed, reversal):
+        raise ValueError(f"{spec.key} needs a network from train_network")
+    if (network.seed, network.reversal) != (spec.seed, reversal):
         raise ValueError(
             f"{spec.key} seed {spec.seed} cannot use the network trained with "
             f"seed {network.seed}, reversal={network.reversal}"
@@ -252,7 +238,7 @@ def run_variant(
     )
 
     if spec.detector == "ae_re":
-        return ScoredRun(spec, network.test_errors, test_data.labels, meta)
+        return ScoredRun(network.test_errors, meta)
 
     reference = train_latents = network.train_latents
     pruned_mask = np.zeros(train_data.n_rows, dtype=bool)
@@ -270,5 +256,5 @@ def run_variant(
                 latent_dim=network.net.bottleneck_width)
     logger.info("variant %s seed %d: %d reference rows, %d epochs",
                 spec.key, spec.seed, model.n_reference, len(history))
-    return ScoredRun(spec, scores, test_data.labels, meta,
-                     train_latents=train_latents, pruned_mask=pruned_mask)
+    return ScoredRun(scores, meta, train_latents=train_latents,
+                     pruned_mask=pruned_mask)

@@ -215,11 +215,17 @@ def test_criterion_7_synthetic_directional():
         train, val, test = (data.normalize_apply(norm, s)
                             for s in (train, val, test))
         prevalence_by_seed.append(float(test.labels.mean()))
+        # one plain and one reversal network per seed serve every head
+        networks = {reversal: pipeline.train_network(seed, reversal, train, val,
+                                                     test, cfg)
+                    for reversal in (False, True)}
         for detector, modifier in pipeline.VARIANT_MATRIX:
             spec = pipeline.VariantSpec(detector, modifier, seed=seed)
-            run = pipeline.run_variant(spec, train, val, test, cfg, min_pts=20)
+            network = (None if detector == "lof_raw"
+                       else networks[detector == "aegr_lof"])
+            run = pipeline.run_variant(spec, train, test, 20, network)
             pr_by_variant.setdefault((detector, modifier), []).append(
-                metrics.pr_auc(run.scores, run.labels)
+                metrics.pr_auc(run.scores, test.labels)
             )
 
     aegr_prune = float(np.mean(pr_by_variant[("aegr_lof", "prune")]))
@@ -341,8 +347,9 @@ def test_criterion_9_pruning_contract():
                         for s in (train, val, test))
     cfg = ae.TrainConfig(max_epochs=10, batch_size=16, learning_rate=0.05,
                          gr_start_epoch=4, patience=5, seed=0)
+    network = pipeline.train_network(0, True, train, val, test, cfg)
     run = pipeline.run_variant(pipeline.VariantSpec("aegr_lof", "prune", seed=0),
-                               train, val, test, cfg, min_pts=15)
+                               train, test, 15, network)
     in_pipeline_ok = run.metadata["rows_after_prune"] < train.n_rows
 
     _criterion(

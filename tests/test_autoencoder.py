@@ -54,16 +54,27 @@ class TestArchitecture:
 
 
 class TestActivation:
+    """The tanh layers, seen through ``forward``."""
+
     def test_zero(self):
-        assert ae.activation_tanh(0.0) == 0.0
+        net = ae.build_architecture(6, seed=0)
+        acts, out = ae.forward(net, np.zeros((1, 6)))
+        for hidden in acts[1:-1]:
+            np.testing.assert_array_equal(hidden, 0.0)
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_antisymmetry(self):
-        x = np.linspace(-5, 5, 101)
-        np.testing.assert_array_equal(ae.activation_tanh(x),
-                                      -ae.activation_tanh(-x))
+        # zero biases and odd activations make the whole network odd
+        net = ae.build_architecture(6, seed=1)
+        x = np.random.default_rng(0).normal(size=(20, 6))
+        np.testing.assert_array_equal(ae.forward(net, x)[1],
+                                      -ae.forward(net, -x)[1])
 
     def test_saturation(self):
-        assert abs(ae.activation_tanh(50.0) - 1.0) < 1e-12
+        net = ae.build_architecture(4, seed=2)
+        net.layers[0].weights[:] = 1.0
+        acts, _ = ae.forward(net, np.full((1, 4), 50.0))
+        np.testing.assert_allclose(acts[1], 1.0, atol=1e-12)
 
 
 class TestForward:

@@ -65,9 +65,25 @@ class TestConfig:
          "duplicate variants ['lof_raw/none']"),
         ({"variants": [{"modifier": "prune"}]}, "needs a detector"),
         ({"seeds": 3}, "seeds must be a list"),
+        ({"wilcoxon_pairs": [["lof_raw"]]}, "wilcoxon pair ['lof_raw']"),
+        ({"wilcoxon_pairs": [["aegr_lof/prune", "ae_lof/none"]]},
+         "wilcoxon pair ['aegr_lof/prune', 'ae_lof/none']"),
+        ({"wilcoxon_pairs": [["lof_raw/none", "lof_raw/none"]]},
+         "must name two distinct configured variants"),
+        ({"wilcoxon_pairs": 3}, "wilcoxon_pairs must be a list"),
+        ({"split": {"train_fraction": "0.6"}},
+         "split.train_fraction must be a number, got '0.6'"),
+        ({"train": {"max_epochs": "5"}}, "train.max_epochs must be an integer"),
+        ({"train": {"patience": True}}, "train.patience must be an integer"),
+        ({"train": {"learning_rate": None}}, "train.learning_rate must be a number"),
+        ({"train": {"max_epochs": 0}}, "max_epochs must be >= 1"),
+        ({"lof": {"min_pts": 2.7}}, "lof.min_pts must be an integer, got 2.7"),
+        ({"split": [0.6]}, "split must be an object"),
     ], ids=["top_level_key", "dataset_key", "lof_key", "variant_key",
             "duplicate_seeds", "duplicate_variants", "variant_without_detector",
-            "seeds_not_list"])
+            "seeds_not_list", "wilcoxon_pair_of_one", "wilcoxon_unconfigured",
+            "wilcoxon_same_twice", "wilcoxon_not_list", "split_string", "train_string", "train_bool",
+            "train_null", "train_out_of_range", "lof_float", "split_not_object"])
     def test_invalid_config_fails_before_loading_data(self, experiment, tmp_path,
                                                       capsys, change, offender):
         _, out_dir, config = experiment
@@ -83,6 +99,21 @@ class TestConfig:
         config = cli.load_experiment_config(config_path)
         assert config.resolved["train"]["min_improvement"] == 1e-4
         assert config.resolved["split"]["train_fraction"] == 0.6
+
+    def test_numeric_types_accepted(self, experiment, tmp_path):
+        # integers are numbers, and null stays allowed where it is the default
+        _, _, config = experiment
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps({
+            **config,
+            "split": {"train_fraction": 1, "val_fraction": 0, "test_fraction": 0,
+                      "subsample_fraction": None},
+            "train": {"learning_rate": 1, "batch_size": None},
+        }))
+        config = cli.load_experiment_config(path)
+        assert config.split.train_fraction == 1
+        assert config.train.learning_rate == 1
+        assert config.resolved["train"]["batch_size"] is None
 
 
 class TestPrepare:
@@ -179,6 +210,29 @@ class TestRun:
                     f"training rows, got {min_pts}") in capsys.readouterr().err
         assert trained == []
         assert not (out_dir / "report.json").exists()
+
+    def test_single_class_test_split_fails_before_training(self, tmp_path, capsys,
+                                                           monkeypatch):
+        ds = make_embedded_blob(seed=0, n_normal=100, n_anom=0, ambient_dim=4)
+        csv_path = tmp_path / "normal.csv"
+        write_dataset_csv(csv_path, ds)
+        config_path = tmp_path / "normal.json"
+        config_path.write_text(json.dumps({
+            "dataset": {"path": str(csv_path), "has_header": True,
+                        "schema": {"label": "label"}},
+            "lof": {"min_pts": 5},
+            "output_dir": str(tmp_path / "out"),
+        }))
+        trained = []
+        monkeypatch.setattr(autoencoder, "train",
+                            lambda *args, **kwargs: trained.append(args))
+        assert cli.main(["prepare", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(config_path)]) == 1
+        assert ("test split holds only label 0; evaluation needs both classes"
+                in capsys.readouterr().err)
+        assert trained == []
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_matrix_trains_each_network_once(self, experiment, tmp_path,
                                              monkeypatch):

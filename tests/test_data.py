@@ -34,6 +34,11 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 3"):
             data.load_csv(path, {"a": "numeric"})
 
+    def test_error_line_counts_blank_lines(self, tmp_path):
+        path = _write(tmp_path, "a,b\n1,2\n\n3,4\n5,oops\n")
+        with pytest.raises(ValueError, match="line 5:"):
+            data.load_csv(path, {"a": "numeric"})
+
     def test_unparsable_numeric(self, tmp_path):
         path = _write(tmp_path, "a,b\n1,oops\n")
         with pytest.raises(ValueError, match="'b'"):
@@ -100,14 +105,6 @@ class TestOneHot:
         )
         ds = data.one_hot_encode(table)
         np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_unseen_category_encodes_all_zeros(self):
-        fit_table = data.RawTable([("proto", "categorical")],
-                                  [("tcp",), ("udp",)])
-        vocab = data.build_vocabulary(fit_table)
-        apply_table = data.RawTable([("proto", "categorical")], [("icmp",)])
-        ds = data.one_hot_encode(apply_table, vocab)
-        np.testing.assert_array_equal(ds.features, [[0.0, 0.0]])
 
     def test_block_row_sums_are_one(self):
         rng = np.random.default_rng(3)

@@ -101,15 +101,22 @@ _FAST_CFG = TrainConfig(max_epochs=12, batch_size=16, learning_rate=0.05,
                         gr_start_epoch=4, patience=6, seed=0)
 
 
+def _score(spec, train, val, test, cfg=_FAST_CFG):
+    """Train the spec's network, then score the spec's head from it."""
+    network = pipeline.train_network(spec.seed, spec.detector == "aegr_lof",
+                                     train, val, test, cfg)
+    return pipeline.run_variant(spec, train, test, 20, network)
+
+
 class TestRunVariant:
     def test_disabled_reversal_reduces_to_plain_ae_lof(self):
         train, val, test = _prepared_splits(seed=1, n_normal=240, n_anom=12)
         cfg = TrainConfig(max_epochs=8, batch_size=16, learning_rate=0.05,
                           gr_start_epoch=8, patience=4, seed=0)
-        run_plain = pipeline.run_variant(
-            pipeline.VariantSpec("ae_lof", seed=3), train, val, test, cfg)
-        run_gr_off = pipeline.run_variant(
-            pipeline.VariantSpec("aegr_lof", seed=3), train, val, test, cfg)
+        run_plain = _score(pipeline.VariantSpec("ae_lof", seed=3),
+                           train, val, test, cfg)
+        run_gr_off = _score(pipeline.VariantSpec("aegr_lof", seed=3),
+                            train, val, test, cfg)
         np.testing.assert_array_equal(run_plain.scores, run_gr_off.scores)
 
     def test_ae_re_scores_training_copy_below_outlier(self):
@@ -118,8 +125,7 @@ class TestRunVariant:
         far = np.full(train.n_features, 25.0)
         probe = data.Dataset(np.vstack([copied, far]), train.feature_names,
                              np.array([0, 1]))
-        run = pipeline.run_variant(
-            pipeline.VariantSpec("ae_re", seed=0), train, val, probe, _FAST_CFG)
+        run = _score(pipeline.VariantSpec("ae_re", seed=0), train, val, probe)
         assert run.scores[0] < run.scores[1]
 
     def test_lof_raw_ranks_far_outliers_on_top(self):
@@ -131,8 +137,7 @@ class TestRunVariant:
         test = data.Dataset(test_feats, ["x", "y"],
                             np.r_[np.zeros(40, int), np.ones(10, int)])
         run = pipeline.run_variant(
-            pipeline.VariantSpec("lof_raw", seed=0), train, train, test,
-            _FAST_CFG, min_pts=10)
+            pipeline.VariantSpec("lof_raw", seed=0), train, test, 10)
         top10 = np.argsort(run.scores)[-10:]
         assert set(top10) == set(range(40, 50))
         oracle = naive_lof_scores(blob, 10, test_feats)
@@ -141,16 +146,15 @@ class TestRunVariant:
     def test_deterministic_scored_runs(self):
         train, val, test = _prepared_splits(seed=3, n_normal=200, n_anom=10)
         spec = pipeline.VariantSpec("aegr_lof", "prune_da", seed=7)
-        a = pipeline.run_variant(spec, train, val, test, _FAST_CFG)
-        b = pipeline.run_variant(spec, train, val, test, _FAST_CFG)
+        a = _score(spec, train, val, test)
+        b = _score(spec, train, val, test)
         np.testing.assert_array_equal(a.scores, b.scores)
         assert a.metadata == b.metadata
 
     def test_prune_metadata_and_masks(self):
         train, val, test = _prepared_splits(seed=4, n_normal=200, n_anom=10)
-        run = pipeline.run_variant(
-            pipeline.VariantSpec("aegr_lof", "prune", seed=1),
-            train, val, test, _FAST_CFG)
+        run = _score(pipeline.VariantSpec("aegr_lof", "prune", seed=1),
+                     train, val, test)
         assert run.metadata["rows_after_prune"] < train.n_rows
         assert run.pruned_mask.sum() == train.n_rows - run.metadata["rows_after_prune"]
         assert run.train_latents.shape == (train.n_rows,
@@ -160,37 +164,58 @@ class TestRunVariant:
         train, val, test = _prepared_splits(seed=5, n_normal=200, n_anom=10)
         spec = pipeline.VariantSpec("aegr_lof", "prune_da",
                                     aug_factor=3.0, seed=1)
-        run = pipeline.run_variant(spec, train, val, test, _FAST_CFG)
+        run = _score(spec, train, val, test)
         assert run.metadata["rows_after_augment"] == 3 * run.metadata[
             "rows_after_prune"]
 
     def test_labels_carried_to_scores(self):
+        # one score per test row, in row order, so the caller pairs them
+        # with the test labels
         train, val, test = _prepared_splits(seed=6, n_normal=200, n_anom=10)
-        run = pipeline.run_variant(
-            pipeline.VariantSpec("ae_re", seed=0), train, val, test, _FAST_CFG)
-        np.testing.assert_array_equal(run.labels, test.labels)
-        assert len(run.scores) == test.n_rows
+        run = _score(pipeline.VariantSpec("ae_re", seed=0), train, val, test)
+        assert len(run.scores) == len(test.labels) == test.n_rows
 
 
 _NETWORK_VARIANTS = [v for v in pipeline.VARIANT_MATRIX if v[0] != "lof_raw"]
 
 
+def _network_arrays(network):
+    arrays = [network.train_latents, network.train_errors,
+              network.test_latents, network.test_errors]
+    for layer in network.net.layers:
+        arrays += [layer.weights, layer.bias]
+    return [a.copy() for a in arrays]
+
+
 class TestSharedNetwork:
-    @pytest.mark.parametrize("detector,modifier", _NETWORK_VARIANTS)
-    def test_shared_network_matches_fresh_run(self, detector, modifier):
+    def test_heads_score_alike_in_any_order(self):
+        # every head reads its network and none changes it, so scoring the
+        # heads forwards and then backwards gives identical results
         train, val, test = _prepared_splits(seed=7, n_normal=200, n_anom=10)
-        spec = pipeline.VariantSpec(detector, modifier, seed=2)
-        network = pipeline.train_network(2, detector == "aegr_lof",
-                                         train, val, test, _FAST_CFG)
-        shared = pipeline.run_variant(spec, train, val, test, _FAST_CFG,
-                                      network=network)
-        fresh = pipeline.run_variant(spec, train, val, test, _FAST_CFG)
-        np.testing.assert_array_equal(shared.scores, fresh.scores)
-        assert shared.metadata == fresh.metadata
-        for attr in ("train_latents", "pruned_mask"):
-            a, b = getattr(shared, attr), getattr(fresh, attr)
-            assert (a is None) == (b is None)
-            if a is not None:
+        networks = {reversal: pipeline.train_network(2, reversal, train, val,
+                                                     test, _FAST_CFG)
+                    for reversal in (False, True)}
+        before = {r: _network_arrays(n) for r, n in networks.items()}
+        specs = [pipeline.VariantSpec(d, m, seed=2) for d, m in _NETWORK_VARIANTS]
+
+        def score_all(order):
+            return {spec.key: pipeline.run_variant(
+                spec, train, test, 20, networks[spec.detector == "aegr_lof"])
+                for spec in order}
+
+        forward = score_all(specs)
+        backward = score_all(specs[::-1])
+        for key, run in forward.items():
+            other = backward[key]
+            np.testing.assert_array_equal(run.scores, other.scores)
+            assert run.metadata == other.metadata
+            for attr in ("train_latents", "pruned_mask"):
+                a, b = getattr(run, attr), getattr(other, attr)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    np.testing.assert_array_equal(a, b)
+        for reversal, network in networks.items():
+            for a, b in zip(before[reversal], _network_arrays(network)):
                 np.testing.assert_array_equal(a, b)
 
     def test_network_of_other_seed_or_reversal_rejected(self):
@@ -199,5 +224,15 @@ class TestSharedNetwork:
         for spec in (pipeline.VariantSpec("aegr_lof", seed=0),
                      pipeline.VariantSpec("ae_lof", seed=1)):
             with pytest.raises(ValueError, match="cannot use the network"):
-                pipeline.run_variant(spec, train, val, test, _FAST_CFG,
-                                     network=network)
+                pipeline.run_variant(spec, train, test, 20, network)
+
+    def test_heads_need_a_network_and_lof_raw_takes_none(self):
+        train, val, test = _prepared_splits(seed=8, n_normal=120, n_anom=6)
+        for detector, modifier in _NETWORK_VARIANTS:
+            spec = pipeline.VariantSpec(detector, modifier, seed=0)
+            with pytest.raises(ValueError, match="needs a network"):
+                pipeline.run_variant(spec, train, test, 20)
+        network = pipeline.train_network(0, False, train, val, test, _FAST_CFG)
+        with pytest.raises(ValueError, match="takes no network"):
+            pipeline.run_variant(pipeline.VariantSpec("lof_raw"), train, test,
+                                 20, network)
