@@ -16,6 +16,11 @@ hardest and is therefore most likely anomaly-driven, is applied *inverted*
 (theta += lr * g), undoing that batch's pull on the representation. Rows are
 reshuffled into new batches between epochs so the same points are not
 repeatedly selected together.
+
+Early stopping reads the validation loss after every epoch; that pass
+writes into activation and smooth-L1 work arrays allocated once per
+:func:`train` call, and its loss is bit-identical to
+``smooth_l1_loss(forward(net, x)[1], x)``.
 """
 
 from __future__ import annotations
@@ -123,8 +128,14 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if not math.isfinite(self.min_improvement):
+            raise ValueError(
+                f"min_improvement must be finite, got {self.min_improvement}"
+            )
         if self.gr_start_epoch < 0:
             raise ValueError(f"gr_start_epoch must be >= 0, got {self.gr_start_epoch}")
 
@@ -169,12 +180,17 @@ def build_architecture(n_features: int, seed: int = 0) -> Network:
     return Network(layers)
 
 
-def forward(net: Network, batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def forward(
+    net: Network, batch: np.ndarray, out: Sequence[np.ndarray] | None = None
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Run a batch through the network.
 
     Returns the list of node-layer activations (input first, output last)
     and the output; every intermediate activation is retained for
-    :func:`backward`.
+    :func:`backward`. ``out`` optionally holds one float64 array per weight
+    layer, shaped (rows, layer width), that receives that layer's
+    activation instead of a fresh array, so a pass repeated over the same
+    rows allocates nothing; the values are the same either way.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != net.n_inputs:
@@ -182,18 +198,35 @@ def forward(net: Network, batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarr
             f"batch shape {batch.shape} incompatible with {net.n_inputs} inputs"
         )
     activations = [batch]
-    out = batch
-    for layer in net.layers:
-        pre = out @ layer.weights.T + layer.bias
-        out = np.tanh(pre) if layer.activation == "tanh" else pre
-        activations.append(out)
-    return activations, out
+    for layer, buf in zip(net.layers, out or [None] * len(net.layers)):
+        act = np.matmul(activations[-1], layer.weights.T, out=buf)
+        act += layer.bias
+        if layer.activation == "tanh":
+            np.tanh(act, out=act)
+        activations.append(act)
+    return activations, activations[-1]
 
 
-def _smooth_l1(output: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Element-wise smooth-L1: 0.5*e^2 where |e| < 1, |e| - 0.5 elsewhere."""
-    err = np.abs(output - target)
-    return np.where(err < 1.0, 0.5 * err * err, err - 0.5)
+def _smooth_l1(
+    output: np.ndarray,
+    target: np.ndarray,
+    err: np.ndarray | None = None,
+    quad: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Element-wise smooth-L1: 0.5*e^2 where |e| < 1, |e| - 0.5 elsewhere.
+
+    ``err``, ``quad`` (float64) and ``mask`` (bool), each of the output's
+    shape, are optional work arrays; the result is returned in ``err``.
+    """
+    err = np.subtract(output, target, out=err)
+    np.abs(err, out=err)
+    mask = np.less(err, 1.0, out=mask)
+    quad = np.multiply(0.5, err, out=quad)
+    quad *= err
+    err -= 0.5
+    np.copyto(err, quad, where=mask)
+    return err
 
 
 def smooth_l1_loss(output: np.ndarray, target: np.ndarray) -> float:
@@ -281,6 +314,11 @@ def train(
     x_val = val_data.features
     n = x_train.shape[0]
     order = np.arange(n)
+    # the validation pass covers the same rows every epoch, so its
+    # activations and smooth-L1 work arrays are allocated once
+    val_acts = [np.empty((x_val.shape[0], width)) for width in net.widths[1:]]
+    val_work = (np.empty(x_val.shape), np.empty(x_val.shape),
+                np.empty(x_val.shape, dtype=bool))
 
     history: list[EpochStats] = []
     best_val = math.inf
@@ -321,7 +359,8 @@ def train(
             # epoch end.
             sgd_step(net, best_grads, -cfg.learning_rate)
 
-        val_loss = smooth_l1_loss(forward(net, x_val)[1], x_val)
+        val_out = forward(net, x_val, val_acts)[1]
+        val_loss = float(_smooth_l1(val_out, x_val, *val_work).mean())
         if not math.isfinite(val_loss):
             raise RuntimeError(
                 f"training diverged: non-finite validation loss at epoch {epoch}"

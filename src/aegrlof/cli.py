@@ -19,6 +19,7 @@ import argparse
 import concurrent.futures
 import json
 import logging
+import math
 import platform
 import sys
 import time
@@ -33,6 +34,7 @@ from . import __version__
 from . import autoencoder as ae
 from . import metrics
 from .data import (
+    COLUMN_KINDS,
     SplitSpec,
     load_cache,
     load_csv,
@@ -78,8 +80,8 @@ def _field_types(cls) -> dict[str, str]:
 
 
 # Numeric config sections: (name, defaults, field type names). An int
-# field takes a JSON integer, a float field any JSON number; booleans are
-# rejected, and null is allowed only where the default is null.
+# field takes a JSON integer, a float field any finite JSON number;
+# booleans are rejected, and null is allowed only where the default is null.
 NUMERIC_SECTIONS = (
     ("split", SPLIT_DEFAULTS, _field_types(SplitSpec)),
     ("train", TRAIN_DEFAULTS, _field_types(ae.TrainConfig)),
@@ -114,6 +116,16 @@ def _check_keys(path: Path, where: str, section: dict, known) -> None:
         )
 
 
+def _check_number(path: Path, name: str, value: Any, type_name: str) -> None:
+    # json.load accepts NaN, Infinity and -Infinity (and 1e400 overflows
+    # to inf); none of them is a usable setting
+    if isinstance(value, bool) or not isinstance(value, _JSON_NUMBERS[type_name]):
+        kind = "an integer" if type_name == "int" else "a number"
+        raise ValueError(f"{path}: {name} must be {kind}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{path}: {name} must be finite, got {value!r}")
+
+
 def _check_numeric_section(path: Path, where: str, section: Any,
                            defaults: dict, types: dict[str, str]) -> None:
     if not isinstance(section, dict):
@@ -122,9 +134,7 @@ def _check_numeric_section(path: Path, where: str, section: Any,
     for key, value in section.items():
         if value is None and defaults[key] is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, _JSON_NUMBERS[types[key]]):
-            kind = "an integer" if types[key] == "int" else "a number"
-            raise ValueError(f"{path}: {where}.{key} must be {kind}, got {value!r}")
+        _check_number(path, f"{where}.{key}", value, types[key])
 
 
 def _duplicates(values: list) -> list:
@@ -142,6 +152,7 @@ def _parse_variant_entry(path: Path, entry: Any) -> dict[str, Any]:
         out = {"detector": entry["detector"], "modifier": entry.get("modifier", "none")}
         for key in ("aug_factor", "aug_sigma"):
             if key in entry:
+                _check_number(path, f"variant {key}", entry[key], "float")
                 out[key] = float(entry[key])
         return out
     raise ValueError(f"cannot parse variant entry {entry!r}")
@@ -155,15 +166,35 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
 
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
     _check_keys(path, "top-level", raw, CONFIG_KEYS)
     dataset = raw.get("dataset")
     if not isinstance(dataset, dict) or "path" not in dataset:
         raise ValueError(f"{path}: config needs dataset.path")
     _check_keys(path, "dataset", dataset, DATASET_KEYS)
+    if not isinstance(dataset["path"], str):
+        raise ValueError(
+            f"{path}: dataset.path must be a string, got {dataset['path']!r}"
+        )
+    has_header = dataset.get("has_header")
+    if has_header is not None and not isinstance(has_header, bool):
+        raise ValueError(
+            f"{path}: dataset.has_header must be true, false or null, "
+            f"got {has_header!r}"
+        )
+    schema_raw = dataset.get("schema", {})
+    if not (isinstance(schema_raw, dict)
+            and all(kind in COLUMN_KINDS for kind in schema_raw.values())):
+        raise ValueError(
+            f"{path}: dataset.schema must be an object mapping columns to "
+            f"one of {list(COLUMN_KINDS)}, got {schema_raw!r}"
+        )
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ValueError(f"{path}: output_dir must be a string, got {output_dir!r}")
     for section, defaults, types in NUMERIC_SECTIONS:
         _check_numeric_section(path, section, raw.get(section, {}), defaults, types)
-    has_header = dataset.get("has_header")
-    schema_raw = dataset.get("schema", {})
     schema: dict[str | int, str] = {}
     for key, kind in schema_raw.items():
         if has_header is False and key.isdigit():
@@ -182,8 +213,12 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     variants_raw = raw.get("variants", "matrix")
     if variants_raw == "matrix":
         variants = [{"detector": d, "modifier": m} for d, m in VARIANT_MATRIX]
-    else:
+    elif isinstance(variants_raw, list):
         variants = [_parse_variant_entry(path, v) for v in variants_raw]
+    else:
+        raise ValueError(
+            f'{path}: variants must be "matrix" or a list, got {variants_raw!r}'
+        )
     if not variants:
         raise ValueError(f"{path}: at least one variant required")
     # report rows, score files and shared networks are keyed by
@@ -203,10 +238,11 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
                 f"configured variants from {sorted(keys)}"
             )
 
-    seeds_raw = raw.get("seeds", [0])
-    if not isinstance(seeds_raw, list):
-        raise ValueError(f"{path}: seeds must be a list, got {seeds_raw!r}")
-    seeds = [int(s) for s in seeds_raw]
+    seeds = raw.get("seeds", [0])
+    if not isinstance(seeds, list):
+        raise ValueError(f"{path}: seeds must be a list, got {seeds!r}")
+    for i, seed in enumerate(seeds):
+        _check_number(path, f"seeds[{i}]", seed, "int")
     if not seeds:
         raise ValueError(f"{path}: seeds must be non-empty")
     duplicate_seeds = _duplicates(seeds)
@@ -233,7 +269,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         variants=variants,
         seeds=seeds,
         wilcoxon_pairs=pairs,
-        output_dir=raw.get("output_dir", "out"),
+        output_dir=output_dir,
         resolved=resolved,
     )
 

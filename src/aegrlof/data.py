@@ -122,8 +122,8 @@ class SplitSpec:
 
     def __post_init__(self) -> None:
         fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
-        if any(f < 0 for f in fracs):
-            raise ValueError(f"split fractions must be >= 0, got {fracs}")
+        if not all(math.isfinite(f) and f >= 0 for f in fracs):
+            raise ValueError(f"split fractions must be finite and >= 0, got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {sum(fracs)}")
         if self.subsample_fraction is not None and not (

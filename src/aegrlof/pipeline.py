@@ -20,6 +20,7 @@ arrays and never changes them, so every head of a network can share it.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,10 +68,14 @@ class VariantSpec:
                 f"modifier {self.modifier!r} applies only to ae_lof/aegr_lof, "
                 f"not {self.detector!r}"
             )
-        if self.aug_factor < 1.0:
-            raise ValueError(f"aug_factor must be >= 1, got {self.aug_factor}")
-        if self.aug_sigma < 0.0:
-            raise ValueError(f"aug_sigma must be >= 0, got {self.aug_sigma}")
+        if not (math.isfinite(self.aug_factor) and self.aug_factor >= 1.0):
+            raise ValueError(
+                f"aug_factor must be finite and >= 1, got {self.aug_factor}"
+            )
+        if not (math.isfinite(self.aug_sigma) and self.aug_sigma >= 0.0):
+            raise ValueError(
+                f"aug_sigma must be finite and >= 0, got {self.aug_sigma}"
+            )
 
     @property
     def key(self) -> str:

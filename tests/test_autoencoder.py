@@ -101,6 +101,16 @@ class TestForward:
         with pytest.raises(ValueError, match="incompatible"):
             ae.forward(net, np.ones((2, 5)))
 
+    def test_out_arrays_receive_identical_activations(self):
+        net = ae.build_architecture(9, seed=3)
+        x = np.random.default_rng(2).normal(size=(7, 9)) * 3
+        fresh, _ = ae.forward(net, x)
+        bufs = [np.full((7, width), np.nan) for width in net.widths[1:]]
+        acts, out = ae.forward(net, x, bufs)
+        assert all(a is b for a, b in zip(acts[1:], bufs)) and out is bufs[-1]
+        for a, b in zip(fresh, acts):
+            np.testing.assert_array_equal(a, b)
+
 
 class TestSmoothL1:
     def test_perfect_reconstruction(self):
@@ -265,15 +275,20 @@ class TestTrain:
                 assert h.reversal_applied and h.max_gs >= 0.0
 
     def test_returns_best_validation_network(self):
-        train = _random_dataset(80, 5, seed=3)
-        val = _random_dataset(30, 5, seed=4)
         cfg = ae.TrainConfig(max_epochs=20, batch_size=16, learning_rate=0.1,
                              gr_start_epoch=2, patience=0, min_improvement=0.0,
                              seed=2)
-        trained, history = ae.train(ae.build_architecture(5, seed=2), train, val, cfg)
-        returned = ae.smooth_l1_loss(ae.forward(trained, val.features)[1],
-                                     val.features)
-        assert returned == min(h.val_loss for h in history)
+        # the tall case holds far more validation rows than training rows and
+        # more than 8192 elements, so the validation pass over reused work
+        # arrays is pinned bit for bit to smooth_l1_loss(forward(...))
+        for n_train, n_val in ((80, 30), (40, 2000)):
+            train = _random_dataset(n_train, 5, seed=3)
+            val = _random_dataset(n_val, 5, seed=4)
+            trained, history = ae.train(ae.build_architecture(5, seed=2), train,
+                                        val, cfg)
+            returned = ae.smooth_l1_loss(ae.forward(trained, val.features)[1],
+                                         val.features)
+            assert returned == min(h.val_loss for h in history)
 
     def test_early_stopping_stops_before_max(self):
         train = _random_dataset(40, 3, seed=5)
@@ -290,6 +305,14 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="diverged"):
             ae.train(ae.build_architecture(2, seed=0), bad, val,
                      ae.TrainConfig(max_epochs=2, batch_size=2))
+
+    def test_non_finite_validation_loss_aborts(self):
+        val = _random_dataset(6, 3, seed=1)
+        val.features[2, 1] = np.inf
+        with pytest.raises(RuntimeError,
+                           match="non-finite validation loss at epoch 1"):
+            ae.train(ae.build_architecture(3, seed=0), _random_dataset(8, 3, 0),
+                     val, ae.TrainConfig(max_epochs=2, batch_size=4))
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="width"):
@@ -348,6 +371,17 @@ class TestSerialization:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,max_gs,reversal_applied"
         assert lines[2].startswith("2,0.4,0.5,1.25,1")
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("learning_rate", math.nan, "learning_rate must be finite and > 0"),
+    ("learning_rate", math.inf, "learning_rate must be finite and > 0"),
+    ("min_improvement", math.nan, "min_improvement must be finite"),
+    ("min_improvement", -math.inf, "min_improvement must be finite"),
+], ids=["lr_nan", "lr_inf", "min_improvement_nan", "min_improvement_neg_inf"])
+def test_train_config_rejects_non_finite(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        ae.TrainConfig(**{field: value})
 
 
 def test_default_batch_size_rule():

@@ -79,11 +79,36 @@ class TestConfig:
         ({"train": {"max_epochs": 0}}, "max_epochs must be >= 1"),
         ({"lof": {"min_pts": 2.7}}, "lof.min_pts must be an integer, got 2.7"),
         ({"split": [0.6]}, "split must be an object"),
+        ({"train": {"min_improvement": float("nan")}},
+         "train.min_improvement must be finite, got nan"),
+        ({"split": {"train_fraction": float("nan")}},
+         "split.train_fraction must be finite, got nan"),
+        ({"train": {"learning_rate": float("inf")}},
+         "train.learning_rate must be finite, got inf"),
+        ({"seeds": [2.7, True]}, "seeds[0] must be an integer, got 2.7"),
+        ({"seeds": [0, True]}, "seeds[1] must be an integer, got True"),
+        ({"variants": [{"detector": "ae_lof", "aug_factor": True}]},
+         "variant aug_factor must be a number, got True"),
+        ({"variants": [{"detector": "ae_lof", "aug_sigma": float("nan")}]},
+         "variant aug_sigma must be finite, got nan"),
+        ({"dataset": {"path": "x.csv", "schema": []}},
+         "dataset.schema must be an object"),
+        ({"dataset": {"path": "x.csv", "schema": {"proto": "text"}}},
+         "dataset.schema must be an object mapping columns to one of"),
+        ({"dataset": {"path": 5}}, "dataset.path must be a string, got 5"),
+        ({"output_dir": 7}, "output_dir must be a string, got 7"),
+        ({"dataset": {"path": "x.csv", "has_header": "no"}},
+         "dataset.has_header must be true, false or null, got 'no'"),
+        ({"variants": 5}, 'variants must be "matrix" or a list, got 5'),
     ], ids=["top_level_key", "dataset_key", "lof_key", "variant_key",
             "duplicate_seeds", "duplicate_variants", "variant_without_detector",
             "seeds_not_list", "wilcoxon_pair_of_one", "wilcoxon_unconfigured",
             "wilcoxon_same_twice", "wilcoxon_not_list", "split_string", "train_string", "train_bool",
-            "train_null", "train_out_of_range", "lof_float", "split_not_object"])
+            "train_null", "train_out_of_range", "lof_float", "split_not_object",
+            "train_nan", "split_nan", "train_infinity", "seed_float",
+            "seed_bool", "aug_factor_bool", "aug_sigma_nan", "schema_list",
+            "schema_unknown_kind", "path_number", "output_dir_number",
+            "has_header_string", "variants_number"])
     def test_invalid_config_fails_before_loading_data(self, experiment, tmp_path,
                                                       capsys, change, offender):
         _, out_dir, config = experiment
@@ -93,6 +118,12 @@ class TestConfig:
             assert cli.main([command, "--config", str(path)]) == 1
             assert offender in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_non_object_config_rejected(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert cli.main(["prepare", "--config", str(path)]) == 1
+        assert "config must be a JSON object" in capsys.readouterr().err
 
     def test_defaults_echoed(self, experiment):
         config_path, _, _ = experiment

@@ -213,6 +213,12 @@ class TestSplit:
         with pytest.raises(ValueError, match=">= 0"):
             data.SplitSpec(1.2, -0.1, -0.1)
 
+    @pytest.mark.parametrize("fracs", [(float("nan"), 0.2, 0.2),
+                                       (0.6, float("inf"), 0.2)])
+    def test_non_finite_fractions(self, fracs):
+        with pytest.raises(ValueError, match="finite"):
+            data.SplitSpec(*fracs)
+
 
 class TestSubsample:
     def test_tenth_of_thousand(self):

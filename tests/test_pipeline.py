@@ -89,6 +89,12 @@ class TestVariantSpec:
     def test_key(self):
         assert pipeline.VariantSpec("aegr_lof", "prune").key == "aegr_lof/prune"
 
+    @pytest.mark.parametrize("field", ["aug_factor", "aug_sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_augmentation_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            pipeline.VariantSpec("aegr_lof", "prune_da", **{field: value})
+
 
 def _prepared_splits(seed=0, **blob_kwargs):
     ds = make_embedded_blob(seed, **blob_kwargs)
