@@ -3,10 +3,8 @@ end-of-epoch gradient reversal.
 
 The network has five node layers [n, h, m, h, n] where the bottleneck width
 is m = floor(1 + sqrt(n)) and the hidden width h = round(sqrt(n * m))
-(geometric taper between input and bottleneck). All layers use tanh except
-the final reconstruction layer, which is linear so it can reproduce inputs
-outside [-1, 1]. The loss is smooth-L1 (quadratic below unit error, linear
-above), minimized by plain SGD.
+(geometric taper between input and bottleneck). The loss is smooth-L1
+(quadratic below unit error, linear above), minimized by plain SGD.
 
 Gradient reversal: once the epoch counter passes the configured start epoch,
 every minibatch is assigned a gradient score, the Frobenius norm of the
@@ -35,8 +33,6 @@ import numpy as np
 from .data import Dataset
 from .storage import atomic_write_text
 
-ACTIVATIONS = ("tanh", "identity")
-
 # Index of the weight layer whose output is the bottleneck, in the fixed
 # [n, h, m, h, n] architecture.
 BOTTLENECK_LAYER = 1
@@ -47,11 +43,10 @@ Gradients = list[tuple[np.ndarray, np.ndarray]]
 
 @dataclass
 class LayerParams:
-    """One weight layer: out x in weights, out bias, activation tag."""
+    """One weight layer: out x in weights and out bias."""
 
     weights: np.ndarray
     bias: np.ndarray
-    activation: str
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -61,18 +56,20 @@ class LayerParams:
                 f"inconsistent layer shapes: W {self.weights.shape}, "
                 f"b {self.bias.shape}"
             )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ValueError("layer parameters must be finite")
 
     def copy(self) -> "LayerParams":
-        return LayerParams(self.weights.copy(), self.bias.copy(), self.activation)
+        return LayerParams(self.weights.copy(), self.bias.copy())
 
 
 @dataclass
 class Network:
-    """Ordered weight layers; adjacent dimensions must chain."""
+    """Ordered weight layers; adjacent dimensions must chain.
+
+    Every layer applies tanh except the last, the reconstruction layer,
+    which is linear so it can reproduce inputs outside [-1, 1].
+    """
 
     layers: list[LayerParams]
 
@@ -165,18 +162,17 @@ def build_architecture(n_features: int, seed: int = 0) -> Network:
     """Construct the initialized [n, h, m, h, n] network.
 
     Weights are seeded uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)],
-    biases zero. All activations are tanh except the final linear layer.
+    biases zero.
     """
     m = bottleneck_width(n_features)
     h = max(1, int(round(math.sqrt(n_features * m))))
     widths = [n_features, h, m, h, n_features]
     rng = np.random.default_rng(seed)
     layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+    for fan_in, fan_out in zip(widths, widths[1:]):
         bound = 1.0 / math.sqrt(fan_in)
         weights = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        activation = "identity" if i == len(widths) - 2 else "tanh"
-        layers.append(LayerParams(weights, np.zeros(fan_out), activation))
+        layers.append(LayerParams(weights, np.zeros(fan_out)))
     return Network(layers)
 
 
@@ -198,10 +194,11 @@ def forward(
             f"batch shape {batch.shape} incompatible with {net.n_inputs} inputs"
         )
     activations = [batch]
-    for layer, buf in zip(net.layers, out or [None] * len(net.layers)):
+    for i, layer in enumerate(net.layers):
+        buf = None if out is None else out[i]
         act = np.matmul(activations[-1], layer.weights.T, out=buf)
         act += layer.bias
-        if layer.activation == "tanh":
+        if i < len(net.layers) - 1:
             np.tanh(act, out=act)
         activations.append(act)
     return activations, activations[-1]
@@ -246,24 +243,19 @@ def backward(
     Returns one (dW, db) pair per weight layer, shapes matching the
     network's parameters.
     """
-    output = activations[-1]
-    err = output - target
-    # d/de of mean smooth-L1: e on the quadratic branch, sign(e) on the linear
+    err = activations[-1] - target
+    # d/de of mean smooth-L1: e on the quadratic branch, sign(e) on the
+    # linear one; the output layer is linear, so this is its delta
     delta = np.clip(err, -1.0, 1.0) / err.size
-    if net.layers[-1].activation == "tanh":
-        delta = delta * (1.0 - output * output)
 
-    grads: Gradients = [None] * len(net.layers)  # type: ignore[list-item]
+    grads: Gradients = []
     for i in range(len(net.layers) - 1, -1, -1):
         a_in = activations[i]
-        grads[i] = (delta.T @ a_in, delta.sum(axis=0))
+        grads.append((delta.T @ a_in, delta.sum(axis=0)))
         if i > 0:
-            upstream = delta @ net.layers[i].weights
-            a_prev = activations[i]
-            if net.layers[i - 1].activation == "tanh":
-                delta = upstream * (1.0 - a_prev * a_prev)
-            else:
-                delta = upstream
+            # a_in is the output of tanh layer i - 1: tanh' = 1 - a^2
+            delta = (delta @ net.layers[i].weights) * (1.0 - a_in * a_in)
+    grads.reverse()
     return grads
 
 

@@ -190,6 +190,12 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             f"{path}: dataset.schema must be an object mapping columns to "
             f"one of {list(COLUMN_KINDS)}, got {schema_raw!r}"
         )
+    n_labels = list(schema_raw.values()).count("label")
+    if n_labels > 1:
+        raise ValueError(
+            f"{path}: dataset.schema names {n_labels} label columns; "
+            f"at most one is allowed"
+        )
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ValueError(f"{path}: output_dir must be a string, got {output_dir!r}")
@@ -627,6 +633,16 @@ def cmd_plotdata(
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aegrlof",
@@ -642,7 +658,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the variant matrix and emit reports")
     p_run.add_argument("--config", required=True, help="experiment config JSON")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--jobs", type=int, default=1,
+    p_run.add_argument("--jobs", type=_positive_int, default=1,
                        help="parallel workers, one trained network each "
                        "(default 1)")
     p_run.add_argument("--seed-override", type=int, default=None,

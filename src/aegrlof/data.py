@@ -151,9 +151,9 @@ def load_csv(
 
     Raises:
         FileNotFoundError: Missing file.
-        ValueError: Empty file, row arity mismatch (named by line number),
-            unparsable or non-finite numeric value, non-binary label value,
-            or a schema key that matches no column.
+        ValueError: Empty file, repeated header name, row arity mismatch
+            (named by line number), unparsable or non-finite numeric value,
+            non-binary label value, or a schema key that matches no column.
     """
     path = Path(path)
     if not path.exists():
@@ -179,6 +179,11 @@ def load_csv(
         raise ValueError(
             f"{path}: header has {len(names)} columns but first data row has {width}"
         )
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"{path}: header repeats column {name!r}")
+        seen.add(name)
 
     kinds = ["numeric"] * width
     for key, kind in schema.items():

@@ -214,7 +214,8 @@ def run_variant(
     ``lof_raw`` takes no network. Every other detector scores
     ``network``, a :func:`train_network` result for the same splits with
     the spec's seed and the detector's reversal setting; anything else
-    raises ``ValueError``. The spec's seed also drives augmentation noise,
+    raises ``ValueError``, as does a pruned reference left with no more
+    than ``min_pts`` rows. The spec's seed also drives augmentation noise,
     so identical inputs yield identical scores.
     """
     meta: dict = {"train_rows": train_data.n_rows, "test_rows": test_data.n_rows}
@@ -254,6 +255,12 @@ def run_variant(
     if spec.modifier == "prune_da":
         reference = augment(reference, spec.aug_factor, spec.aug_sigma, spec.seed + 1)
         meta["rows_after_augment"] = int(reference.shape[0])
+    if spec.modifier != "none" and reference.shape[0] <= min_pts:
+        raise ValueError(
+            f"{spec.key}: pruning kept {meta['rows_after_prune']} of "
+            f"{train_data.n_rows} training rows, leaving {reference.shape[0]} "
+            f"reference rows; LOF needs more than min_pts={min_pts}"
+        )
 
     model = lof.fit(reference, min_pts)
     scores = lof.score(model, network.test_latents)

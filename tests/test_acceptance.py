@@ -91,8 +91,7 @@ def test_criterion_3_reversal_identity():
         grad_w = rng.integers(-(2**20), 2**20, size=(rows, cols)) / 2.0**10
         grad_b = rng.integers(-(2**20), 2**20, size=rows) / 2.0**10
         lr = 2.0 ** -int(rng.integers(1, 7))
-        net = ae.Network([ae.LayerParams(theta_w.copy(), theta_b.copy(),
-                                         "identity")])
+        net = ae.Network([ae.LayerParams(theta_w.copy(), theta_b.copy())])
         ae.sgd_step(net, [(grad_w, grad_b)], lr)
         ae.sgd_step(net, [(-grad_w, -grad_b)], lr)
         exact += (np.array_equal(net.layers[0].weights, theta_w)

@@ -39,12 +39,25 @@ class TestArchitecture:
 
     def test_init_bounds_and_activations(self):
         net = ae.build_architecture(25, seed=3)
-        for i, layer in enumerate(net.layers):
+        for layer in net.layers:
             bound = 1.0 / math.sqrt(layer.weights.shape[1])
             assert np.all(np.abs(layer.weights) <= bound)
             np.testing.assert_array_equal(layer.bias, 0.0)
-            expected = "identity" if i == len(net.layers) - 1 else "tanh"
-            assert layer.activation == expected
+        # through forward: tanh in every layer but the last, which is
+        # linear; biases of 2 push pre-activations where the two differ
+        rng = np.random.default_rng(4)
+        one_layer = ae.Network([ae.LayerParams(rng.normal(size=(3, 3)),
+                                               np.zeros(3))])
+        for model, width in ((net, 25), (one_layer, 3)):
+            for layer in model.layers:
+                layer.bias[:] = 2.0
+            acts, out = ae.forward(model, rng.normal(size=(6, width)))
+            for i, layer in enumerate(model.layers):
+                pre = acts[i] @ layer.weights.T + layer.bias
+                last = i == len(model.layers) - 1
+                np.testing.assert_array_equal(acts[i + 1],
+                                              pre if last else np.tanh(pre))
+            assert np.max(np.abs(out)) > 1.0
 
     def test_init_deterministic_per_seed(self):
         a = ae.build_architecture(10, seed=5)
@@ -179,7 +192,7 @@ class TestSgdStep:
             np.testing.assert_array_equal(w, layer.weights)
 
     def test_arithmetic(self):
-        layer = ae.LayerParams(np.array([[1.0]]), np.zeros(1), "identity")
+        layer = ae.LayerParams(np.array([[1.0]]), np.zeros(1))
         net = ae.Network([layer])
         ae.sgd_step(net, [(np.array([[0.5]]), np.zeros(1))], 0.1)
         assert net.layers[0].weights[0, 0] == 0.95
@@ -195,7 +208,7 @@ class TestSgdStep:
             gw = rng.integers(-(2**20), 2**20, size=(rows, cols)) / 2.0**10
             gb = rng.integers(-(2**20), 2**20, size=rows) / 2.0**10
             lr = 2.0 ** -int(rng.integers(1, 7))
-            net = ae.Network([ae.LayerParams(w.copy(), b.copy(), "identity")])
+            net = ae.Network([ae.LayerParams(w.copy(), b.copy())])
             ae.sgd_step(net, [(gw, gb)], lr)
             ae.sgd_step(net, [(-gw, -gb)], lr)
             np.testing.assert_array_equal(net.layers[0].weights, w)

@@ -100,6 +100,9 @@ class TestConfig:
         ({"dataset": {"path": "x.csv", "has_header": "no"}},
          "dataset.has_header must be true, false or null, got 'no'"),
         ({"variants": 5}, 'variants must be "matrix" or a list, got 5'),
+        ({"dataset": {"path": "x.csv", "schema": {"label": "label",
+                                                  "f0": "label"}}},
+         "dataset.schema names 2 label columns"),
     ], ids=["top_level_key", "dataset_key", "lof_key", "variant_key",
             "duplicate_seeds", "duplicate_variants", "variant_without_detector",
             "seeds_not_list", "wilcoxon_pair_of_one", "wilcoxon_unconfigured",
@@ -108,7 +111,7 @@ class TestConfig:
             "train_nan", "split_nan", "train_infinity", "seed_float",
             "seed_bool", "aug_factor_bool", "aug_sigma_nan", "schema_list",
             "schema_unknown_kind", "path_number", "output_dir_number",
-            "has_header_string", "variants_number"])
+            "has_header_string", "variants_number", "two_labels"])
     def test_invalid_config_fails_before_loading_data(self, experiment, tmp_path,
                                                       capsys, change, offender):
         _, out_dir, config = experiment
@@ -211,11 +214,40 @@ class TestRun:
     def test_jobs_parallel_matches_serial(self, experiment):
         config_path, out_dir, _ = experiment
         cli.main(["prepare", "--config", str(config_path)])
-        cli.main(["run", "--config", str(config_path)])
-        serial = json.loads((out_dir / "report.json").read_text())["report"]
-        cli.main(["run", "--config", str(config_path), "--jobs", "4"])
-        parallel = json.loads((out_dir / "report.json").read_text())["report"]
-        assert serial == parallel
+
+        def run_files():
+            return [path for path in sorted(out_dir.iterdir())
+                    if path.name in ("report.json", "report.md")
+                    or path.name.startswith(("scores_", "latents_"))]
+
+        def run_outputs(*flags):
+            # delete the previous run's files so each run must write its own
+            for path in run_files():
+                path.unlink()
+            assert cli.main(["run", "--config", str(config_path), *flags]) == 0
+            outputs = {path.name: path.read_bytes() for path in run_files()}
+            # report.json also holds the run's timings; compare its report
+            # block as the CLI serializes it
+            report = json.loads(outputs.pop("report.json"))["report"]
+            outputs["report"] = json.dumps(report, indent=2, sort_keys=True)
+            return outputs
+
+        serial = run_outputs()
+        assert {"report.md", "scores_aegr_lof_prune_1.csv",
+                "latents_aegr_lof_prune_1.npz"} <= serial.keys()
+        assert run_outputs("--jobs", "2") == serial
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected_at_parsing(self, experiment, capsys, jobs):
+        config_path, out_dir, _ = experiment
+        cli.main(["prepare", "--config", str(config_path)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--config", str(config_path), "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert (f"error: argument --jobs: must be at least 1, got {jobs}"
+                in capsys.readouterr().err)
+        assert not (out_dir / "report.json").exists()
 
     def test_seed_override(self, experiment):
         config_path, out_dir, _ = experiment

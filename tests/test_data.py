@@ -65,6 +65,12 @@ class TestLoadCsv:
         assert table.columns[0] == ("col0", "categorical")
         assert table.rows[1] == ("udp", 2.0, 1)
 
+    def test_repeated_header_name_errors(self, tmp_path):
+        # the schema could type only one of the two columns named 'a'
+        path = _write(tmp_path, "a, a,label\n1,x,0\n")
+        with pytest.raises(ValueError, match="header repeats column 'a'"):
+            data.load_csv(path, {"a": "categorical", "label": "label"})
+
     def test_unknown_schema_column(self, tmp_path):
         path = _write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(ValueError, match="'zzz'"):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
@@ -291,3 +291,33 @@ class TestProperties:
         base = lof.score(lof.fit(reference, min_pts), queries)
         moved = lof.score(lof.fit(reference + offset, min_pts), queries + offset)
         np.testing.assert_allclose(moved, base, **SCORE_TOL)
+
+    @settings(max_examples=100)
+    @given(lof_problems(), st.randoms(use_true_random=False), st.data())
+    def test_scores_invariant_to_signed_axis_permutation(self, problem, random,
+                                                          data):
+        # on integer coordinates every squared distance is an exact integer
+        # in any summation order, so the scores must match bit for bit
+        reference, min_pts, queries = problem
+        axes = list(range(reference.shape[1]))
+        random.shuffle(axes)
+        signs = data.draw(arrays(np.float64, len(axes),
+                                 elements=st.sampled_from([-1.0, 1.0])))
+        base = lof.score(lof.fit(reference, min_pts), queries)
+        moved = lof.score(lof.fit(reference[:, axes] * signs, min_pts),
+                          queries[:, axes] * signs)
+        np.testing.assert_array_equal(moved, base)
+
+    @settings(max_examples=100)
+    @given(lof_problems(), st.integers(-30, 30))
+    def test_scores_invariant_to_power_of_two_scale(self, problem, exponent):
+        reference, min_pts, queries = problem
+        # duplicates cap a density at the absolute 1/EPSILON, which does not
+        # scale, so the property holds on distinct reference rows; there
+        # every distance, density and ratio scales exactly
+        reference = np.unique(reference, axis=0)
+        assume(reference.shape[0] > min_pts)
+        scale = 2.0 ** exponent
+        base = lof.score(lof.fit(reference, min_pts), queries)
+        scaled = lof.score(lof.fit(reference * scale, min_pts), queries * scale)
+        np.testing.assert_array_equal(scaled, base)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aegrlof import metrics
 
@@ -85,6 +88,29 @@ class TestPrAuc:
         assert metrics.pr_auc(np.exp(scores), labels) == metrics.pr_auc(
             scores, labels
         )
+
+
+@st.composite
+def integer_scores(draw):
+    """(scores, labels): integer scores in -20..20, so ties are common,
+    and labels holding both classes."""
+    n = draw(st.integers(2, 40))
+    scores = draw(arrays(np.int64, n, elements=st.integers(-20, 20)))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    assume(labels.min() < labels.max())
+    return scores, labels
+
+
+class TestProperties:
+    @settings(max_examples=200)
+    @given(integer_scores())
+    def test_aucs_invariant_to_increasing_maps(self, problem):
+        # both maps are exact on these integers and keep every tie
+        scores, labels = problem
+        for auc in (metrics.roc_auc, metrics.pr_auc):
+            base = auc(scores, labels)
+            for mapped in (3 * scores + 1, scores ** 3):
+                assert auc(mapped, labels) == base
 
 
 class TestWilcoxon:

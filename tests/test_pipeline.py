@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aegrlof import data, pipeline
 from aegrlof.autoencoder import TrainConfig
@@ -35,6 +38,19 @@ class TestPrune:
             assert res[mask].mean() <= res.mean() + 1e-12
             if not np.all(res == res[0]):
                 assert kept.shape[0] < res.size
+
+    @settings(max_examples=200)
+    @given(arrays(np.float64, st.integers(1, 60),
+                  elements=st.one_of(st.integers(0, 5).map(float),
+                                     st.floats(1e-6, 1e6))))
+    def test_survivors_never_have_higher_mean_error(self, res):
+        # small integers give ties and constant vectors; the tolerance is
+        # relative, a few roundings of the survivors' mean
+        latents = np.arange(2.0 * res.size).reshape(res.size, 2)
+        kept, mask = pipeline.prune(latents, res)
+        np.testing.assert_array_equal(kept, latents[mask])
+        assert mask.any()
+        assert res[mask].mean() <= res.mean() * (1.0 + 1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -173,6 +189,27 @@ class TestRunVariant:
         run = _score(spec, train, val, test)
         assert run.metadata["rows_after_augment"] == 3 * run.metadata[
             "rows_after_prune"]
+
+    def test_reference_pruned_below_min_pts_names_pruning(self):
+        train, val, test = _prepared_splits(seed=8, n_normal=120, n_anom=6)
+        network = pipeline.train_network(0, False, train, val, test, _FAST_CFG)
+        kept = int(pipeline.prune(network.train_latents,
+                                  network.train_errors)[1].sum())
+        assert kept < train.n_rows
+        # LOF needs more than min_pts references: the full training set
+        # and the doubled survivors have them, the survivors alone do not
+        min_pts = kept
+        for modifier in ("none", "prune_da"):
+            pipeline.run_variant(pipeline.VariantSpec("ae_lof", modifier),
+                                 train, test, min_pts, network)
+        for spec in (pipeline.VariantSpec("ae_lof", "prune"),
+                     pipeline.VariantSpec("ae_lof", "prune_da", aug_factor=1.0)):
+            with pytest.raises(ValueError) as error:
+                pipeline.run_variant(spec, train, test, min_pts, network)
+            assert str(error.value) == (
+                f"{spec.key}: pruning kept {kept} of {train.n_rows} training "
+                f"rows, leaving {kept} reference rows; LOF needs more than "
+                f"min_pts={min_pts}")
 
     def test_labels_carried_to_scores(self):
         # one score per test row, in row order, so the caller pairs them
