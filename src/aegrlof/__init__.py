@@ -4,7 +4,8 @@ Library layout:
     data         CSV loading, one-hot encoding, min-max normalization,
                  deterministic splitting and subsampling, dataset caching.
     autoencoder  Five-layer tanh autoencoder, smooth-L1 loss, minibatch
-                 SGD, gradient scoring and end-of-epoch reversal.
+                 SGD of network stacks in lockstep, gradient scoring and
+                 end-of-epoch reversal.
     lof          Exact Local Outlier Factor in novelty mode.
     pipeline     Detection variants (raw LOF, reconstruction error,
                  latent LOF with pruning/augmentation).
@@ -45,6 +46,7 @@ from .autoencoder import (  # noqa: F401
     sgd_step,
     smooth_l1_loss,
     train,
+    train_stack,
 )
 from .lof import LofModel, fit, score  # noqa: F401
 from .metrics import (  # noqa: F401
@@ -63,5 +65,5 @@ from .pipeline import (  # noqa: F401
     augment,
     prune,
     run_variant,
-    train_network,
+    train_networks,
 )

@@ -15,16 +15,24 @@ hardest and is therefore most likely anomaly-driven, is applied *inverted*
 reshuffled into new batches between epochs so the same points are not
 repeatedly selected together.
 
-Early stopping reads the validation loss after every epoch; that pass
-writes into activation and smooth-L1 work arrays allocated once per
-:func:`train` call, and its loss is bit-identical to
+:func:`train_stack` trains S networks of one architecture in lockstep:
+weights are held as (S, out, in) and biases as (S, out), so each numpy
+call of a batch step serves every network. numpy computes a stack one
+network slice at a time with the single-network arithmetic, so each
+network ends bit-identical to training it alone, which :func:`train`
+does as a stack of one. The networks may differ in seed and reversal
+start, so plain and reversal networks share a stack.
+
+Early stopping reads each network's validation loss after every epoch,
+one network at a time; that pass writes into activation and smooth-L1
+work arrays allocated once per stack, and its loss is bit-identical to
 ``smooth_l1_loss(forward(net, x)[1], x)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +45,12 @@ from .storage import atomic_write_text
 # [n, h, m, h, n] architecture.
 BOTTLENECK_LAYER = 1
 
-# Per-parameter gradients, one (dW, db) pair per weight layer.
+# (weights, bias) per weight layer: (out, in) and (out,) arrays for one
+# network, or (S, out, in) and (S, out) for a stack of S networks.
+Params = list[tuple[np.ndarray, np.ndarray]]
+
+# Per-parameter gradients, one (dW, db) pair per weight layer, shaped as
+# the parameters they belong to.
 Gradients = list[tuple[np.ndarray, np.ndarray]]
 
 
@@ -93,6 +106,11 @@ class Network:
         return self.layers[0].weights.shape[1]
 
     @property
+    def params(self) -> Params:
+        """Each layer's (weights, bias), the arrays themselves."""
+        return [(layer.weights, layer.bias) for layer in self.layers]
+
+    @property
     def bottleneck_width(self) -> int:
         return self.layers[BOTTLENECK_LAYER].weights.shape[0]
 
@@ -144,6 +162,8 @@ class EpochStats:
     val_loss: float
     max_gs: float = math.nan
     reversal_applied: bool = False
+    # id of the batch whose gradient was inverted, -1 when none was
+    reversed_batch: int = -1
 
 
 def default_batch_size(n_train_rows: int) -> int:
@@ -193,15 +213,24 @@ def forward(
         raise ValueError(
             f"batch shape {batch.shape} incompatible with {net.n_inputs} inputs"
         )
+    activations = _forward(net.params, batch, out)
+    return activations, activations[-1]
+
+
+def _forward(
+    params: Params, batch: np.ndarray, out: Sequence[np.ndarray] | None = None
+) -> list[np.ndarray]:
+    """Node-layer activations, input first, of one network or a stack;
+    a stack's ``batch`` is (S, rows, n), one batch per network."""
     activations = [batch]
-    for i, layer in enumerate(net.layers):
+    for i, (weights, bias) in enumerate(params):
         buf = None if out is None else out[i]
-        act = np.matmul(activations[-1], layer.weights.T, out=buf)
-        act += layer.bias
-        if i < len(net.layers) - 1:
+        act = np.matmul(activations[-1], weights.swapaxes(-1, -2), out=buf)
+        act += bias[..., None, :]
+        if i < len(params) - 1:
             np.tanh(act, out=act)
         activations.append(act)
-    return activations, activations[-1]
+    return activations
 
 
 def _smooth_l1(
@@ -243,34 +272,278 @@ def backward(
     Returns one (dW, db) pair per weight layer, shapes matching the
     network's parameters.
     """
+    return _backward(net.params, activations, target)
+
+
+def _backward(
+    params: Params, activations: Sequence[np.ndarray], target: np.ndarray
+) -> Gradients:
+    """:func:`backward` for one network or a stack; a stack's gradients
+    hold each network's mean-loss gradient on the leading axis."""
     err = activations[-1] - target
-    # d/de of mean smooth-L1: e on the quadratic branch, sign(e) on the
-    # linear one; the output layer is linear, so this is its delta
-    delta = np.clip(err, -1.0, 1.0) / err.size
+    # d/de of one network's mean smooth-L1: e on the quadratic branch,
+    # sign(e) on the linear one; the output layer is linear, so this is
+    # its delta
+    delta = np.clip(err, -1.0, 1.0) / (err.shape[-2] * err.shape[-1])
 
     grads: Gradients = []
-    for i in range(len(net.layers) - 1, -1, -1):
+    for i in range(len(params) - 1, -1, -1):
         a_in = activations[i]
-        grads.append((delta.T @ a_in, delta.sum(axis=0)))
+        grads.append((delta.swapaxes(-1, -2) @ a_in, delta.sum(axis=-2)))
         if i > 0:
             # a_in is the output of tanh layer i - 1: tanh' = 1 - a^2
-            delta = (delta @ net.layers[i].weights) * (1.0 - a_in * a_in)
+            delta = (delta @ params[i][0]) * (1.0 - a_in * a_in)
     grads.reverse()
     return grads
 
 
 def sgd_step(net: Network, grads: Gradients, lr: float) -> Network:
     """In-place plain SGD update theta <- theta - lr * g; returns ``net``."""
-    for layer, (dw, db) in zip(net.layers, grads):
-        layer.weights -= lr * dw
-        layer.bias -= lr * db
+    _sgd_step(net.params, grads, lr)
     return net
+
+
+def _sgd_step(params: Params, grads: Gradients, lr: float,
+              where: np.ndarray | None = None) -> None:
+    """:func:`sgd_step` for one network or a stack; ``where``, one bool
+    per network of a stack, limits the update to the networks it marks."""
+    for (weights, bias), (dw, db) in zip(params, grads):
+        if where is None:
+            weights -= lr * dw
+            bias -= lr * db
+        else:
+            weights[where] -= lr * dw[where]
+            bias[where] -= lr * db[where]
 
 
 def gradient_score(bottleneck_weight_grad: np.ndarray) -> float:
     """Frobenius norm of the bottleneck layer's weight gradient."""
-    g = np.asarray(bottleneck_weight_grad, dtype=np.float64)
-    return float(np.sqrt(np.sum(g * g)))
+    return float(_gradient_scores(np.asarray(bottleneck_weight_grad,
+                                             dtype=np.float64)))
+
+
+def _gradient_scores(g: np.ndarray) -> np.ndarray:
+    """:func:`gradient_score` of each matrix along the leading axes."""
+    return np.sqrt(np.sum(g * g, axis=(-2, -1)))
+
+
+# TrainConfig fields every network of a stack must share: the stack steps
+# through the same batches and epochs with one learning rate
+_STACK_SHARED = tuple(f.name for f in fields(TrainConfig)
+                      if f.name not in ("seed", "gr_start_epoch"))
+
+
+def _check_stack(nets: Sequence[Network], train_data: Dataset,
+                 val_data: Dataset, cfgs: Sequence[TrainConfig]) -> None:
+    if not nets:
+        raise ValueError("train_stack needs at least one network")
+    if len(cfgs) != len(nets):
+        raise ValueError(f"{len(nets)} networks but {len(cfgs)} training configs")
+    widths = nets[0].widths
+    for net in nets[1:]:
+        if net.widths != widths:
+            raise ValueError(
+                f"stacked networks must share one architecture, got widths "
+                f"{widths} and {net.widths}"
+            )
+    for cfg in cfgs[1:]:
+        differ = [name for name in _STACK_SHARED
+                  if getattr(cfg, name) != getattr(cfgs[0], name)]
+        if differ:
+            raise ValueError(
+                f"stacked networks may differ only in seed and "
+                f"gr_start_epoch, not in {differ}"
+            )
+    for split, data in (("training", train_data), ("validation", val_data)):
+        if data.n_features != widths[0]:
+            raise ValueError(
+                f"{split} data width {data.n_features} does not match "
+                f"network input width {widths[0]}"
+            )
+
+
+@dataclass
+class _Stack:
+    """The networks still training, on a leading axis: row k of every
+    array belongs to network ``ids[k]`` of the :func:`train_stack` call."""
+
+    ids: np.ndarray
+    params: Params
+    # each network's row order for the current epoch
+    orders: np.ndarray
+    # per epoch: reversal on or off, the summed training loss, and the
+    # highest gradient score, its batch id and its gradients
+    reversing: np.ndarray = field(init=False)
+    loss_sum: np.ndarray = field(init=False)
+    best_score: np.ndarray = field(init=False)
+    best_batch: np.ndarray = field(init=False)
+    best_grads: Gradients | None = field(init=False)
+
+    def start_epoch(self, epoch: int, gr_start: np.ndarray) -> None:
+        self.reversing = epoch > gr_start[self.ids]
+        self.loss_sum = np.zeros(self.ids.size)
+        self.best_score = np.full(self.ids.size, math.nan)
+        self.best_batch = np.full(self.ids.size, -1)
+        self.best_grads = None
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the networks ``mask`` does not mark."""
+        self.ids, self.orders, self.reversing, self.loss_sum = (
+            self.ids[mask], self.orders[mask], self.reversing[mask],
+            self.loss_sum[mask])
+        self.best_score, self.best_batch = (self.best_score[mask],
+                                            self.best_batch[mask])
+        self.params = [(w[mask], b[mask]) for w, b in self.params]
+        if self.best_grads is not None:
+            self.best_grads = [(dw[mask], db[mask]) for dw, db in self.best_grads]
+
+
+def train_stack(
+    nets: Sequence[Network],
+    train_data: Dataset,
+    val_data: Dataset,
+    cfgs: Sequence[TrainConfig],
+) -> list[tuple[Network, list[EpochStats]] | RuntimeError]:
+    """Train copies of S networks of one architecture in lockstep.
+
+    Network ``i`` trains with ``cfgs[i]``, which may differ from the other
+    configs only in ``seed`` (its batch shuffling) and ``gr_start_epoch``,
+    so plain and reversal networks share a stack; anything else, an empty
+    stack, networks of different widths or data of another width raises
+    ``ValueError`` before the first batch. Weights are held as
+    (S, out, in) and biases as (S, out), so each numpy call of a batch
+    step serves every network; numpy computes each network's slice as the
+    single-network step does, so each result is bit-identical to training
+    that network alone.
+
+    Each epoch iterates minibatches with forward/backward/SGD. In epochs
+    past a network's ``gr_start_epoch`` the batch with its highest
+    gradient score is tracked (only that batch's gradients are retained,
+    bounding memory to one gradient set per network) and its stored
+    gradient is applied inverted at epoch end. Rows are reshuffled into
+    fresh batches between epochs. A network stops early on stalled
+    validation loss and returns the parameters snapshotted at its best
+    validation loss; a stopped network leaves the stack and the others go
+    on.
+
+    The input networks are not modified, so repeated calls with the same
+    configs produce bitwise-identical results.
+
+    Returns, per network, its best-validation network and history, or the
+    ``RuntimeError`` that ended it on a non-finite training or validation
+    loss; the other networks train on.
+    """
+    _check_stack(nets, train_data, val_data, cfgs)
+    cfg = cfgs[0]
+    x_train = train_data.features
+    x_val = val_data.features
+    n = x_train.shape[0]
+    n_nets = len(nets)
+    st = _Stack(
+        ids=np.arange(n_nets),
+        params=[(np.stack([net.layers[j].weights for net in nets]),
+                 np.stack([net.layers[j].bias for net in nets]))
+                for j in range(len(nets[0].layers))],
+        orders=np.tile(np.arange(n), (n_nets, 1)),
+    )
+    gr_start = np.array([c.gr_start_epoch for c in cfgs])
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    # validation runs one network at a time over the same rows every
+    # epoch, so its activations and smooth-L1 work arrays are allocated
+    # once and shared by the stack
+    val_acts = [np.empty((x_val.shape[0], width)) for width in nets[0].widths[1:]]
+    val_work = (np.empty(x_val.shape), np.empty(x_val.shape),
+                np.empty(x_val.shape, dtype=bool))
+
+    results: list = [None] * n_nets
+    histories: list[list[EpochStats]] = [[] for _ in nets]
+    best_val = [math.inf] * n_nets
+    best_params = [[(w.copy(), b.copy()) for w, b in net.params] for net in nets]
+    stall = [0] * n_nets
+
+    for epoch in range(1, cfg.max_epochs + 1):
+        if not st.ids.size:
+            break
+        st.start_epoch(epoch, gr_start)
+
+        for batch_id, start in enumerate(range(0, n, cfg.batch_size)):
+            batch = x_train[st.orders[:, start : start + cfg.batch_size]]
+            activations = _forward(st.params, batch)
+            losses = _smooth_l1(activations[-1], batch).reshape(
+                st.ids.size, -1).mean(axis=1)
+            finite = np.isfinite(losses)
+            if not finite.all():
+                for i in st.ids[~finite].tolist():
+                    results[i] = RuntimeError(
+                        f"training diverged: non-finite loss at epoch {epoch}, "
+                        f"batch {batch_id} (lr={cfg.learning_rate})"
+                    )
+                st.keep(finite)
+                if not st.ids.size:
+                    break
+                activations = [a[finite] for a in activations]
+                batch, losses = batch[finite], losses[finite]
+            st.loss_sum += losses * batch.shape[1]
+            grads = _backward(st.params, activations, batch)
+            if st.reversing.any():
+                scores = _gradient_scores(grads[BOTTLENECK_LAYER][0])
+                better = (st.reversing if st.best_grads is None
+                          else st.reversing & (scores > st.best_score))
+                if better.any():
+                    # backward returns fresh arrays and the SGD step does
+                    # not modify them, so the first batch's are kept as is
+                    if st.best_grads is None:
+                        st.best_grads = grads
+                    else:
+                        for (best_w, best_b), (dw, db) in zip(st.best_grads, grads):
+                            best_w[better] = dw[better]
+                            best_b[better] = db[better]
+                    st.best_score[better] = scores[better]
+                    st.best_batch[better] = batch_id
+            _sgd_step(st.params, grads, cfg.learning_rate)
+
+        if st.reversing.any():
+            # Invert each reversing network's highest-scoring batch update.
+            # The stored gradient predates later batch updates in this
+            # epoch; that staleness is inherent to scoring in-loop and
+            # reversing at epoch end.
+            _sgd_step(st.params, st.best_grads, -cfg.learning_rate,
+                      where=None if st.reversing.all() else st.reversing)
+
+        leaving = np.zeros(st.ids.size, dtype=bool)
+        for k, i in enumerate(st.ids.tolist()):
+            params = [(w[k], b[k]) for w, b in st.params]
+            val_out = _forward(params, x_val, val_acts)[-1]
+            val_loss = float(_smooth_l1(val_out, x_val, *val_work).mean())
+            if not math.isfinite(val_loss):
+                results[i] = RuntimeError(
+                    f"training diverged: non-finite validation loss at epoch {epoch}"
+                )
+                leaving[k] = True
+                continue
+            histories[i].append(EpochStats(
+                epoch, float(st.loss_sum[k]) / n, val_loss,
+                float(st.best_score[k]), bool(st.reversing[k]),
+                int(st.best_batch[k]),
+            ))
+            if val_loss < best_val[i] - cfg.min_improvement:
+                best_val[i] = val_loss
+                best_params[i] = [(w.copy(), b.copy()) for w, b in params]
+                stall[i] = 0
+            else:
+                stall[i] += 1
+                if cfg.patience > 0 and stall[i] >= cfg.patience:
+                    leaving[k] = True
+                    continue
+            st.orders[k] = rngs[i].permutation(n)
+        if leaving.any():
+            st.keep(~leaving)
+
+    return [
+        result if result is not None
+        else (Network([LayerParams(w, b) for w, b in params]), history)
+        for result, params, history in zip(results, best_params, histories)
+    ]
 
 
 def train(
@@ -279,100 +552,20 @@ def train(
     val_data: Dataset,
     cfg: TrainConfig,
 ) -> tuple[Network, list[EpochStats]]:
-    """Train a copy of ``net``; returns the best-validation network.
+    """Train a copy of ``net``; returns the best-validation network and
+    its history.
 
-    Each epoch iterates minibatches with forward/backward/SGD. In epochs
-    past ``cfg.gr_start_epoch`` the batch with the highest gradient score
-    is tracked (only its gradients are retained, bounding memory to one
-    gradient set) and its stored gradient is applied inverted at epoch
-    end. Rows are reshuffled into fresh batches between epochs. Training
-    stops early on stalled validation loss and returns the parameters
-    snapshotted at the best validation loss seen.
-
-    The input network is not modified, so repeated calls with the same
-    config and seed produce bitwise-identical results.
+    This is :func:`train_stack` on a stack of one, which describes the
+    training; that network's error is raised here.
 
     Raises:
+        ValueError: Data of another width than the network's input.
         RuntimeError: Non-finite training or validation loss.
     """
-    if train_data.n_features != net.n_inputs:
-        raise ValueError(
-            f"training data width {train_data.n_features} does not match "
-            f"network input width {net.n_inputs}"
-        )
-    net = net.copy()
-    rng = np.random.default_rng(cfg.seed)
-    x_train = train_data.features
-    x_val = val_data.features
-    n = x_train.shape[0]
-    order = np.arange(n)
-    # the validation pass covers the same rows every epoch, so its
-    # activations and smooth-L1 work arrays are allocated once
-    val_acts = [np.empty((x_val.shape[0], width)) for width in net.widths[1:]]
-    val_work = (np.empty(x_val.shape), np.empty(x_val.shape),
-                np.empty(x_val.shape, dtype=bool))
-
-    history: list[EpochStats] = []
-    best_val = math.inf
-    best_net = net.copy()
-    stall = 0
-
-    for epoch in range(1, cfg.max_epochs + 1):
-        reversal_active = epoch > cfg.gr_start_epoch
-        # highest gradient score this epoch (nan until reversal is active)
-        # and the gradients behind it; backward returns fresh arrays and
-        # sgd_step does not modify them, so keeping them needs no copy
-        best_score = math.nan
-        best_grads: Gradients | None = None
-        loss_sum = 0.0
-
-        for batch_id, start in enumerate(range(0, n, cfg.batch_size)):
-            batch = x_train[order[start : start + cfg.batch_size]]
-            activations, output = forward(net, batch)
-            loss = smooth_l1_loss(output, batch)
-            if not math.isfinite(loss):
-                raise RuntimeError(
-                    f"training diverged: non-finite loss at epoch {epoch}, "
-                    f"batch {batch_id} (lr={cfg.learning_rate})"
-                )
-            loss_sum += loss * batch.shape[0]
-            grads = backward(net, activations, batch)
-            if reversal_active:
-                score = gradient_score(grads[BOTTLENECK_LAYER][0])
-                if best_grads is None or score > best_score:
-                    best_score, best_grads = score, grads
-            sgd_step(net, grads, cfg.learning_rate)
-
-        reversal_applied = best_grads is not None
-        if reversal_applied:
-            # Invert the highest-scoring batch's stored update. The stored
-            # gradient predates later batch updates in this epoch; that
-            # staleness is inherent to scoring in-loop and reversing at
-            # epoch end.
-            sgd_step(net, best_grads, -cfg.learning_rate)
-
-        val_out = forward(net, x_val, val_acts)[1]
-        val_loss = float(_smooth_l1(val_out, x_val, *val_work).mean())
-        if not math.isfinite(val_loss):
-            raise RuntimeError(
-                f"training diverged: non-finite validation loss at epoch {epoch}"
-            )
-        history.append(
-            EpochStats(epoch, loss_sum / n, val_loss, best_score, reversal_applied)
-        )
-
-        if val_loss < best_val - cfg.min_improvement:
-            best_val = val_loss
-            best_net = net.copy()
-            stall = 0
-        else:
-            stall += 1
-            if cfg.patience > 0 and stall >= cfg.patience:
-                break
-
-        order = rng.permutation(n)
-
-    return best_net, history
+    result = train_stack([net], train_data, val_data, [cfg])[0]
+    if isinstance(result, RuntimeError):
+        raise result
+    return result
 
 
 def encode(net: Network, data: Dataset) -> np.ndarray:
@@ -389,10 +582,10 @@ def reconstruction_error(net: Network, data: Dataset) -> np.ndarray:
 
 def history_to_csv(history: Sequence[EpochStats], path: str | Path) -> None:
     """Export training history as CSV."""
-    lines = ["epoch,train_loss,val_loss,max_gs,reversal_applied"]
+    lines = ["epoch,train_loss,val_loss,max_gs,reversal_applied,reversed_batch"]
     for s in history:
         lines.append(
             f"{s.epoch},{s.train_loss!r},{s.val_loss!r},{s.max_gs!r},"
-            f"{int(s.reversal_applied)}"
+            f"{int(s.reversal_applied)},{s.reversed_batch}"
         )
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -22,11 +22,13 @@ import logging
 import math
 import platform
 import sys
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -47,7 +49,7 @@ from .pipeline import (
     TrainedNetwork,
     VariantSpec,
     run_variant,
-    train_network,
+    train_networks,
 )
 from .plots import kde_curve
 from .storage import atomic_write_text, file_sha256, write_npz, write_scores_csv
@@ -322,6 +324,28 @@ def _variant_filename(spec: VariantSpec, seed: int, prefix: str, ext: str) -> st
 _Outcome = tuple[VariantSpec, ScoredRun | None, str | None]
 
 
+class _StageTimes:
+    """Busy seconds per stage of a run, summed over worker threads."""
+
+    STAGES = ("train", "score", "metrics_write")
+
+    def __init__(self) -> None:
+        self.seconds = dict.fromkeys(self.STAGES, 0.0)
+        self._lock = threading.Lock()
+
+    def add(self, stage: str, seconds: float) -> None:
+        with self._lock:
+            self.seconds[stage] += seconds
+
+    @contextmanager
+    def timed(self, stage: str) -> Iterator[None]:
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.add(stage, time.perf_counter() - start)
+
+
 def cmd_run(
     config: ExperimentConfig,
     out_dir: Path,
@@ -330,10 +354,13 @@ def cmd_run(
 ) -> int:
     """Run every (variant, seed), evaluate, and write reports.
 
-    The unit of work is one trained network: per seed, the plain network
-    serves ``ae_re`` and ``ae_lof/*`` and the reversal network serves
-    ``aegr_lof/*``. ``lof_raw`` does not depend on the seed, so one fit
-    fills every seed's row. ``jobs`` workers run these units in parallel.
+    Per seed, a plain network serves ``ae_re`` and ``ae_lof/*`` and a
+    reversal network serves ``aegr_lof/*``. The networks are dealt
+    round-robin into ``min(jobs, networks)`` stacks; the unit of work is
+    one stack, trained in lockstep, then every head of its networks.
+    ``lof_raw`` does not depend on the seed, so one fit, its own unit,
+    fills every seed's row. ``jobs`` workers run the units in parallel.
+    Each trained network's history goes to ``history_<ae|aegr>_<seed>.csv``.
     """
     cache_path = out_dir / CACHE_FILENAME
     if not cache_path.exists():
@@ -367,13 +394,15 @@ def cmd_run(
     specs = [VariantSpec(**variant) for variant in config.variants]
 
     started = time.time()
+    stages = _StageTimes()
     failures: list[dict[str, Any]] = []
 
     def _run_head(spec: VariantSpec,
                   network: TrainedNetwork | None = None) -> _Outcome:
         try:
-            return spec, run_variant(spec, prepared.train, prepared.test,
-                                     config.min_pts, network), None
+            with stages.timed("score"):
+                return spec, run_variant(spec, prepared.train, prepared.test,
+                                         config.min_pts, network), None
         except Exception as exc:  # recorded per-variant, run continues
             logger.exception("variant %s seed %d failed", spec.key, spec.seed)
             return spec, None, f"{type(exc).__name__}: {exc}"
@@ -383,26 +412,49 @@ def cmd_run(
         _, run, error = _run_head(replace(spec, seed=seeds[0]))
         return [(replace(spec, seed=seed), run, error) for seed in seeds]
 
-    def _run_network(seed: int, reversal: bool,
-                     heads: list[VariantSpec]) -> list[_Outcome]:
-        try:
-            network = train_network(seed, reversal, prepared.train,
-                                    prepared.val, prepared.test, base_cfg)
-        except Exception as exc:  # every head of this network fails alike
-            logger.exception("network seed %d reversal=%s failed", seed, reversal)
-            error = f"{type(exc).__name__}: {exc}"
-            return [(spec, None, error) for spec in heads]
-        return [_run_head(spec, network) for spec in heads]
-
-    units = [partial(_run_raw, spec) for spec in specs
-             if spec.detector == "lof_raw"]
+    # the heads each (seed, reversal) network serves
+    network_heads: dict[tuple[int, bool], list[VariantSpec]] = {}
     for seed in seeds:
         for reversal in (False, True):
             heads = [replace(spec, seed=seed) for spec in specs
                      if spec.detector != "lof_raw"
                      and (spec.detector == "aegr_lof") == reversal]
             if heads:
-                units.append(partial(_run_network, seed, reversal, heads))
+                network_heads[(seed, reversal)] = heads
+
+    def _run_stack(keys: list[tuple[int, bool]]) -> list[_Outcome]:
+        start = time.perf_counter()
+        try:
+            networks = train_networks(keys, prepared.train, prepared.val,
+                                      prepared.test, base_cfg)
+        except Exception as exc:  # every head of this stack fails alike
+            logger.exception("stack of networks %s failed", keys)
+            networks = [exc] * len(keys)
+        seconds = time.perf_counter() - start
+        stages.add("train", seconds)
+        logger.info("trained stack %s: epochs %s in %.2f s", keys,
+                    [len(n.history) if isinstance(n, TrainedNetwork) else None
+                     for n in networks], seconds)
+        outcomes: list[_Outcome] = []
+        for (seed, reversal), network in zip(keys, networks):
+            heads = network_heads[(seed, reversal)]
+            if not isinstance(network, TrainedNetwork):
+                logger.error("network seed %d reversal=%s failed: %s",
+                             seed, reversal, network)
+                error = f"{type(network).__name__}: {network}"
+                outcomes += [(spec, None, error) for spec in heads]
+                continue
+            with stages.timed("metrics_write"):
+                ae.history_to_csv(network.history, out_dir / (
+                    f"history_{'aegr' if reversal else 'ae'}_{seed}.csv"))
+            outcomes += [_run_head(spec, network) for spec in heads]
+        return outcomes
+
+    keys = list(network_heads)
+    n_stacks = min(jobs, len(keys))
+    units = [partial(_run_raw, spec) for spec in specs
+             if spec.detector == "lof_raw"]
+    units += [partial(_run_stack, keys[k::n_stacks]) for k in range(n_stacks)]
 
     if jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -411,6 +463,7 @@ def cmd_run(
         per_unit = [unit() for unit in units]
     outcomes = [outcome for unit_outcomes in per_unit for outcome in unit_outcomes]
 
+    write_start = time.perf_counter()
     rows: list[dict[str, Any]] = []
     for spec, run, error in outcomes:
         if run is None:
@@ -448,6 +501,7 @@ def cmd_run(
 
     rows.sort(key=lambda r: (r["detector"], r["modifier"], r["seed"]))
     wilcoxon_rows = _wilcoxon_comparisons(config.wilcoxon_pairs, rows, seeds)
+    stages.add("metrics_write", time.perf_counter() - write_start)
 
     report = {
         "config": {**config.resolved, "seeds": seeds},
@@ -462,6 +516,7 @@ def cmd_run(
         "numpy": np.__version__,
         "started_unix": started,
         "duration_s": time.time() - started,
+        "stage_s": stages.seconds,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(
@@ -659,8 +714,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="experiment config JSON")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--jobs", type=_positive_int, default=1,
-                       help="parallel workers, one trained network each "
-                       "(default 1)")
+                       help="parallel workers; the networks are dealt into "
+                       "one training stack per worker (default 1)")
     p_run.add_argument("--seed-override", type=int, default=None,
                        help="run only this seed instead of the configured list")
 

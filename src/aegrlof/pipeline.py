@@ -12,9 +12,10 @@ reference set.
 
 Every detector but ``lof_raw`` is a scoring head on one trained network:
 ``ae_re`` and ``ae_lof/*`` on the plain network, ``aegr_lof/*`` on the
-gradient-reversal one. :func:`train_network` trains a network once, and
-:func:`run_variant` scores one head from it; a head reads the network's
-arrays and never changes them, so every head of a network can share it.
+gradient-reversal one. :func:`train_networks` trains each network once,
+all of one call in lockstep, and :func:`run_variant` scores one head from
+a network; a head reads the network's arrays and never changes them, so
+every head of a network can share it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -163,29 +165,38 @@ class TrainedNetwork:
     test_errors: np.ndarray
 
 
-def train_network(
-    seed: int,
-    reversal: bool,
+def train_networks(
+    keys: Sequence[tuple[int, bool]],
     train_data: Dataset,
     val_data: Dataset,
     test_data: Dataset,
     cfg: ae.TrainConfig,
-) -> TrainedNetwork:
-    """Train one autoencoder and encode the training and test splits.
+) -> list[TrainedNetwork | RuntimeError]:
+    """Train one autoencoder per (seed, reversal) key, all in one
+    :func:`autoencoder.train_stack` stack, and encode the training and
+    test splits with each.
 
-    ``seed`` drives initialization and batch shuffling and overrides
-    ``cfg.seed``. Without ``reversal`` the reversal start is moved to
-    ``cfg.max_epochs``, which yields plain SGD.
+    A key's seed drives initialization and batch shuffling and overrides
+    ``cfg.seed``. Without reversal the reversal start is moved to
+    ``cfg.max_epochs``, which yields plain SGD. A network whose training
+    diverged gets its ``RuntimeError`` in place of a result.
     """
-    cfg = replace(
-        cfg,
-        seed=seed,
-        gr_start_epoch=cfg.gr_start_epoch if reversal else cfg.max_epochs,
-    )
-    net = ae.build_architecture(train_data.n_features, seed=seed)
-    net, history = ae.train(net, train_data, val_data, cfg)
+    cfgs = [replace(cfg, seed=seed,
+                    gr_start_epoch=cfg.gr_start_epoch if reversal else cfg.max_epochs)
+            for seed, reversal in keys]
+    nets = [ae.build_architecture(train_data.n_features, seed=seed)
+            for seed, _ in keys]
+    results = ae.train_stack(nets, train_data, val_data, cfgs)
+    return [result if isinstance(result, RuntimeError)
+            else _encode_splits(key, *result, train_data, test_data)
+            for key, result in zip(keys, results)]
+
+
+def _encode_splits(key: tuple[int, bool], net: ae.Network,
+                   history: list[ae.EpochStats], train_data: Dataset,
+                   test_data: Dataset) -> TrainedNetwork:
     return TrainedNetwork(
-        seed, reversal, net, history,
+        *key, net, history,
         train_latents=ae.encode(net, train_data),
         train_errors=ae.reconstruction_error(net, train_data),
         test_latents=ae.encode(net, test_data),
@@ -212,7 +223,7 @@ def run_variant(
             latents, optionally pruned and augmented, scores test latents.
 
     ``lof_raw`` takes no network. Every other detector scores
-    ``network``, a :func:`train_network` result for the same splits with
+    ``network``, a :func:`train_networks` result for the same splits with
     the spec's seed and the detector's reversal setting; anything else
     raises ``ValueError``, as does a pruned reference left with no more
     than ``min_pts`` rows. The spec's seed also drives augmentation noise,
@@ -230,7 +241,7 @@ def run_variant(
 
     reversal = spec.detector == "aegr_lof"
     if network is None:
-        raise ValueError(f"{spec.key} needs a network from train_network")
+        raise ValueError(f"{spec.key} needs a network from train_networks")
     if (network.seed, network.reversal) != (spec.seed, reversal):
         raise ValueError(
             f"{spec.key} seed {spec.seed} cannot use the network trained with "

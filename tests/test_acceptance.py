@@ -215,9 +215,8 @@ def test_criterion_7_synthetic_directional():
                             for s in (train, val, test))
         prevalence_by_seed.append(float(test.labels.mean()))
         # one plain and one reversal network per seed serve every head
-        networks = {reversal: pipeline.train_network(seed, reversal, train, val,
-                                                     test, cfg)
-                    for reversal in (False, True)}
+        networks = dict(zip((False, True), pipeline.train_networks(
+            [(seed, False), (seed, True)], train, val, test, cfg)))
         for detector, modifier in pipeline.VARIANT_MATRIX:
             spec = pipeline.VariantSpec(detector, modifier, seed=seed)
             network = (None if detector == "lof_raw"
@@ -346,7 +345,7 @@ def test_criterion_9_pruning_contract():
                         for s in (train, val, test))
     cfg = ae.TrainConfig(max_epochs=10, batch_size=16, learning_rate=0.05,
                          gr_start_epoch=4, patience=5, seed=0)
-    network = pipeline.train_network(0, True, train, val, test, cfg)
+    [network] = pipeline.train_networks([(0, True)], train, val, test, cfg)
     run = pipeline.run_variant(pipeline.VariantSpec("aegr_lof", "prune", seed=0),
                                train, test, 15, network)
     in_pipeline_ok = run.metadata["rows_after_prune"] < train.n_rows

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aegrlof import autoencoder as ae
 from aegrlof.data import Dataset
@@ -284,8 +286,10 @@ class TestTrain:
         for h in history:
             if h.epoch <= 3:
                 assert not h.reversal_applied and math.isnan(h.max_gs)
+                assert h.reversed_batch == -1
             else:
                 assert h.reversal_applied and h.max_gs >= 0.0
+                assert 0 <= h.reversed_batch < 5
 
     def test_returns_best_validation_network(self):
         cfg = ae.TrainConfig(max_epochs=20, batch_size=16, learning_rate=0.1,
@@ -331,6 +335,126 @@ class TestTrain:
         with pytest.raises(ValueError, match="width"):
             ae.train(ae.build_architecture(3, seed=0), _random_dataset(10, 4, 0),
                      _random_dataset(4, 4, 1), ae.TrainConfig())
+
+    def test_validation_width_mismatch_fails_before_training(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(ae, "_backward",
+                            lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match="validation data width 4 does "
+                           "not match network input width 3"):
+            ae.train(ae.build_architecture(3, seed=0), _random_dataset(10, 3, 0),
+                     _random_dataset(4, 4, 1), ae.TrainConfig(max_epochs=2))
+        assert steps == []
+
+    def test_reversed_batch_is_highest_scoring(self):
+        # one epoch with reversal on, replayed step by step: the recorded
+        # batch is the first with the highest bottleneck gradient score
+        train = _random_dataset(50, 4, seed=3)
+        val = _random_dataset(10, 4, seed=4)
+        cfg = ae.TrainConfig(max_epochs=1, batch_size=8, learning_rate=0.3,
+                             gr_start_epoch=0, patience=0, seed=0)
+        net = ae.build_architecture(4, seed=5)
+        _, history = ae.train(net, train, val, cfg)
+        replay, scores = net.copy(), []
+        for start in range(0, 50, 8):
+            batch = train.features[start : start + 8]
+            grads = ae.backward(replay, ae.forward(replay, batch)[0], batch)
+            scores.append(ae.gradient_score(grads[ae.BOTTLENECK_LAYER][0]))
+            ae.sgd_step(replay, grads, cfg.learning_rate)
+        assert len(set(scores)) == len(scores)
+        assert history[0].reversed_batch == int(np.argmax(scores))
+        assert history[0].max_gs == max(scores)
+
+
+def _train_alone_and_stacked(nets, train, val, cfgs):
+    """Train each network alone and all of them as one stack; assert the
+    results are identical bit for bit and return the stacked ones."""
+    # the stack trains first, so a stack that changed its input networks
+    # would show here
+    stacked = ae.train_stack(nets, train, val, cfgs)
+    assert len(stacked) == len(nets)
+    for net, cfg, got in zip(nets, cfgs, stacked):
+        try:
+            want = ae.train(net, train, val, cfg)
+        except RuntimeError as exc:
+            assert isinstance(got, RuntimeError) and str(got) == str(exc)
+            continue
+        assert not isinstance(got, RuntimeError), got
+        for want_layer, got_layer in zip(want[0].layers, got[0].layers):
+            np.testing.assert_array_equal(got_layer.weights, want_layer.weights)
+            np.testing.assert_array_equal(got_layer.bias, want_layer.bias)
+        # nan == nan is False, so compare the histories as text
+        assert repr(got[1]) == repr(want[1])
+    return stacked
+
+
+class TestTrainStack:
+    @settings(max_examples=30, deadline=None)
+    @given(width=st.integers(3, 16),
+           networks=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 6)),
+                             min_size=1, max_size=4),
+           rows=st.tuples(st.integers(8, 60), st.integers(1, 30)),
+           batch_size=st.integers(1, 16),
+           learning_rate=st.sampled_from([0.01, 0.05, 0.3]),
+           patience=st.integers(0, 3),
+           min_improvement=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
+           data_seed=st.integers(0, 1000))
+    def test_stack_matches_separate_training(self, width, networks, rows,
+                                             batch_size, learning_rate,
+                                             patience, min_improvement,
+                                             data_seed):
+        train = _random_dataset(rows[0], width, seed=data_seed)
+        val = _random_dataset(rows[1], width, seed=data_seed + 1)
+        nets = [ae.build_architecture(width, seed=seed) for seed, _ in networks]
+        cfgs = [ae.TrainConfig(max_epochs=6, batch_size=batch_size,
+                               learning_rate=learning_rate, gr_start_epoch=start,
+                               patience=patience, min_improvement=min_improvement,
+                               seed=seed)
+                for seed, start in networks]
+        _train_alone_and_stacked(nets, train, val, cfgs)
+
+    def test_networks_stopping_at_different_epochs_leave_the_stack(self):
+        train = _random_dataset(300, 7, seed=0)
+        val = _random_dataset(100, 7, seed=1)
+        keys = [(seed, start) for seed in range(3) for start in (2, 60)]
+        cfgs = [ae.TrainConfig(max_epochs=60, batch_size=16, learning_rate=0.05,
+                               gr_start_epoch=start, patience=2,
+                               min_improvement=1e-3, seed=seed)
+                for seed, start in keys]
+        nets = [ae.build_architecture(7, seed=seed) for seed, _ in keys]
+        stacked = _train_alone_and_stacked(nets, train, val, cfgs)
+        epochs = [len(history) for _, history in stacked]
+        assert len(set(epochs)) > 2 and max(epochs) < 60
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverging_network_leaves_the_others_unchanged(self):
+        train = _random_dataset(40, 5, seed=0)
+        val = _random_dataset(12, 5, seed=1)
+        cfgs = [ae.TrainConfig(max_epochs=6, batch_size=8, learning_rate=0.05,
+                               gr_start_epoch=start, seed=seed)
+                for seed, start in ((0, 2), (1, 6), (2, 2))]
+        nets = [ae.build_architecture(5, seed=cfg.seed) for cfg in cfgs]
+        # output weights near float64's maximum overflow the first output
+        nets[1].layers[-1].weights *= 1e308
+        stacked = _train_alone_and_stacked(nets, train, val, cfgs)
+        assert str(stacked[1]).startswith(
+            "training diverged: non-finite loss at epoch 1, batch ")
+        assert [len(result[1]) for result in (stacked[0], stacked[2])] == [6, 6]
+
+    @pytest.mark.parametrize("nets,cfgs,message", [
+        ([], [], "at least one network"),
+        ([3], [ae.TrainConfig(), ae.TrainConfig()], "1 networks but 2"),
+        ([3, 4], [ae.TrainConfig()] * 2, "share one architecture"),
+        ([3, 3], [ae.TrainConfig(), ae.TrainConfig(learning_rate=0.1)],
+         r"differ only in seed and gr_start_epoch, not in \['learning_rate'\]"),
+        ([3, 3], [ae.TrainConfig(), ae.TrainConfig(patience=2, batch_size=4)],
+         r"not in \['batch_size', 'patience'\]"),
+    ], ids=["empty", "config_count", "widths", "learning_rate", "two_fields"])
+    def test_invalid_stack_rejected_before_training(self, nets, cfgs, message):
+        train = _random_dataset(10, 3, 0)
+        with pytest.raises(ValueError, match=message):
+            ae.train_stack([ae.build_architecture(n, seed=0) for n in nets],
+                           train, train, cfgs)
 
 
 class TestEncodeAndErrors:
@@ -378,12 +502,14 @@ class TestEncodeAndErrors:
 class TestSerialization:
     def test_history_csv(self, tmp_path):
         history = [ae.EpochStats(1, 0.5, 0.6, math.nan, False),
-                   ae.EpochStats(2, 0.4, 0.5, 1.25, True)]
+                   ae.EpochStats(2, 0.4, 0.5, 1.25, True, 3)]
         path = tmp_path / "history.csv"
         ae.history_to_csv(history, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,train_loss,val_loss,max_gs,reversal_applied"
-        assert lines[2].startswith("2,0.4,0.5,1.25,1")
+        assert lines[0] == ("epoch,train_loss,val_loss,max_gs,reversal_applied,"
+                            "reversed_batch")
+        assert lines[1] == "1,0.5,0.6,nan,0,-1"
+        assert lines[2] == "2,0.4,0.5,1.25,1,3"
 
 
 @pytest.mark.parametrize("field,value,message", [

@@ -202,6 +202,31 @@ class TestRun:
                             delimiter=",", skiprows=1)
         assert scores.shape == (60, 2)
 
+    def test_writes_network_histories_and_stage_times(self, experiment):
+        config_path, out_dir, _ = experiment
+        cli.main(["prepare", "--config", str(config_path)])
+        assert cli.main(["run", "--config", str(config_path)]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        # aegr_lof/prune is the only network head: one reversal network a seed
+        assert sorted(path.name for path in out_dir.glob("history_*")) == [
+            "history_aegr_0.csv", "history_aegr_1.csv"]
+        rows = {row["seed"]: row["metadata"] for row in report["report"]["rows"]
+                if row["detector"] == "aegr_lof"}
+        for seed in (0, 1):
+            lines = (out_dir / f"history_aegr_{seed}.csv").read_text().splitlines()
+            assert lines[0].endswith(",reversal_applied,reversed_batch")
+            epochs = [line.split(",") for line in lines[1:]]
+            assert len(epochs) == rows[seed]["epochs_run"]
+            # reversal starts after epoch 3; 180 rows make 12 batches of 16
+            for epoch, *_, applied, batch in epochs:
+                if int(epoch) <= 3:
+                    assert (applied, batch) == ("0", "-1")
+                else:
+                    assert applied == "1" and 0 <= int(batch) < 12
+        stage_s = report["environment"]["stage_s"]
+        assert set(stage_s) == {"train", "score", "metrics_write"}
+        assert all(seconds > 0 for seconds in stage_s.values())
+
     def test_report_block_deterministic(self, experiment, tmp_path):
         config_path, out_dir, _ = experiment
         cli.main(["prepare", "--config", str(config_path)])
@@ -218,7 +243,7 @@ class TestRun:
         def run_files():
             return [path for path in sorted(out_dir.iterdir())
                     if path.name in ("report.json", "report.md")
-                    or path.name.startswith(("scores_", "latents_"))]
+                    or path.name.startswith(("scores_", "latents_", "history_"))]
 
         def run_outputs(*flags):
             # delete the previous run's files so each run must write its own
@@ -234,8 +259,12 @@ class TestRun:
 
         serial = run_outputs()
         assert {"report.md", "scores_aegr_lof_prune_1.csv",
-                "latents_aegr_lof_prune_1.npz"} <= serial.keys()
-        assert run_outputs("--jobs", "2") == serial
+                "latents_aegr_lof_prune_1.npz",
+                "history_aegr_1.csv"} <= serial.keys()
+        # the networks are dealt into one stack per worker, so each job
+        # count splits them into other stacks than the serial run's one
+        for jobs in ("2", "3"):
+            assert run_outputs("--jobs", jobs) == serial
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected_at_parsing(self, experiment, capsys, jobs):
@@ -260,7 +289,7 @@ class TestRun:
                                                         capsys, monkeypatch):
         _, out_dir, config = experiment
         trained = []
-        monkeypatch.setattr(autoencoder, "train",
+        monkeypatch.setattr(autoencoder, "train_stack",
                             lambda *args, **kwargs: trained.append(args))
         # lof_raw fits its reference on the 180 training rows
         for min_pts in (0, 180, 10_000):
@@ -287,7 +316,7 @@ class TestRun:
             "output_dir": str(tmp_path / "out"),
         }))
         trained = []
-        monkeypatch.setattr(autoencoder, "train",
+        monkeypatch.setattr(autoencoder, "train_stack",
                             lambda *args, **kwargs: trained.append(args))
         assert cli.main(["prepare", "--config", str(config_path)]) == 0
         capsys.readouterr()
@@ -311,13 +340,22 @@ class TestRun:
                 return func(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(autoencoder, "train",
-                            counted("train", autoencoder.train))
+        stacks = []
+
+        def train_stack(nets, train_data, val_data, cfgs):
+            stacks.append([(cfg.seed, cfg.gr_start_epoch < cfg.max_epochs)
+                           for cfg in cfgs])
+            return real_train_stack(nets, train_data, val_data, cfgs)
+
+        real_train_stack = autoencoder.train_stack
+        monkeypatch.setattr(autoencoder, "train_stack", train_stack)
         monkeypatch.setattr(lof, "fit", counted("fit", lof.fit))
         assert cli.main(["run", "--config", str(path)]) == 0
-        # 2 seeds x (plain + reversal) networks; lof_raw once plus
-        # 2 seeds x 6 latent-LOF heads
-        assert calls == {"train": 4, "fit": 13}
+        # one stack holds the 2 seeds x (plain + reversal) networks, each
+        # once; lof_raw is fitted once, plus 2 seeds x 6 latent-LOF heads
+        assert len(stacks) == 1
+        assert sorted(stacks[0]) == [(0, False), (0, True), (1, False), (1, True)]
+        assert calls == {"fit": 13}
         report = json.loads((out_dir / "report.json").read_text())["report"]
         assert len(report["rows"]) == 16
 

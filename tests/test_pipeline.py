@@ -125,8 +125,8 @@ _FAST_CFG = TrainConfig(max_epochs=12, batch_size=16, learning_rate=0.05,
 
 def _score(spec, train, val, test, cfg=_FAST_CFG):
     """Train the spec's network, then score the spec's head from it."""
-    network = pipeline.train_network(spec.seed, spec.detector == "aegr_lof",
-                                     train, val, test, cfg)
+    [network] = pipeline.train_networks([(spec.seed, spec.detector == "aegr_lof")],
+                                        train, val, test, cfg)
     return pipeline.run_variant(spec, train, test, 20, network)
 
 
@@ -192,7 +192,8 @@ class TestRunVariant:
 
     def test_reference_pruned_below_min_pts_names_pruning(self):
         train, val, test = _prepared_splits(seed=8, n_normal=120, n_anom=6)
-        network = pipeline.train_network(0, False, train, val, test, _FAST_CFG)
+        [network] = pipeline.train_networks([(0, False)], train, val, test,
+                                            _FAST_CFG)
         kept = int(pipeline.prune(network.train_latents,
                                   network.train_errors)[1].sum())
         assert kept < train.n_rows
@@ -235,9 +236,8 @@ class TestSharedNetwork:
         # every head reads its network and none changes it, so scoring the
         # heads forwards and then backwards gives identical results
         train, val, test = _prepared_splits(seed=7, n_normal=200, n_anom=10)
-        networks = {reversal: pipeline.train_network(2, reversal, train, val,
-                                                     test, _FAST_CFG)
-                    for reversal in (False, True)}
+        networks = dict(zip((False, True), pipeline.train_networks(
+            [(2, False), (2, True)], train, val, test, _FAST_CFG)))
         before = {r: _network_arrays(n) for r, n in networks.items()}
         specs = [pipeline.VariantSpec(d, m, seed=2) for d, m in _NETWORK_VARIANTS]
 
@@ -263,7 +263,8 @@ class TestSharedNetwork:
 
     def test_network_of_other_seed_or_reversal_rejected(self):
         train, val, test = _prepared_splits(seed=8, n_normal=120, n_anom=6)
-        network = pipeline.train_network(0, False, train, val, test, _FAST_CFG)
+        [network] = pipeline.train_networks([(0, False)], train, val, test,
+                                            _FAST_CFG)
         for spec in (pipeline.VariantSpec("aegr_lof", seed=0),
                      pipeline.VariantSpec("ae_lof", seed=1)):
             with pytest.raises(ValueError, match="cannot use the network"):
@@ -275,7 +276,8 @@ class TestSharedNetwork:
             spec = pipeline.VariantSpec(detector, modifier, seed=0)
             with pytest.raises(ValueError, match="needs a network"):
                 pipeline.run_variant(spec, train, test, 20)
-        network = pipeline.train_network(0, False, train, val, test, _FAST_CFG)
+        [network] = pipeline.train_networks([(0, False)], train, val, test,
+                                            _FAST_CFG)
         with pytest.raises(ValueError, match="takes no network"):
             pipeline.run_variant(pipeline.VariantSpec("lof_raw"), train, test,
                                  20, network)
