@@ -284,11 +284,18 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
 def cmd_prepare(config: ExperimentConfig, out_dir: Path) -> int:
     """Preprocess the configured CSV into a byte-reproducible cache."""
-    table = load_csv(config.dataset_path, config.schema, config.has_header)
-    prepared = prepare(table, config.split)
+    stages = _StageTimes(("load_csv", "encode", "split_normalize", "write"))
+    with stages.timed("load_csv"):
+        table = load_csv(config.dataset_path, config.schema, config.has_header)
+    prepared = prepare(table, config.split, stages=stages)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = out_dir / CACHE_FILENAME
-    save_cache(cache_path, prepared, source_sha256=file_sha256(config.dataset_path))
+    with stages.timed("write"):
+        save_cache(cache_path, prepared,
+                   source_sha256=file_sha256(config.dataset_path))
+        cache_sha256 = file_sha256(cache_path)
+    logger.info("prepare stages: %s", ", ".join(
+        f"{stage} {seconds:.3f} s" for stage, seconds in stages.seconds.items()))
 
     summary = {
         "raw_columns": len(table.columns),
@@ -301,7 +308,8 @@ def cmd_prepare(config: ExperimentConfig, out_dir: Path) -> int:
         },
         "has_labels": prepared.meta["has_labels"],
         "cache": str(cache_path),
-        "cache_sha256": file_sha256(cache_path),
+        "cache_sha256": cache_sha256,
+        "stage_s": stages.seconds,
     }
     atomic_write_text(out_dir / "prepare_summary.json",
                       json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -325,12 +333,10 @@ _Outcome = tuple[VariantSpec, ScoredRun | None, str | None]
 
 
 class _StageTimes:
-    """Busy seconds per stage of a run, summed over worker threads."""
+    """Busy seconds per named stage, summed over worker threads."""
 
-    STAGES = ("train", "score", "metrics_write")
-
-    def __init__(self) -> None:
-        self.seconds = dict.fromkeys(self.STAGES, 0.0)
+    def __init__(self, stages: tuple[str, ...]) -> None:
+        self.seconds = dict.fromkeys(stages, 0.0)
         self._lock = threading.Lock()
 
     def add(self, stage: str, seconds: float) -> None:
@@ -394,7 +400,7 @@ def cmd_run(
     specs = [VariantSpec(**variant) for variant in config.variants]
 
     started = time.time()
-    stages = _StageTimes()
+    stages = _StageTimes(("train", "score", "metrics_write"))
     failures: list[dict[str, Any]] = []
 
     def _run_head(spec: VariantSpec,

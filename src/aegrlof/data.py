@@ -7,12 +7,17 @@ subsample the training split, then min-max normalize every split into
 anomaly) are carried alongside the features but are never consumed by
 training code, only by evaluation.
 
+Tables are held by column (:class:`RawTable`), so loading and encoding
+work a whole column at a time; a file with a bad row or cell is scanned
+once more, cell by cell, only to name the first bad one.
+
 All operations are pure functions of their inputs plus an explicit seed,
 so they are safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, field
@@ -30,15 +35,19 @@ CACHE_VERSION = 1
 
 @dataclass
 class RawTable:
-    """Parsed CSV contents before encoding.
+    """Parsed CSV contents before encoding, held by column.
 
-    ``columns`` holds (name, kind) pairs in file order; ``rows`` holds one
-    tuple per CSV row with floats in numeric/label positions and stripped
-    strings in categorical positions.
+    ``columns`` holds (name, kind) pairs in file order, and ``values``
+    one entry per column, each with one value per CSV row in file order:
+    a float64 array for a numeric column, an int64 array of 0/1 for the
+    label column, and a list of stripped strings for a categorical
+    column. Numeric and label entries are converted to those arrays;
+    categorical entries stay Python strings, so no value is truncated or
+    padded the way a fixed-width numpy string array would.
     """
 
     columns: list[tuple[str, str]]
-    rows: list[tuple]
+    values: list[np.ndarray | list[str]]
 
     def __post_init__(self) -> None:
         n_label = sum(1 for _, kind in self.columns if kind == "label")
@@ -47,12 +56,40 @@ class RawTable:
         for name, kind in self.columns:
             if kind not in COLUMN_KINDS:
                 raise ValueError(f"column {name!r}: unknown kind {kind!r}")
-        arity = len(self.columns)
-        for i, row in enumerate(self.rows):
-            if len(row) != arity:
+        if len(self.values) != len(self.columns):
+            raise ValueError(
+                f"{len(self.columns)} columns but {len(self.values)} value columns"
+            )
+        values: list = []
+        for (name, kind), col in zip(self.columns, self.values):
+            if kind == "categorical":
+                if isinstance(col, np.ndarray) and col.ndim != 1:
+                    raise ValueError(f"column {name!r} must be 1-D")
+                values.append(list(col))
+            else:
+                dtype = np.int64 if kind == "label" else np.float64
+                col = np.asarray(col, dtype=dtype)
+                if col.ndim != 1:
+                    raise ValueError(f"column {name!r} must be 1-D")
+                values.append(col)
+        self.values = values
+        for (name, _), col in zip(self.columns, values):
+            if len(col) != self.n_rows:
                 raise ValueError(
-                    f"row {i}: expected {arity} values, got {len(row)}"
+                    f"column {name!r}: expected {self.n_rows} values, "
+                    f"got {len(col)}"
                 )
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.values[0]) if self.values else 0
+
+    @property
+    def rows(self) -> list[tuple]:
+        """One tuple per row in file order, rebuilt on each read. Nothing in
+        the package reads it: it walks every cell in Python."""
+        return list(zip(*(col.tolist() if isinstance(col, np.ndarray) else col
+                          for col in self.values)))
 
 
 @dataclass
@@ -141,8 +178,15 @@ def load_csv(
 ) -> RawTable:
     """Parse a CSV file into a :class:`RawTable` under a column-kind schema.
 
+    The rows are transposed once and each column is parsed whole: numeric
+    and label cells with Python's ``float()``, categorical cells stripped.
+    When any row or cell is bad, the data rows are scanned again one cell
+    at a time in file order, so the error names the first bad row or
+    cell, exactly as a row-by-row parse would.
+
     Args:
-        path: CSV file, comma separated, UTF-8.
+        path: CSV file, comma separated, UTF-8 (a leading byte-order mark
+            is dropped).
         schema: Maps column name (header required) or 0-based column index
             to a kind in ``("numeric", "categorical", "label")``. Columns
             not mentioned default to numeric.
@@ -161,19 +205,17 @@ def load_csv(
     if has_header is None:
         has_header = any(isinstance(k, str) for k in schema)
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        # blank lines are skipped but still counted, so errors name the
-        # line as an editor shows it
-        data_rows = [(reader.line_num, row) for row in reader if row]
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        # blank lines come back as empty lists and are skipped
+        rows = list(filter(None, csv.reader(fh)))
 
     header = None
-    if has_header and data_rows:
-        header = [c.strip() for c in data_rows.pop(0)[1]]
-    if not data_rows:
+    if has_header and rows:
+        header = [c.strip() for c in rows.pop(0)]
+    if not rows:
         raise ValueError(f"{path}: no rows")
 
-    width = len(data_rows[0][1])
+    width = len(rows[0])
     names = header if header is not None else [f"col{i}" for i in range(width)]
     if len(names) != width:
         raise ValueError(
@@ -203,40 +245,65 @@ def load_csv(
             except ValueError:
                 raise ValueError(f"schema column {key!r} not found in header") from None
 
-    rows: list[tuple] = []
-    for line, row in data_rows:
+    columns = list(zip(names, kinds))
+    if set(map(len, rows)) != {width}:
+        raise _first_bad_cell(path, has_header, columns)
+    n = len(rows)
+    values: list = []
+    for kind, cells in zip(kinds, zip(*rows)):
+        if kind == "categorical":
+            values.append(list(map(str.strip, cells)))
+            continue
+        try:
+            col = np.fromiter(map(float, cells), np.float64, count=n)
+        except ValueError:
+            raise _first_bad_cell(path, has_header, columns) from None
+        if not np.isfinite(col).all():
+            raise _first_bad_cell(path, has_header, columns)
+        if kind == "label":
+            if not ((col == 0.0) | (col == 1.0)).all():
+                raise _first_bad_cell(path, has_header, columns)
+            col = col.astype(np.int64)
+        values.append(col)
+    return RawTable(columns=columns, values=values)
+
+
+def _first_bad_cell(
+    path: Path, has_header: bool, columns: list[tuple[str, str]]
+) -> ValueError:
+    """The error for the first bad row or cell of ``path`` in file order.
+
+    Reads the file again, one row and cell at a time, to recover each
+    row's line number. Blank lines are skipped but still counted, so
+    errors name the line as an editor shows it. Only called once the
+    whole-column parse in :func:`load_csv` has found a bad row or cell.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        data_rows = [(reader.line_num, row) for row in reader if row]
+    width = len(columns)
+    for line, row in data_rows[1 if has_header else 0:]:
         if len(row) != width:
-            raise ValueError(
+            return ValueError(
                 f"{path} line {line}: expected {width} fields, got {len(row)}"
             )
-        parsed: list = []
-        for j, value in enumerate(row):
-            kind = kinds[j]
+        for (name, kind), value in zip(columns, row):
             if kind == "categorical":
-                parsed.append(value.strip())
                 continue
             try:
                 num = float(value)
             except ValueError:
-                raise ValueError(
-                    f"{path} line {line}: column {names[j]!r}: "
+                return ValueError(
+                    f"{path} line {line}: column {name!r}: "
                     f"cannot parse {value!r} as a number"
-                ) from None
-            if not math.isfinite(num):
-                raise ValueError(
-                    f"{path} line {line}: column {names[j]!r}: non-finite value"
                 )
-            if kind == "label":
-                if num not in (0.0, 1.0):
-                    raise ValueError(
-                        f"{path} line {line}: label must be 0 or 1, got {value!r}"
-                    )
-                parsed.append(int(num))
-            else:
-                parsed.append(num)
-        rows.append(tuple(parsed))
-
-    return RawTable(columns=list(zip(names, kinds)), rows=rows)
+            if not math.isfinite(num):
+                return ValueError(f"{path} line {line}: column {name!r}: non-finite value")
+            if kind == "label" and num not in (0.0, 1.0):
+                return ValueError(
+                    f"{path} line {line}: label must be 0 or 1, got {value!r}"
+                )
+    return ValueError(f"{path}: file changed while it was read")
 
 
 def one_hot_encode(table: RawTable) -> Dataset:
@@ -247,39 +314,29 @@ def one_hot_encode(table: RawTable) -> Dataset:
     numeric columns pass through in place. The label column, if present,
     is returned as ``Dataset.labels`` and excluded from features.
     """
+    n = table.n_rows
     names: list[str] = []
-    builders: list[tuple[int, str, dict[str, int] | None]] = []
-    label_idx: int | None = None
-    for j, (name, kind) in enumerate(table.columns):
+    # the empty block keeps a table without feature columns 2-D
+    blocks: list[np.ndarray] = [np.zeros((n, 0))]
+    labels = None
+    for (name, kind), col in zip(table.columns, table.values):
         if kind == "label":
-            label_idx = j
+            labels = col.copy()
         elif kind == "numeric":
-            builders.append((j, "numeric", None))
+            blocks.append(col.reshape(n, 1))
             names.append(name)
         else:
-            cats = sorted({row[j] for row in table.rows})
+            cats = sorted(set(col))
             index = {c: k for k, c in enumerate(cats)}
-            builders.append((j, "categorical", index))
+            codes = np.fromiter(map(index.__getitem__, col), np.intp, count=n)
+            block = np.zeros((n, len(cats)))
+            block[np.arange(n), codes] = 1.0
+            blocks.append(block)
             names.extend(f"{name}={c}" for c in cats)
-
-    n = len(table.rows)
-    features = np.zeros((n, len(names)), dtype=np.float64)
-    for i, row in enumerate(table.rows):
-        col = 0
-        for j, kind, index in builders:
-            if kind == "numeric":
-                features[i, col] = row[j]
-                col += 1
-            else:
-                features[i, col + index[row[j]]] = 1.0
-                col += len(index)
+    features = np.concatenate(blocks, axis=1)
 
     if not np.all(np.isfinite(features)):
         raise ValueError("non-finite feature values after encoding")
-
-    labels = None
-    if label_idx is not None:
-        labels = np.array([row[label_idx] for row in table.rows], dtype=np.int64)
     return Dataset(features, names, labels)
 
 
@@ -362,30 +419,39 @@ class PreparedData:
     meta: dict = field(default_factory=dict)
 
 
-def prepare(table: RawTable, spec: SplitSpec) -> PreparedData:
+def prepare(table: RawTable, spec: SplitSpec, stages=None) -> PreparedData:
     """Full preprocessing chain: encode, split, subsample, normalize.
 
     Normalization statistics are fitted on the final (post-subsample)
-    training split and applied unchanged to validation and test.
+    training split and applied unchanged to validation and test. When
+    given, ``stages`` times the ``"encode"`` and ``"split_normalize"``
+    steps through its ``timed(stage)`` context manager.
     """
-    encoded = one_hot_encode(table)
-    train, val, test = split(encoded, spec)
-    if spec.subsample_fraction is not None and spec.subsample_fraction < 1.0:
-        train = subsample(train, spec.subsample_fraction, spec.seed)
-    norm = normalize_fit(train)
-    meta = {
-        "n_features": encoded.n_features,
-        "n_rows": encoded.n_rows,
-        "split_sizes": [train.n_rows, val.n_rows, test.n_rows],
-        "has_labels": encoded.labels is not None,
-    }
-    return PreparedData(
-        train=normalize_apply(norm, train),
-        val=normalize_apply(norm, val),
-        test=normalize_apply(norm, test),
-        norm=norm,
-        meta=meta,
-    )
+    timed = stages.timed if stages is not None else _untimed
+    with timed("encode"):
+        encoded = one_hot_encode(table)
+    with timed("split_normalize"):
+        train, val, test = split(encoded, spec)
+        if spec.subsample_fraction is not None and spec.subsample_fraction < 1.0:
+            train = subsample(train, spec.subsample_fraction, spec.seed)
+        norm = normalize_fit(train)
+        meta = {
+            "n_features": encoded.n_features,
+            "n_rows": encoded.n_rows,
+            "split_sizes": [train.n_rows, val.n_rows, test.n_rows],
+            "has_labels": encoded.labels is not None,
+        }
+        return PreparedData(
+            train=normalize_apply(norm, train),
+            val=normalize_apply(norm, val),
+            test=normalize_apply(norm, test),
+            norm=norm,
+            meta=meta,
+        )
+
+
+def _untimed(stage: str) -> contextlib.AbstractContextManager:
+    return contextlib.nullcontext()
 
 
 def save_cache(path: str | Path, prepared: PreparedData, source_sha256: str = "") -> None:

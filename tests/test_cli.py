@@ -1,4 +1,5 @@
 import json
+import logging
 from collections import Counter
 
 import numpy as np
@@ -167,6 +168,17 @@ class TestPrepare:
         first = (out_dir / "dataset_cache.npz").read_bytes()
         cli.main(["prepare", "--config", str(config_path)])
         assert (out_dir / "dataset_cache.npz").read_bytes() == first
+
+    def test_summary_times_each_stage(self, experiment, caplog):
+        config_path, out_dir, _ = experiment
+        with caplog.at_level(logging.INFO, logger="aegrlof.cli"):
+            assert cli.main(["prepare", "--config", str(config_path)]) == 0
+        summary = json.loads((out_dir / "prepare_summary.json").read_text())
+        stage_s = summary["stage_s"]
+        assert set(stage_s) == {"load_csv", "encode", "split_normalize", "write"}
+        assert all(seconds >= 0.0 for seconds in stage_s.values())
+        assert any(record.getMessage().startswith("prepare stages: load_csv ")
+                   for record in caplog.records)
 
     def test_missing_dataset_file(self, tmp_path, capsys):
         config_path = tmp_path / "c.json"

@@ -1,5 +1,11 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aegrlof import data
 
@@ -14,10 +20,14 @@ class TestLoadCsv:
     def test_basic_parse(self, tmp_path):
         path = _write(tmp_path, "a,b,cls\n1,2,0\n3,4,1\n5,6,0\n")
         table = data.load_csv(path, {"cls": "label"})
-        assert len(table.rows) == 3
+        assert table.n_rows == 3
         assert table.columns == [("a", "numeric"), ("b", "numeric"),
                                  ("cls", "label")]
-        assert table.rows[0] == (1.0, 2.0, 0)
+        a, b, cls = table.values
+        assert a.dtype == b.dtype == np.float64 and cls.dtype == np.int64
+        np.testing.assert_array_equal(a, [1.0, 3.0, 5.0])
+        np.testing.assert_array_equal(b, [2.0, 4.0, 6.0])
+        np.testing.assert_array_equal(cls, [0, 1, 0])
 
     def test_empty_file_errors(self, tmp_path):
         path = _write(tmp_path, "")
@@ -63,7 +73,10 @@ class TestLoadCsv:
         table = data.load_csv(path, {0: "categorical", 2: "label"},
                               has_header=False)
         assert table.columns[0] == ("col0", "categorical")
-        assert table.rows[1] == ("udp", 2.0, 1)
+        assert table.n_rows == 2
+        assert table.values[0] == ["tcp", "udp"]
+        np.testing.assert_array_equal(table.values[1], [1.0, 2.0])
+        np.testing.assert_array_equal(table.values[2], [0, 1])
 
     def test_repeated_header_name_errors(self, tmp_path):
         # the schema could type only one of the two columns named 'a'
@@ -81,7 +94,7 @@ class TestOneHot:
     def test_three_protocols(self):
         table = data.RawTable(
             columns=[("proto", "categorical")],
-            rows=[("tcp",), ("udp",), ("icmp",), ("tcp",)],
+            values=[["tcp", "udp", "icmp", "tcp"]],
         )
         ds = data.one_hot_encode(table)
         assert ds.feature_names == ["proto=icmp", "proto=tcp", "proto=udp"]
@@ -95,19 +108,17 @@ class TestOneHot:
         columns = [(f"n{i}", "numeric") for i in range(38)]
         columns += [("proto", "categorical"), ("service", "categorical"),
                     ("flag", "categorical")]
-        rows = []
-        for i in range(n):
-            rows.append(
-                tuple(rng.normal(size=38))
-                + (f"p{i % 3}", f"s{i % 70}", f"f{i % 11}")
-            )
-        ds = data.one_hot_encode(data.RawTable(columns, rows))
+        values = list(rng.normal(size=(38, n)))
+        values += [[f"p{i % 3}" for i in range(n)],
+                   [f"s{i % 70}" for i in range(n)],
+                   [f"f{i % 11}" for i in range(n)]]
+        ds = data.one_hot_encode(data.RawTable(columns, values))
         assert ds.n_features == 122
 
     def test_no_categoricals_is_identity(self):
         table = data.RawTable(
             columns=[("a", "numeric"), ("b", "numeric")],
-            rows=[(1.0, 2.0), (3.0, 4.0)],
+            values=[[1.0, 3.0], [2.0, 4.0]],
         )
         ds = data.one_hot_encode(table)
         np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
@@ -115,22 +126,24 @@ class TestOneHot:
     def test_block_row_sums_are_one(self):
         rng = np.random.default_rng(3)
         rows = [(f"c{rng.integers(5)}", float(rng.normal())) for _ in range(40)]
-        table = data.RawTable([("cat", "categorical"), ("x", "numeric")], rows)
+        table = data.RawTable([("cat", "categorical"), ("x", "numeric")],
+                              [list(col) for col in zip(*rows)])
         ds = data.one_hot_encode(table)
         block = ds.features[:, :-1]
         np.testing.assert_array_equal(block.sum(axis=1), np.ones(40))
 
     def test_width_invariant_to_row_order(self):
-        rows = [("a", 0), ("b", 1), ("c", 0), ("a", 1)]
-        table = data.RawTable([("cat", "categorical"), ("cls", "label")], rows)
-        shuffled = data.RawTable(table.columns, rows[::-1])
+        cats, labels = ["a", "b", "c", "a"], [0, 1, 0, 1]
+        table = data.RawTable([("cat", "categorical"), ("cls", "label")],
+                              [cats, labels])
+        shuffled = data.RawTable(table.columns, [cats[::-1], labels[::-1]])
         a = data.one_hot_encode(table)
         b = data.one_hot_encode(shuffled)
         assert a.feature_names == b.feature_names
 
     def test_label_extracted(self):
         table = data.RawTable(
-            [("x", "numeric"), ("cls", "label")], [(1.0, 0), (2.0, 1)]
+            [("x", "numeric"), ("cls", "label")], [[1.0, 2.0], [0, 1]]
         )
         ds = data.one_hot_encode(table)
         assert ds.feature_names == ["x"]
@@ -259,7 +272,8 @@ class TestCache:
     def test_round_trip_exact(self, tmp_path):
         table = data.RawTable(
             [("x", "numeric"), ("c", "categorical"), ("cls", "label")],
-            [(float(i), f"v{i % 3}", i % 2) for i in range(30)],
+            [[float(i) for i in range(30)], [f"v{i % 3}" for i in range(30)],
+             [i % 2 for i in range(30)]],
         )
         prepared = data.prepare(table, data.SplitSpec(seed=1))
         path = tmp_path / "cache.npz"
@@ -274,7 +288,7 @@ class TestCache:
         assert loaded.meta["source_sha256"] == "abc"
 
     def test_rewrite_is_byte_identical(self, tmp_path):
-        table = data.RawTable([("x", "numeric")], [(float(i),) for i in range(10)])
+        table = data.RawTable([("x", "numeric")], [[float(i) for i in range(10)]])
         prepared = data.prepare(table, data.SplitSpec(seed=0))
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
         data.save_cache(p1, prepared)
@@ -282,7 +296,7 @@ class TestCache:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_version_check(self, tmp_path):
-        table = data.RawTable([("x", "numeric")], [(float(i),) for i in range(10)])
+        table = data.RawTable([("x", "numeric")], [[float(i) for i in range(10)]])
         prepared = data.prepare(table, data.SplitSpec(seed=0))
         path = tmp_path / "cache.npz"
         data.save_cache(path, prepared)
@@ -300,7 +314,7 @@ class TestCache:
 def test_prepare_subsamples_training_only():
     table = data.RawTable(
         [("x", "numeric"), ("cls", "label")],
-        [(float(i), i % 2) for i in range(100)],
+        [[float(i) for i in range(100)], [i % 2 for i in range(100)]],
     )
     prepared = data.prepare(
         table, data.SplitSpec(seed=0, subsample_fraction=0.5)
@@ -311,3 +325,264 @@ def test_prepare_subsamples_training_only():
     # training features normalized into [-1, 1]
     assert prepared.train.features.min() >= -1.0
     assert prepared.train.features.max() <= 1.0
+
+
+class TestRawTable:
+    def test_columns_held_as_arrays_and_lists(self):
+        table = data.RawTable(
+            [("x", "numeric"), ("c", "categorical"), ("cls", "label")],
+            [[1, 2], ("a", "b\x00"), [0.0, 1.0]],
+        )
+        x, c, cls = table.values
+        assert x.dtype == np.float64 and cls.dtype == np.int64
+        assert c == ["a", "b\x00"]
+        assert table.n_rows == 2
+        assert table.rows == [(1.0, "a", 0), (2.0, "b\x00", 1)]
+
+    def test_column_length_mismatch_names_first_short_column(self):
+        with pytest.raises(ValueError,
+                           match="column 'c': expected 3 values, got 2"):
+            data.RawTable(
+                [("x", "numeric"), ("c", "categorical"), ("y", "numeric")],
+                [[1.0, 2.0, 3.0], ["a", "b"], [1.0]],
+            )
+
+    def test_one_entry_per_column(self):
+        with pytest.raises(ValueError, match="2 columns but 1 value columns"):
+            data.RawTable([("x", "numeric"), ("y", "numeric")], [[1.0]])
+
+    @pytest.mark.parametrize("kind", ["numeric", "categorical", "label"])
+    def test_columns_must_be_one_dimensional(self, kind):
+        with pytest.raises(ValueError, match="column 'x' must be 1-D"):
+            data.RawTable([("x", kind)], [np.zeros((2, 2), dtype=np.int64)])
+
+    def test_label_count_and_kind_checks_kept(self):
+        with pytest.raises(ValueError, match="at most one label column"):
+            data.RawTable([("a", "label"), ("b", "label")], [[0], [1]])
+        with pytest.raises(ValueError, match="unknown kind 'text'"):
+            data.RawTable([("a", "text")], [["x"]])
+
+
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    # spreadsheet exports often start with a UTF-8 byte-order mark
+    path = _write(tmp_path, "\ufeffduration,proto,cls\n1,tcp,0\n2,udp,1\n")
+    table = data.load_csv(path, {"duration": "numeric", "proto": "categorical",
+                                 "cls": "label"})
+    assert table.columns[0] == ("duration", "numeric")
+    ds = data.one_hot_encode(table)
+    assert ds.feature_names == ["duration", "proto=tcp", "proto=udp"]
+
+
+# -- differential property: the columnar load and encode against a per-cell
+# referee, a copy of the row-by-row implementation they replaced. The copy
+# opens files as "utf-8-sig", like the code under test, so the byte-order
+# mark fix does not count as a difference.
+
+
+def _referee_load_csv(path, schema, has_header):
+    if has_header is None:
+        has_header = any(isinstance(k, str) for k in schema)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        data_rows = [(reader.line_num, row) for row in reader if row]
+    header = None
+    if has_header and data_rows:
+        header = [c.strip() for c in data_rows.pop(0)[1]]
+    if not data_rows:
+        raise ValueError(f"{path}: no rows")
+    width = len(data_rows[0][1])
+    names = header if header is not None else [f"col{i}" for i in range(width)]
+    if len(names) != width:
+        raise ValueError(
+            f"{path}: header has {len(names)} columns but first data row has {width}"
+        )
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"{path}: header repeats column {name!r}")
+        seen.add(name)
+    kinds = ["numeric"] * width
+    for key, kind in schema.items():
+        if kind not in data.COLUMN_KINDS:
+            raise ValueError(f"schema key {key!r}: unknown kind {kind!r}")
+        if isinstance(key, int):
+            if not 0 <= key < width:
+                raise ValueError(f"schema index {key} out of range for {width} columns")
+            kinds[key] = kind
+        else:
+            if header is None:
+                raise ValueError(
+                    f"schema key {key!r} is a name but the file has no header"
+                )
+            try:
+                kinds[names.index(key)] = kind
+            except ValueError:
+                raise ValueError(f"schema column {key!r} not found in header") from None
+    rows = []
+    for line, row in data_rows:
+        if len(row) != width:
+            raise ValueError(
+                f"{path} line {line}: expected {width} fields, got {len(row)}"
+            )
+        parsed = []
+        for j, value in enumerate(row):
+            kind = kinds[j]
+            if kind == "categorical":
+                parsed.append(value.strip())
+                continue
+            try:
+                num = float(value)
+            except ValueError:
+                raise ValueError(
+                    f"{path} line {line}: column {names[j]!r}: "
+                    f"cannot parse {value!r} as a number"
+                ) from None
+            if not math.isfinite(num):
+                raise ValueError(
+                    f"{path} line {line}: column {names[j]!r}: non-finite value"
+                )
+            if kind == "label":
+                if num not in (0.0, 1.0):
+                    raise ValueError(
+                        f"{path} line {line}: label must be 0 or 1, got {value!r}"
+                    )
+                parsed.append(int(num))
+            else:
+                parsed.append(num)
+        rows.append(tuple(parsed))
+    n_label = kinds.count("label")
+    if n_label > 1:
+        raise ValueError(f"at most one label column allowed, got {n_label}")
+    return list(zip(names, kinds)), rows
+
+
+def _referee_one_hot_encode(columns, rows):
+    names, builders, label_idx = [], [], None
+    for j, (name, kind) in enumerate(columns):
+        if kind == "label":
+            label_idx = j
+        elif kind == "numeric":
+            builders.append((j, "numeric", None))
+            names.append(name)
+        else:
+            cats = sorted({row[j] for row in rows})
+            index = {c: k for k, c in enumerate(cats)}
+            builders.append((j, "categorical", index))
+            names.extend(f"{name}={c}" for c in cats)
+    features = np.zeros((len(rows), len(names)), dtype=np.float64)
+    for i, row in enumerate(rows):
+        col = 0
+        for j, kind, index in builders:
+            if kind == "numeric":
+                features[i, col] = row[j]
+                col += 1
+            else:
+                features[i, col + index[row[j]]] = 1.0
+                col += len(index)
+    if not np.all(np.isfinite(features)):
+        raise ValueError("non-finite feature values after encoding")
+    labels = None
+    if label_idx is not None:
+        labels = np.array([row[label_idx] for row in rows], dtype=np.int64)
+    return data.Dataset(features, names, labels)
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from([" 1.5 ", "1_000", "+.5", "-0", "1e308", "-1e308", "0",
+                     "7", "2.5e-3", "\t-4\n", "5e-324"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+# one bad cell each, or a row one cell short or long; "1.5\x00" reads as 1.5
+# through a fixed-width numpy string array, but float() rejects it
+_FAULTS = ["nan", "-Infinity", "abc", "", "1e309", "1,5", "1__0", "1.5\x00",
+           "2", "drop", "add"]
+_CATEGORIES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
+    st.sampled_from(["tcp", " tcp ", "a=b", "é", "ß", "x\x00", "a,b", ""]),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """(CSV text, schema, has_header): valid cells in every column, then,
+    in half the files, one or two faults at drawn rows, each a row of the
+    wrong length or a bad cell in a numeric or label column."""
+    kinds = draw(st.lists(st.sampled_from(["numeric", "categorical", "label"]),
+                          min_size=1, max_size=4))
+    cell = {"numeric": _NUMBERS, "categorical": _CATEGORIES,
+            "label": st.sampled_from(["0", "1", "1.0", "-0"])}
+    rows = draw(st.lists(st.tuples(*(cell[kind] for kind in kinds)).map(list),
+                         min_size=1, max_size=6))
+    parsed = [j for j, kind in enumerate(kinds) if kind != "categorical"]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        fault = draw(st.sampled_from(_FAULTS))
+        if fault == "drop":
+            row.pop()
+        elif fault == "add":
+            row.append("0")
+        elif parsed and len(row) == len(kinds):
+            row[draw(st.sampled_from(parsed))] = fault
+    has_header = draw(st.booleans())
+    names = [f" c{j} " if j % 2 else f"c{j}" for j in range(len(kinds))]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+                        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL,
+                                                      csv.QUOTE_ALL])))
+    for row in ([names] if has_header else []) + rows:
+        writer.writerow(row)
+        buffer.write(draw(st.sampled_from(["", "", "\n", "\r\n\n"])))
+    if has_header:
+        schema = {name.strip(): kind for name, kind in zip(names, kinds)}
+    else:
+        schema = dict(enumerate(kinds))
+    return buffer.getvalue(), schema, has_header
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=300)
+@given(_csv_files())
+def test_columnar_load_and_encode_match_per_cell_referee(tmp_path_factory, case):
+    text, schema, has_header = case
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    want, want_error = _outcome(_referee_load_csv, path, schema, has_header)
+    table, error = _outcome(data.load_csv, path, schema, has_header)
+    assert error == want_error
+    if want is None:
+        return
+    columns, rows = want
+    assert table.columns == columns
+    assert table.n_rows == len(rows)
+    for j, ((_, kind), col) in enumerate(zip(columns, table.values)):
+        cells = [row[j] for row in rows]
+        if kind == "categorical":
+            assert col == cells
+        elif kind == "label":
+            assert col.dtype == np.int64
+            np.testing.assert_array_equal(col, np.array(cells, dtype=np.int64))
+        else:
+            np.testing.assert_array_equal(_bits(col), _bits(cells))
+    want_ds, want_error = _outcome(_referee_one_hot_encode, columns, rows)
+    ds, error = _outcome(data.one_hot_encode, table)
+    assert error == want_error
+    if want_ds is None:
+        return
+    assert ds.feature_names == want_ds.feature_names
+    assert ds.features.shape == want_ds.features.shape
+    np.testing.assert_array_equal(_bits(ds.features), _bits(want_ds.features))
+    if want_ds.labels is None:
+        assert ds.labels is None
+    else:
+        assert ds.labels.dtype == want_ds.labels.dtype
+        np.testing.assert_array_equal(ds.labels, want_ds.labels)
