@@ -128,10 +128,12 @@ class TrainConfig:
     SGD. ``patience`` <= 0 disables early stopping; otherwise training
     stops once validation loss has failed to improve by at least
     ``min_improvement`` for ``patience`` consecutive epochs.
+    ``batch_size`` None steps :func:`default_batch_size` of the training
+    rows.
     """
 
     max_epochs: int = 100
-    batch_size: int = 16
+    batch_size: int | None = None
     learning_rate: float = 0.01
     gr_start_epoch: int = 5
     patience: int = 10
@@ -141,7 +143,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.batch_size < 1:
+        if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(
@@ -438,6 +440,7 @@ def train_stack(
     x_train = train_data.features
     x_val = val_data.features
     n = x_train.shape[0]
+    batch_size = cfg.batch_size or default_batch_size(n)
     n_nets = len(nets)
     st = _Stack(
         ids=np.arange(n_nets),
@@ -466,8 +469,8 @@ def train_stack(
             break
         st.start_epoch(epoch, gr_start)
 
-        for batch_id, start in enumerate(range(0, n, cfg.batch_size)):
-            batch = x_train[st.orders[:, start : start + cfg.batch_size]]
+        for batch_id, start in enumerate(range(0, n, batch_size)):
+            batch = x_train[st.orders[:, start : start + batch_size]]
             activations = _forward(st.params, batch)
             losses = _smooth_l1(activations[-1], batch).reshape(
                 st.ids.size, -1).mean(axis=1)
@@ -568,16 +571,17 @@ def train(
     return result
 
 
-def encode(net: Network, data: Dataset) -> np.ndarray:
-    """Bottleneck activations per row (the latent representation)."""
-    activations, _ = forward(net, data.features)
-    return activations[BOTTLENECK_LAYER + 1]
+def encode(net: Network, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the bottleneck activations (the latent representation)
+    and the reconstruction error, from one forward pass."""
+    activations, output = forward(net, data.features)
+    errors = _smooth_l1(output, data.features).mean(axis=1)
+    return activations[BOTTLENECK_LAYER + 1], errors
 
 
 def reconstruction_error(net: Network, data: Dataset) -> np.ndarray:
     """Per-row mean smooth-L1 between the reconstruction and the input."""
-    _, output = forward(net, data.features)
-    return _smooth_l1(output, data.features).mean(axis=1)
+    return encode(net, data)[1]
 
 
 def history_to_csv(history: Sequence[EpochStats], path: str | Path) -> None:

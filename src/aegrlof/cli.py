@@ -58,12 +58,9 @@ logger = logging.getLogger(__name__)
 
 CACHE_FILENAME = "dataset_cache.npz"
 
-# The seed comes from the run's seed list; batch_size None is resolved
-# from the training-set size.
-TRAIN_DEFAULTS = {
-    **{f.name: f.default for f in fields(ae.TrainConfig) if f.name != "seed"},
-    "batch_size": None,
-}
+# The seed comes from the run's seed list.
+TRAIN_DEFAULTS = {f.name: f.default for f in fields(ae.TrainConfig)
+                  if f.name != "seed"}
 
 SPLIT_DEFAULTS = {f.name: f.default for f in fields(SplitSpec)}
 
@@ -213,9 +210,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     split_cfg = {**SPLIT_DEFAULTS, **raw.get("split", {})}
     split = SplitSpec(**split_cfg)
     train_cfg = {**TRAIN_DEFAULTS, **raw.get("train", {})}
-    # a null batch_size keeps the TrainConfig default here and is resolved
-    # from the training rows at run time
-    train = ae.TrainConfig(**{k: v for k, v in train_cfg.items() if v is not None})
+    train = ae.TrainConfig(**train_cfg)
     lof_cfg = {**LOF_DEFAULTS, **raw.get("lof", {})}
 
     variants_raw = raw.get("variants", "matrix")
@@ -324,10 +319,6 @@ def cmd_prepare(config: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def _variant_filename(spec: VariantSpec, seed: int, prefix: str, ext: str) -> str:
-    return f"{prefix}_{spec.detector}_{spec.modifier}_{seed}.{ext}"
-
-
 # One executed (variant, seed): its run, or the error that stopped it.
 _Outcome = tuple[VariantSpec, ScoredRun | None, str | None]
 
@@ -366,7 +357,8 @@ def cmd_run(
     one stack, trained in lockstep, then every head of its networks.
     ``lof_raw`` does not depend on the seed, so one fit, its own unit,
     fills every seed's row. ``jobs`` workers run the units in parallel.
-    Each trained network's history goes to ``history_<ae|aegr>_<seed>.csv``.
+    Each trained network writes ``history_<ae|aegr>_<seed>.csv`` and
+    ``latents_<ae|aegr>_<seed>.npz``.
     """
     cache_path = out_dir / CACHE_FILENAME
     if not cache_path.exists():
@@ -394,9 +386,6 @@ def cmd_run(
         )
 
     seeds = [seed_override] if seed_override is not None else config.seeds
-    base_cfg = config.train
-    if config.resolved["train"]["batch_size"] is None:
-        base_cfg = replace(base_cfg, batch_size=ae.default_batch_size(n_train))
     specs = [VariantSpec(**variant) for variant in config.variants]
 
     started = time.time()
@@ -423,8 +412,7 @@ def cmd_run(
     for seed in seeds:
         for reversal in (False, True):
             heads = [replace(spec, seed=seed) for spec in specs
-                     if spec.detector != "lof_raw"
-                     and (spec.detector == "aegr_lof") == reversal]
+                     if spec.reversal == reversal]
             if heads:
                 network_heads[(seed, reversal)] = heads
 
@@ -432,7 +420,7 @@ def cmd_run(
         start = time.perf_counter()
         try:
             networks = train_networks(keys, prepared.train, prepared.val,
-                                      prepared.test, base_cfg)
+                                      prepared.test, config.train)
         except Exception as exc:  # every head of this stack fails alike
             logger.exception("stack of networks %s failed", keys)
             networks = [exc] * len(keys)
@@ -450,9 +438,14 @@ def cmd_run(
                 error = f"{type(network).__name__}: {network}"
                 outcomes += [(spec, None, error) for spec in heads]
                 continue
+            name = f"{'aegr' if reversal else 'ae'}_{seed}"
             with stages.timed("metrics_write"):
-                ae.history_to_csv(network.history, out_dir / (
-                    f"history_{'aegr' if reversal else 'ae'}_{seed}.csv"))
+                ae.history_to_csv(network.history, out_dir / f"history_{name}.csv")
+                latents = {"latents": network.train_latents,
+                           "pruned_mask": (~network.kept).astype(np.int8)}
+                if prepared.train.labels is not None:
+                    latents["labels"] = prepared.train.labels
+                write_npz(out_dir / f"latents_{name}.npz", latents)
             outcomes += [_run_head(spec, network) for spec in heads]
         return outcomes
 
@@ -490,20 +483,9 @@ def cmd_run(
             }
         )
         write_scores_csv(
-            out_dir / _variant_filename(spec, spec.seed, "scores", "csv"),
+            out_dir / f"scores_{spec.detector}_{spec.modifier}_{spec.seed}.csv",
             run.scores,
         )
-        if run.train_latents is not None:
-            arrays = {
-                "latents": run.train_latents,
-                "pruned_mask": run.pruned_mask.astype(np.int8),
-            }
-            if prepared.train.labels is not None:
-                arrays["labels"] = prepared.train.labels
-            write_npz(
-                out_dir / _variant_filename(spec, spec.seed, "latents", "npz"),
-                arrays,
-            )
 
     rows.sort(key=lambda r: (r["detector"], r["modifier"], r["seed"]))
     wilcoxon_rows = _wilcoxon_comparisons(config.wilcoxon_pairs, rows, seeds)
@@ -629,26 +611,22 @@ def _render_markdown(report: dict[str, Any], seeds: list[int]) -> str:
 
 
 def cmd_plotdata(
-    out_dir: Path, variant: str | None = None, seed: int | None = None
+    out_dir: Path, network: str | None = None, seed: int | None = None
 ) -> int:
-    """Export latent scatter + per-axis KDE curves from stored latents."""
+    """Export latent scatter + per-axis KDE curves from the stored latents
+    of one trained network, preferring the reversal network."""
+    # latents_<ae|aegr>_<seed>.npz, one per trained network
     candidates = sorted(out_dir.glob("latents_*.npz"))
-    if variant is not None:
-        # exact variant match: "aegr_lof/prune" must not also catch prune_da
-        token = variant.replace("/", "_")
-        candidates = [
-            c for c in candidates
-            if c.stem.rsplit("_", 1)[0] == f"latents_{token}"
-        ]
+    if network is not None:
+        candidates = [c for c in candidates if c.stem.split("_")[1] == network]
     if seed is not None:
         candidates = [c for c in candidates if c.stem.rsplit("_", 1)[1] == str(seed)]
     if not candidates:
         raise FileNotFoundError(
             f"no stored latents matching the request under {out_dir}; "
-            "run a latent-LOF variant first"
+            "run a variant that trains a network first"
         )
-    preferred = [c for c in candidates
-                 if c.stem.rsplit("_", 1)[0] == "latents_aegr_lof_prune"]
+    preferred = [c for c in candidates if c.stem.split("_")[1] == "aegr"]
     chosen = (preferred or candidates)[0]
     logger.info("plot data source: %s", chosen.name)
 
@@ -727,8 +705,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plotdata", help="export latent scatter/KDE CSVs")
     p_plot.add_argument("--out", default="out", help="run output directory")
-    p_plot.add_argument("--variant", default=None,
-                        help="variant key, e.g. aegr_lof/prune")
+    p_plot.add_argument("--network", choices=("ae", "aegr"), default=None,
+                        help="plain (ae) or reversal (aegr) network whose "
+                        "latents to export (default: aegr when stored)")
     p_plot.add_argument("--seed", type=int, default=None)
     return parser
 
@@ -739,7 +718,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "plotdata":
-            return cmd_plotdata(Path(args.out), args.variant, args.seed)
+            return cmd_plotdata(Path(args.out), args.network, args.seed)
         config = load_experiment_config(args.config)
         out_dir = Path(args.out) if args.out else Path(config.output_dir)
         if args.command == "prepare":

@@ -455,10 +455,21 @@ def _untimed(stage: str) -> contextlib.AbstractContextManager:
 
 
 def save_cache(path: str | Path, prepared: PreparedData, source_sha256: str = "") -> None:
-    """Persist prepared splits to a versioned, byte-reproducible .npz."""
+    """Persist prepared splits to a versioned, byte-reproducible .npz.
+
+    A feature name the stored string array cannot hold (numpy drops
+    trailing NULs) raises ``ValueError`` before anything is written.
+    """
+    names = np.array(prepared.train.feature_names)
+    for name, stored in zip(prepared.train.feature_names, names.tolist()):
+        if stored != name:
+            raise ValueError(
+                f"feature name {name!r} cannot be stored in the dataset cache, "
+                "which drops trailing NUL characters"
+            )
     arrays: dict[str, np.ndarray] = {
         "cache_version": np.array(CACHE_VERSION, dtype=np.int64),
-        "feature_names": np.array(prepared.train.feature_names),
+        "feature_names": names,
         "norm_min": prepared.norm.minimum,
         "norm_max": prepared.norm.maximum,
         "source_sha256": np.array(source_sha256),

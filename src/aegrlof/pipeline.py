@@ -13,9 +13,12 @@ reference set.
 Every detector but ``lof_raw`` is a scoring head on one trained network:
 ``ae_re`` and ``ae_lof/*`` on the plain network, ``aegr_lof/*`` on the
 gradient-reversal one. :func:`train_networks` trains each network once,
-all of one call in lockstep, and :func:`run_variant` scores one head from
-a network; a head reads the network's arrays and never changes them, so
-every head of a network can share it.
+all of one call in lockstep, and records in a :class:`TrainedNetwork`
+everything the heads read: one forward pass per split gives the latents
+and reconstruction errors, and one :func:`prune` call the rows pruning
+keeps. :func:`run_variant` scores one head from a network: it picks the
+LOF reference and fits and scores LOF. A head reads the network's arrays
+and never changes them, so every head of a network can share it.
 """
 
 from __future__ import annotations
@@ -83,20 +86,19 @@ class VariantSpec:
     def key(self) -> str:
         return f"{self.detector}/{self.modifier}"
 
+    @property
+    def reversal(self) -> bool | None:
+        """Whether the head reads the gradient-reversal network; None for
+        ``lof_raw``, which reads no network."""
+        return None if self.detector == "lof_raw" else self.detector == "aegr_lof"
+
 
 @dataclass
 class ScoredRun:
-    """Scores for one executed variant plus run metadata.
-
-    ``train_latents``/``pruned_mask`` are populated for the latent-LOF
-    detectors so the CLI can export latent scatter data; ``pruned_mask``
-    is True for rows *removed* by pruning.
-    """
+    """Scores for one executed variant plus run metadata."""
 
     scores: np.ndarray
     metadata: dict = field(default_factory=dict)
-    train_latents: np.ndarray | None = None
-    pruned_mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.scores = np.asarray(self.scores, dtype=np.float64)
@@ -152,8 +154,9 @@ def augment(
 
 @dataclass
 class TrainedNetwork:
-    """One trained autoencoder with its latents and per-row reconstruction
-    errors on the training and test splits, computed once for all heads."""
+    """One trained autoencoder and everything its heads read: its latents
+    and per-row reconstruction errors on the training and test splits,
+    and ``kept``, the training rows :func:`prune` keeps."""
 
     seed: int
     reversal: bool
@@ -163,6 +166,7 @@ class TrainedNetwork:
     train_errors: np.ndarray
     test_latents: np.ndarray
     test_errors: np.ndarray
+    kept: np.ndarray
 
 
 def train_networks(
@@ -173,8 +177,9 @@ def train_networks(
     cfg: ae.TrainConfig,
 ) -> list[TrainedNetwork | RuntimeError]:
     """Train one autoencoder per (seed, reversal) key, all in one
-    :func:`autoencoder.train_stack` stack, and encode the training and
-    test splits with each.
+    :func:`autoencoder.train_stack` stack, encode the training and test
+    splits with each, one forward pass per split, and prune its training
+    rows once.
 
     A key's seed drives initialization and batch shuffling and overrides
     ``cfg.seed``. Without reversal the reversal start is moved to
@@ -195,13 +200,11 @@ def train_networks(
 def _encode_splits(key: tuple[int, bool], net: ae.Network,
                    history: list[ae.EpochStats], train_data: Dataset,
                    test_data: Dataset) -> TrainedNetwork:
-    return TrainedNetwork(
-        *key, net, history,
-        train_latents=ae.encode(net, train_data),
-        train_errors=ae.reconstruction_error(net, train_data),
-        test_latents=ae.encode(net, test_data),
-        test_errors=ae.reconstruction_error(net, test_data),
-    )
+    train_latents, train_errors = ae.encode(net, train_data)
+    test_latents, test_errors = ae.encode(net, test_data)
+    return TrainedNetwork(*key, net, history, train_latents, train_errors,
+                          test_latents, test_errors,
+                          kept=prune(train_latents, train_errors)[1])
 
 
 def run_variant(
@@ -224,10 +227,11 @@ def run_variant(
 
     ``lof_raw`` takes no network. Every other detector scores
     ``network``, a :func:`train_networks` result for the same splits with
-    the spec's seed and the detector's reversal setting; anything else
-    raises ``ValueError``, as does a pruned reference left with no more
-    than ``min_pts`` rows. The spec's seed also drives augmentation noise,
-    so identical inputs yield identical scores.
+    the spec's seed and reversal setting; anything else raises
+    ``ValueError``, as does a pruned reference left with no more than
+    ``min_pts`` rows. Pruning keeps the network's ``kept`` rows. The
+    spec's seed also drives augmentation noise, so identical inputs yield
+    identical scores.
     """
     meta: dict = {"train_rows": train_data.n_rows, "test_rows": test_data.n_rows}
 
@@ -239,10 +243,9 @@ def run_variant(
         meta.update(min_pts=min_pts, reference_rows=model.n_reference)
         return ScoredRun(scores, meta)
 
-    reversal = spec.detector == "aegr_lof"
     if network is None:
         raise ValueError(f"{spec.key} needs a network from train_networks")
-    if (network.seed, network.reversal) != (spec.seed, reversal):
+    if (network.seed, network.reversal) != (spec.seed, spec.reversal):
         raise ValueError(
             f"{spec.key} seed {spec.seed} cannot use the network trained with "
             f"seed {network.seed}, reversal={network.reversal}"
@@ -257,11 +260,9 @@ def run_variant(
     if spec.detector == "ae_re":
         return ScoredRun(network.test_errors, meta)
 
-    reference = train_latents = network.train_latents
-    pruned_mask = np.zeros(train_data.n_rows, dtype=bool)
-    if spec.modifier in ("prune", "prune_da"):
-        reference, kept = prune(train_latents, network.train_errors)
-        pruned_mask = ~kept
+    reference = network.train_latents
+    if spec.modifier != "none":
+        reference = reference[network.kept]
         meta["rows_after_prune"] = int(reference.shape[0])
     if spec.modifier == "prune_da":
         reference = augment(reference, spec.aug_factor, spec.aug_sigma, spec.seed + 1)
@@ -279,5 +280,4 @@ def run_variant(
                 latent_dim=network.net.bottleneck_width)
     logger.info("variant %s seed %d: %d reference rows, %d epochs",
                 spec.key, spec.seed, model.n_reference, len(history))
-    return ScoredRun(scores, meta, train_latents=train_latents,
-                     pruned_mask=pruned_mask)
+    return ScoredRun(scores, meta)

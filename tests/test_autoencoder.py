@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,6 +243,21 @@ class TestTrain:
             np.testing.assert_array_equal(la.bias, lb.bias)
         assert [h.val_loss for h in hist_a] == [h.val_loss for h in hist_b]
 
+    @pytest.mark.parametrize("rows", [100, 2001])
+    def test_unset_batch_size_trains_as_the_size_rule(self, rows):
+        train = _random_dataset(rows, 3, seed=6)
+        val = _random_dataset(20, 3, seed=7)
+        net = ae.build_architecture(3, seed=1)
+        unset = ae.TrainConfig(max_epochs=2, gr_start_epoch=0, seed=3)
+        assert unset.batch_size is None
+        explicit = replace(unset, batch_size=ae.default_batch_size(rows))
+        net_a, hist_a = ae.train(net, train, val, unset)
+        net_b, hist_b = ae.train(net, train, val, explicit)
+        for la, lb in zip(net_a.layers, net_b.layers):
+            np.testing.assert_array_equal(la.weights, lb.weights)
+            np.testing.assert_array_equal(la.bias, lb.bias)
+        assert hist_a == hist_b
+
     def test_input_network_not_mutated(self):
         train = _random_dataset(40, 4, seed=0)
         val = _random_dataset(10, 4, seed=1)
@@ -460,18 +476,19 @@ class TestTrainStack:
 class TestEncodeAndErrors:
     def test_encode_pendigits_shape(self):
         net = ae.build_architecture(16, seed=0)
-        latents = ae.encode(net, _random_dataset(12, 16, seed=0))
+        latents, errors = ae.encode(net, _random_dataset(12, 16, seed=0))
         assert latents.shape == (12, 5)
+        assert errors.shape == (12,)
 
     def test_duplicate_rows_encode_identically(self):
         net = ae.build_architecture(6, seed=1)
         row = np.random.default_rng(0).normal(size=6)
-        latents = ae.encode(net, _dataset(np.stack([row, row])))
+        latents, _ = ae.encode(net, _dataset(np.stack([row, row])))
         np.testing.assert_array_equal(latents[0], latents[1])
 
     def test_latents_bounded(self):
         net = ae.build_architecture(7, seed=2)
-        latents = ae.encode(net, _random_dataset(30, 7, seed=3, scale=10.0))
+        latents, _ = ae.encode(net, _random_dataset(30, 7, seed=3, scale=10.0))
         assert np.all(np.abs(latents) < 1.0)
 
     def test_reconstruction_error_zero_at_fixed_point(self):

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from aegrlof import autoencoder, cli, lof
+from aegrlof import autoencoder, cli, data, lof
 
 from conftest import make_embedded_blob, write_dataset_csv
 
@@ -180,6 +180,20 @@ class TestPrepare:
         assert any(record.getMessage().startswith("prepare stages: load_csv ")
                    for record in caplog.records)
 
+    def test_feature_name_the_cache_cannot_hold_fails(self, tmp_path, capsys):
+        csv_path = tmp_path / "nul.csv"
+        csv_path.write_text("c,v,label\n" + "x,1,0\nx\x00,2,1\n" * 10)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(
+            {"dataset": {"path": str(csv_path), "has_header": True,
+                         "schema": {"c": "categorical", "label": "label"}},
+             "output_dir": str(tmp_path / "out")}
+        ))
+        assert cli.main(["prepare", "--config", str(config_path)]) == 1
+        assert ("error: feature name 'c=x\\x00' cannot be stored in the dataset "
+                "cache" in capsys.readouterr().err)
+        assert not (tmp_path / "out" / cli.CACHE_FILENAME).exists()
+
     def test_missing_dataset_file(self, tmp_path, capsys):
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(
@@ -209,7 +223,7 @@ class TestRun:
         assert (out_dir / "report.md").exists()
         assert (out_dir / "scores_lof_raw_none_0.csv").exists()
         assert (out_dir / "scores_aegr_lof_prune_1.csv").exists()
-        assert (out_dir / "latents_aegr_lof_prune_0.npz").exists()
+        assert (out_dir / "latents_aegr_0.npz").exists()
         scores = np.loadtxt(out_dir / "scores_lof_raw_none_0.csv",
                             delimiter=",", skiprows=1)
         assert scores.shape == (60, 2)
@@ -271,7 +285,7 @@ class TestRun:
 
         serial = run_outputs()
         assert {"report.md", "scores_aegr_lof_prune_1.csv",
-                "latents_aegr_lof_prune_1.npz",
+                "latents_aegr_1.npz",
                 "history_aegr_1.csv"} <= serial.keys()
         # the networks are dealt into one stack per worker, so each job
         # count splits them into other stacks than the serial run's one
@@ -371,6 +385,28 @@ class TestRun:
         report = json.loads((out_dir / "report.json").read_text())["report"]
         assert len(report["rows"]) == 16
 
+    def test_matrix_writes_latents_once_per_network(self, experiment, tmp_path):
+        _, out_dir, config = experiment
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({**config, "variants": "matrix"}))
+        cli.main(["prepare", "--config", str(path)])
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert sorted(p.name for p in out_dir.glob("latents_*")) == [
+            "latents_ae_0.npz", "latents_ae_1.npz",
+            "latents_aegr_0.npz", "latents_aegr_1.npz"]
+        train_labels = data.load_cache(out_dir / cli.CACHE_FILENAME).train.labels
+        report = json.loads((out_dir / "report.json").read_text())["report"]
+        for row in report["rows"]:
+            if row["modifier"] != "prune":
+                continue
+            network = "aegr" if row["detector"] == "aegr_lof" else "ae"
+            with np.load(out_dir / f"latents_{network}_{row['seed']}.npz") as npz:
+                assert npz["latents"].shape == (180, row["metadata"]["latent_dim"])
+                assert npz["pruned_mask"].dtype == np.int8
+                assert (npz["pruned_mask"] == 0).sum() == (
+                    row["metadata"]["rows_after_prune"])
+                np.testing.assert_array_equal(npz["labels"], train_labels)
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_failed_network_fails_each_of_its_heads(self, experiment, tmp_path):
         _, out_dir, config = experiment
@@ -435,14 +471,14 @@ class TestPlotdata:
         config_path, out_dir, _ = experiment
         cli.main(["prepare", "--config", str(config_path)])
         cli.main(["run", "--config", str(config_path)])
-        assert cli.main(["plotdata", "--out", str(out_dir), "--variant",
-                         "aegr_lof/prune", "--seed", "1"]) == 0
+        assert cli.main(["plotdata", "--out", str(out_dir), "--network",
+                         "aegr", "--seed", "1"]) == 0
 
     def test_empty_anomaly_class_emits_normal_only(self, tmp_path, caplog):
         from aegrlof.storage import write_npz
 
         rng = np.random.default_rng(0)
-        write_npz(tmp_path / "latents_ae_lof_none_0.npz", {
+        write_npz(tmp_path / "latents_ae_0.npz", {
             "latents": rng.normal(size=(50, 3)),
             "pruned_mask": np.zeros(50, dtype=np.int8),
             "labels": np.zeros(50, dtype=np.int64),
@@ -457,7 +493,7 @@ class TestPlotdata:
         from aegrlof.storage import write_npz
 
         rng = np.random.default_rng(1)
-        write_npz(tmp_path / "latents_ae_lof_none_0.npz", {
+        write_npz(tmp_path / "latents_ae_0.npz", {
             "latents": rng.normal(size=(30, 2)),
             "pruned_mask": np.zeros(30, dtype=np.int8),
         })

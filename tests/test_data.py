@@ -295,6 +295,19 @@ class TestCache:
         data.save_cache(p2, prepared)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_feature_name_with_trailing_nul_rejected_before_writing(self, tmp_path):
+        # a fixed-width numpy string array would store both names as "c=x"
+        table = data.RawTable([("c", "categorical")], [["x", "x\x00"] * 10])
+        prepared = data.prepare(table, data.SplitSpec(seed=0))
+        assert prepared.train.feature_names == ["c=x", "c=x\x00"]
+        path = tmp_path / "cache.npz"
+        with pytest.raises(ValueError) as error:
+            data.save_cache(path, prepared)
+        assert str(error.value) == (
+            "feature name 'c=x\\x00' cannot be stored in the dataset cache, "
+            "which drops trailing NUL characters")
+        assert not path.exists()
+
     def test_version_check(self, tmp_path):
         table = data.RawTable([("x", "numeric")], [[float(i) for i in range(10)]])
         prepared = data.prepare(table, data.SplitSpec(seed=0))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from aegrlof import autoencoder as ae
 from aegrlof import data, pipeline
 from aegrlof.autoencoder import TrainConfig
 
@@ -105,6 +106,12 @@ class TestVariantSpec:
     def test_key(self):
         assert pipeline.VariantSpec("aegr_lof", "prune").key == "aegr_lof/prune"
 
+    def test_reversal_names_the_network_a_head_reads(self):
+        assert pipeline.VariantSpec("lof_raw").reversal is None
+        assert pipeline.VariantSpec("ae_re").reversal is False
+        assert pipeline.VariantSpec("ae_lof", "prune").reversal is False
+        assert pipeline.VariantSpec("aegr_lof", "prune_da").reversal is True
+
     @pytest.mark.parametrize("field", ["aug_factor", "aug_sigma"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_augmentation_rejected(self, field, value):
@@ -175,12 +182,15 @@ class TestRunVariant:
 
     def test_prune_metadata_and_masks(self):
         train, val, test = _prepared_splits(seed=4, n_normal=200, n_anom=10)
-        run = _score(pipeline.VariantSpec("aegr_lof", "prune", seed=1),
-                     train, val, test)
+        [network] = pipeline.train_networks([(1, True)], train, val, test,
+                                            _FAST_CFG)
+        run = pipeline.run_variant(pipeline.VariantSpec("aegr_lof", "prune", seed=1),
+                                   train, test, 20, network)
         assert run.metadata["rows_after_prune"] < train.n_rows
-        assert run.pruned_mask.sum() == train.n_rows - run.metadata["rows_after_prune"]
-        assert run.train_latents.shape == (train.n_rows,
-                                           run.metadata["latent_dim"])
+        assert network.kept.shape == (train.n_rows,)
+        assert network.kept.sum() == run.metadata["rows_after_prune"]
+        assert network.train_latents.shape == (train.n_rows,
+                                               run.metadata["latent_dim"])
 
     def test_augment_grows_reference(self):
         train, val, test = _prepared_splits(seed=5, n_normal=200, n_anom=10)
@@ -220,12 +230,39 @@ class TestRunVariant:
         assert len(run.scores) == len(test.labels) == test.n_rows
 
 
+class TestTrainNetworks:
+    def test_one_forward_pass_per_split_and_one_prune(self, monkeypatch):
+        train, val, test = _prepared_splits(seed=9, n_normal=120, n_anom=6)
+        passes, prunes = [], []
+
+        def forward(net, batch, *args):
+            passes.append(batch.shape[0])
+            return real_forward(net, batch, *args)
+
+        def prune(latents, res):
+            prunes.append(latents.shape[0])
+            return real_prune(latents, res)
+
+        real_forward, real_prune = ae.forward, pipeline.prune
+        monkeypatch.setattr(ae, "forward", forward)
+        monkeypatch.setattr(pipeline, "prune", prune)
+        networks = pipeline.train_networks([(0, False), (0, True)], train, val,
+                                           test, _FAST_CFG)
+        # training runs its own passes; each network then makes one pass
+        # over the training split and one over the test split
+        assert passes == [train.n_rows, test.n_rows] * 2
+        assert prunes == [train.n_rows] * 2
+        for network in networks:
+            np.testing.assert_array_equal(network.kept, real_prune(
+                network.train_latents, network.train_errors)[1])
+
+
 _NETWORK_VARIANTS = [v for v in pipeline.VARIANT_MATRIX if v[0] != "lof_raw"]
 
 
 def _network_arrays(network):
     arrays = [network.train_latents, network.train_errors,
-              network.test_latents, network.test_errors]
+              network.test_latents, network.test_errors, network.kept]
     for layer in network.net.layers:
         arrays += [layer.weights, layer.bias]
     return [a.copy() for a in arrays]
@@ -252,11 +289,6 @@ class TestSharedNetwork:
             other = backward[key]
             np.testing.assert_array_equal(run.scores, other.scores)
             assert run.metadata == other.metadata
-            for attr in ("train_latents", "pruned_mask"):
-                a, b = getattr(run, attr), getattr(other, attr)
-                assert (a is None) == (b is None)
-                if a is not None:
-                    np.testing.assert_array_equal(a, b)
         for reversal, network in networks.items():
             for a, b in zip(before[reversal], _network_arrays(network)):
                 np.testing.assert_array_equal(a, b)
