@@ -32,7 +32,7 @@ work arrays allocated once per stack, and its loss is bit-identical to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -198,24 +198,19 @@ def build_architecture(n_features: int, seed: int = 0) -> Network:
     return Network(layers)
 
 
-def forward(
-    net: Network, batch: np.ndarray, out: Sequence[np.ndarray] | None = None
-) -> tuple[list[np.ndarray], np.ndarray]:
+def forward(net: Network, batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Run a batch through the network.
 
     Returns the list of node-layer activations (input first, output last)
     and the output; every intermediate activation is retained for
-    :func:`backward`. ``out`` optionally holds one float64 array per weight
-    layer, shaped (rows, layer width), that receives that layer's
-    activation instead of a fresh array, so a pass repeated over the same
-    rows allocates nothing; the values are the same either way.
+    :func:`backward`.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != net.n_inputs:
         raise ValueError(
             f"batch shape {batch.shape} incompatible with {net.n_inputs} inputs"
         )
-    activations = _forward(net.params, batch, out)
+    activations = _forward(net.params, batch)
     return activations, activations[-1]
 
 
@@ -223,7 +218,9 @@ def _forward(
     params: Params, batch: np.ndarray, out: Sequence[np.ndarray] | None = None
 ) -> list[np.ndarray]:
     """Node-layer activations, input first, of one network or a stack;
-    a stack's ``batch`` is (S, rows, n), one batch per network."""
+    a stack's ``batch`` is (S, rows, n), one batch per network. ``out``,
+    one (rows, layer width) float64 array per weight layer, optionally
+    receives the same values, so a repeated pass allocates nothing."""
     activations = [batch]
     for i, (weights, bias) in enumerate(params):
         buf = None if out is None else out[i]
@@ -364,42 +361,6 @@ def _check_stack(nets: Sequence[Network], train_data: Dataset,
             )
 
 
-@dataclass
-class _Stack:
-    """The networks still training, on a leading axis: row k of every
-    array belongs to network ``ids[k]`` of the :func:`train_stack` call."""
-
-    ids: np.ndarray
-    params: Params
-    # each network's row order for the current epoch
-    orders: np.ndarray
-    # per epoch: reversal on or off, the summed training loss, and the
-    # highest gradient score, its batch id and its gradients
-    reversing: np.ndarray = field(init=False)
-    loss_sum: np.ndarray = field(init=False)
-    best_score: np.ndarray = field(init=False)
-    best_batch: np.ndarray = field(init=False)
-    best_grads: Gradients | None = field(init=False)
-
-    def start_epoch(self, epoch: int, gr_start: np.ndarray) -> None:
-        self.reversing = epoch > gr_start[self.ids]
-        self.loss_sum = np.zeros(self.ids.size)
-        self.best_score = np.full(self.ids.size, math.nan)
-        self.best_batch = np.full(self.ids.size, -1)
-        self.best_grads = None
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the networks ``mask`` does not mark."""
-        self.ids, self.orders, self.reversing, self.loss_sum = (
-            self.ids[mask], self.orders[mask], self.reversing[mask],
-            self.loss_sum[mask])
-        self.best_score, self.best_batch = (self.best_score[mask],
-                                            self.best_batch[mask])
-        self.params = [(w[mask], b[mask]) for w, b in self.params]
-        if self.best_grads is not None:
-            self.best_grads = [(dw[mask], db[mask]) for dw, db in self.best_grads]
-
-
 def train_stack(
     nets: Sequence[Network],
     train_data: Dataset,
@@ -425,15 +386,17 @@ def train_stack(
     gradient is applied inverted at epoch end. Rows are reshuffled into
     fresh batches between epochs. A network stops early on stalled
     validation loss and returns the parameters snapshotted at its best
-    validation loss; a stopped network leaves the stack and the others go
-    on.
+    validation loss. A network whose training loss goes non-finite gets
+    its error at that batch and trains on in its own slices, unvalidated.
+    Networks leave the stack only at the end of an epoch, and the others
+    go on.
 
     The input networks are not modified, so repeated calls with the same
     configs produce bitwise-identical results.
 
     Returns, per network, its best-validation network and history, or the
     ``RuntimeError`` that ended it on a non-finite training or validation
-    loss; the other networks train on.
+    loss.
     """
     _check_stack(nets, train_data, val_data, cfgs)
     cfg = cfgs[0]
@@ -442,13 +405,13 @@ def train_stack(
     n = x_train.shape[0]
     batch_size = cfg.batch_size or default_batch_size(n)
     n_nets = len(nets)
-    st = _Stack(
-        ids=np.arange(n_nets),
-        params=[(np.stack([net.layers[j].weights for net in nets]),
-                 np.stack([net.layers[j].bias for net in nets]))
-                for j in range(len(nets[0].layers))],
-        orders=np.tile(np.arange(n), (n_nets, 1)),
-    )
+    # the networks still training, on a leading axis: row k of ``params``
+    # and ``orders`` (its row order for the epoch) belongs to network ids[k]
+    ids = np.arange(n_nets)
+    params = [(np.stack([net.layers[j].weights for net in nets]),
+               np.stack([net.layers[j].bias for net in nets]))
+              for j in range(len(nets[0].layers))]
+    orders = np.tile(np.arange(n), (n_nets, 1))
     gr_start = np.array([c.gr_start_epoch for c in cfgs])
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     # validation runs one network at a time over the same rows every
@@ -465,58 +428,64 @@ def train_stack(
     stall = [0] * n_nets
 
     for epoch in range(1, cfg.max_epochs + 1):
-        if not st.ids.size:
+        if not ids.size:
             break
-        st.start_epoch(epoch, gr_start)
+        reversing = epoch > gr_start[ids]
+        # summed training loss; highest gradient score, its batch and grads
+        loss_sum = np.zeros(ids.size)
+        best_score = np.full(ids.size, math.nan)
+        best_batch = np.full(ids.size, -1)
+        best_grads: Gradients | None = None
 
-        for batch_id, start in enumerate(range(0, n, batch_size)):
-            batch = x_train[st.orders[:, start : start + batch_size]]
-            activations = _forward(st.params, batch)
-            losses = _smooth_l1(activations[-1], batch).reshape(
-                st.ids.size, -1).mean(axis=1)
-            finite = np.isfinite(losses)
-            if not finite.all():
-                for i in st.ids[~finite].tolist():
-                    results[i] = RuntimeError(
-                        f"training diverged: non-finite loss at epoch {epoch}, "
-                        f"batch {batch_id} (lr={cfg.learning_rate})"
-                    )
-                st.keep(finite)
-                if not st.ids.size:
-                    break
-                activations = [a[finite] for a in activations]
-                batch, losses = batch[finite], losses[finite]
-            st.loss_sum += losses * batch.shape[1]
-            grads = _backward(st.params, activations, batch)
-            if st.reversing.any():
-                scores = _gradient_scores(grads[BOTTLENECK_LAYER][0])
-                better = (st.reversing if st.best_grads is None
-                          else st.reversing & (scores > st.best_score))
-                if better.any():
-                    # backward returns fresh arrays and the SGD step does
-                    # not modify them, so the first batch's are kept as is
-                    if st.best_grads is None:
-                        st.best_grads = grads
-                    else:
-                        for (best_w, best_b), (dw, db) in zip(st.best_grads, grads):
-                            best_w[better] = dw[better]
-                            best_b[better] = db[better]
-                    st.best_score[better] = scores[better]
-                    st.best_batch[better] = batch_id
-            _sgd_step(st.params, grads, cfg.learning_rate)
+        # a diverged network's later steps overflow or compute on NaN; its
+        # error is recorded, so numpy need not warn about them
+        with np.errstate(over="ignore", invalid="ignore"):
+            for batch_id, start in enumerate(range(0, n, batch_size)):
+                batch = x_train[orders[:, start : start + batch_size]]
+                activations = _forward(params, batch)
+                losses = _smooth_l1(activations[-1], batch).reshape(
+                    ids.size, -1).mean(axis=1)
+                finite = np.isfinite(losses)
+                if not finite.all():
+                    for i in ids[~finite].tolist():
+                        if results[i] is None:
+                            results[i] = RuntimeError(
+                                f"training diverged: non-finite loss at epoch "
+                                f"{epoch}, batch {batch_id} (lr={cfg.learning_rate})")
+                loss_sum += losses * batch.shape[1]
+                grads = _backward(params, activations, batch)
+                if reversing.any():
+                    scores = _gradient_scores(grads[BOTTLENECK_LAYER][0])
+                    better = (reversing if best_grads is None
+                              else reversing & (scores > best_score))
+                    if better.any():
+                        # backward returns fresh arrays the SGD step does
+                        # not modify, so the first batch's are kept as is
+                        if best_grads is None:
+                            best_grads = grads
+                        else:
+                            for (best_w, best_b), (dw, db) in zip(best_grads, grads):
+                                best_w[better] = dw[better]
+                                best_b[better] = db[better]
+                        best_score[better] = scores[better]
+                        best_batch[better] = batch_id
+                _sgd_step(params, grads, cfg.learning_rate)
 
-        if st.reversing.any():
-            # Invert each reversing network's highest-scoring batch update.
-            # The stored gradient predates later batch updates in this
-            # epoch; that staleness is inherent to scoring in-loop and
-            # reversing at epoch end.
-            _sgd_step(st.params, st.best_grads, -cfg.learning_rate,
-                      where=None if st.reversing.all() else st.reversing)
+            if reversing.any():
+                # Invert each reversing network's highest-scoring batch
+                # update. The stored gradient predates later batch updates
+                # in this epoch; that staleness is inherent to scoring
+                # in-loop and reversing at epoch end.
+                _sgd_step(params, best_grads, -cfg.learning_rate,
+                          where=None if reversing.all() else reversing)
 
-        leaving = np.zeros(st.ids.size, dtype=bool)
-        for k, i in enumerate(st.ids.tolist()):
-            params = [(w[k], b[k]) for w, b in st.params]
-            val_out = _forward(params, x_val, val_acts)[-1]
+        leaving = np.zeros(ids.size, dtype=bool)
+        for k, i in enumerate(ids.tolist()):
+            if results[i] is not None:
+                leaving[k] = True
+                continue
+            net_params = [(w[k], b[k]) for w, b in params]
+            val_out = _forward(net_params, x_val, val_acts)[-1]
             val_loss = float(_smooth_l1(val_out, x_val, *val_work).mean())
             if not math.isfinite(val_loss):
                 results[i] = RuntimeError(
@@ -525,27 +494,28 @@ def train_stack(
                 leaving[k] = True
                 continue
             histories[i].append(EpochStats(
-                epoch, float(st.loss_sum[k]) / n, val_loss,
-                float(st.best_score[k]), bool(st.reversing[k]),
-                int(st.best_batch[k]),
+                epoch, float(loss_sum[k]) / n, val_loss, float(best_score[k]),
+                bool(reversing[k]), int(best_batch[k]),
             ))
             if val_loss < best_val[i] - cfg.min_improvement:
                 best_val[i] = val_loss
-                best_params[i] = [(w.copy(), b.copy()) for w, b in params]
+                best_params[i] = [(w.copy(), b.copy()) for w, b in net_params]
                 stall[i] = 0
             else:
                 stall[i] += 1
                 if cfg.patience > 0 and stall[i] >= cfg.patience:
                     leaving[k] = True
                     continue
-            st.orders[k] = rngs[i].permutation(n)
+            orders[k] = rngs[i].permutation(n)
         if leaving.any():
-            st.keep(~leaving)
+            staying = ~leaving
+            ids, orders = ids[staying], orders[staying]
+            params = [(w[staying], b[staying]) for w, b in params]
 
     return [
         result if result is not None
-        else (Network([LayerParams(w, b) for w, b in params]), history)
-        for result, params, history in zip(results, best_params, histories)
+        else (Network([LayerParams(w, b) for w, b in net_params]), history)
+        for result, net_params, history in zip(results, best_params, histories)
     ]
 
 

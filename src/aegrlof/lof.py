@@ -14,7 +14,9 @@ Definitions, for neighborhood size ``min_pts``:
 * reach-dist(p, o) = max(k-distance(o), d(p, o)).
 * lrd(p) = |N(p)| / sum of reach-dist(p, o) over o in N(p); when every
   reachability distance is zero (duplicate points) the density is capped
-  at 1/EPSILON instead of dividing by zero.
+  at 1/EPSILON/scale instead of dividing by zero. ``scale`` is the
+  reference's largest coordinate range (1 for one repeated point), so
+  the cap scales with the coordinates as every other density does.
 * score(p) = mean of lrd(o)/lrd(p) over o in N(p).
 
 Algorithm. ``fit`` (each reference point against the other references)
@@ -70,6 +72,8 @@ class LofModel:
     k_distances: np.ndarray
     lrds: np.ndarray
     sq_norms: np.ndarray
+    # largest coordinate range of the reference, 1.0 if it has none
+    scale: float
 
     @property
     def n_reference(self) -> int:
@@ -144,13 +148,13 @@ def _neighborhoods(
 
 def _densities(
     rows: np.ndarray, cols: np.ndarray, dists: np.ndarray,
-    ref_k_distances: np.ndarray, n_rows: int,
+    ref_k_distances: np.ndarray, n_rows: int, scale: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Neighborhood sizes and LRDs from neighbor lists."""
     counts = np.bincount(rows, minlength=n_rows)
     reach_sums = np.bincount(rows, weights=np.maximum(ref_k_distances[cols], dists),
                              minlength=n_rows)
-    lrds = np.full(n_rows, 1.0 / EPSILON)
+    lrds = np.full(n_rows, 1.0 / EPSILON / scale)
     np.divide(counts, reach_sums, out=lrds, where=reach_sums > 0.0)
     return counts, lrds
 
@@ -180,8 +184,9 @@ def fit(reference: np.ndarray, min_pts: int) -> LofModel:
     sq_norms = _sq_norms(reference)
     rows, cols, dists, k_distances = _neighborhoods(
         reference, sq_norms, reference, sq_norms, min_pts, exclude_self=True)
-    _, lrds = _densities(rows, cols, dists, k_distances, n)
-    return LofModel(reference, min_pts, k_distances, lrds, sq_norms)
+    scale = float(np.ptp(reference, axis=0).max()) or 1.0
+    _, lrds = _densities(rows, cols, dists, k_distances, n, scale)
+    return LofModel(reference, min_pts, k_distances, lrds, sq_norms, scale)
 
 
 def score(model: LofModel, queries: np.ndarray) -> np.ndarray:
@@ -205,7 +210,7 @@ def score(model: LofModel, queries: np.ndarray) -> np.ndarray:
         queries, _sq_norms(queries), model.reference, model.sq_norms,
         model.min_pts, exclude_self=False)
     counts, lrds = _densities(rows, cols, dists, model.k_distances,
-                              queries.shape[0])
+                              queries.shape[0], model.scale)
     member_lrd_sums = np.bincount(rows, weights=model.lrds[cols],
                                   minlength=queries.shape[0])
     scores[finite] = member_lrd_sums / (counts * lrds)

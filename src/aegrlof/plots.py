@@ -26,10 +26,9 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return 0.9 * min(candidates) * n ** (-0.2)
 
 
-def kde_curve(
-    values: np.ndarray, grid_points: int = KDE_GRID_POINTS
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian KDE sampled on a grid spanning the data plus 3 bandwidths.
+def kde_curve(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian KDE sampled on ``KDE_GRID_POINTS`` points spanning the data
+    plus 3 bandwidths.
 
     Returns (grid, density); the trapezoid integral of the density over
     the grid is 1 within ~0.3% (only the outermost kernel tails fall
@@ -41,7 +40,7 @@ def kde_curve(
     h = silverman_bandwidth(values)
     lo = values.min() - 3.0 * h
     hi = values.max() + 3.0 * h
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, KDE_GRID_POINTS)
     z = (grid[:, None] - values[None, :]) / h
     density = np.exp(-0.5 * z * z).sum(axis=1) / (
         values.size * h * np.sqrt(2.0 * np.pi)

@@ -114,6 +114,9 @@ def naive_lof_scores(reference: np.ndarray, min_pts: int,
     for its k-distance, its neighborhood and its reachability distances.
     """
     n = reference.shape[0]
+    # a density whose reachability distances are all 0 is capped at
+    # 1/EPSILON/scale, scale the largest coordinate range or 1
+    cap = 1.0 / 1e-10 / (float(np.ptp(reference, axis=0).max()) or 1.0)
     k_dist = np.empty(n)
     ref_dists: list[list[float]] = []
     neigh: list[list[int]] = []
@@ -126,7 +129,7 @@ def naive_lof_scores(reference: np.ndarray, min_pts: int,
     lrd = np.empty(n)
     for o in range(n):
         total = sum(max(k_dist[j], ref_dists[o][j]) for j in neigh[o])
-        lrd[o] = len(neigh[o]) / total if total > 0 else 1.0 / 1e-10
+        lrd[o] = len(neigh[o]) / total if total > 0 else cap
 
     scores = np.empty(queries.shape[0])
     for qi in range(queries.shape[0]):
@@ -134,7 +137,7 @@ def naive_lof_scores(reference: np.ndarray, min_pts: int,
         k_q = sorted(dists)[min_pts - 1]
         members = [j for j in range(n) if dists[j] <= k_q]
         total = sum(max(k_dist[j], dists[j]) for j in members)
-        lrd_q = len(members) / total if total > 0 else 1.0 / 1e-10
+        lrd_q = len(members) / total if total > 0 else cap
         scores[qi] = sum(lrd[j] for j in members) / (len(members) * lrd_q)
     return scores
 

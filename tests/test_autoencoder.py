@@ -122,8 +122,8 @@ class TestForward:
         x = np.random.default_rng(2).normal(size=(7, 9)) * 3
         fresh, _ = ae.forward(net, x)
         bufs = [np.full((7, width), np.nan) for width in net.widths[1:]]
-        acts, out = ae.forward(net, x, bufs)
-        assert all(a is b for a, b in zip(acts[1:], bufs)) and out is bufs[-1]
+        acts = ae._forward(net.params, x, bufs)
+        assert all(a is b for a, b in zip(acts[1:], bufs))
         for a, b in zip(fresh, acts):
             np.testing.assert_array_equal(a, b)
 
@@ -442,13 +442,17 @@ class TestTrainStack:
         epochs = [len(history) for _, history in stacked]
         assert len(set(epochs)) > 2 and max(epochs) < 60
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_diverging_network_leaves_the_others_unchanged(self):
+    @pytest.mark.parametrize("starts", [(2, 6, 2), (0, 0, 0)],
+                             ids=["mixed", "all_reversing"])
+    def test_diverging_network_leaves_the_others_unchanged(self, starts):
+        # at (0, 0, 0) every network reverses in the epoch where network 1
+        # diverges, and its diverged slices train on beside the others'
+        # until the epoch ends
         train = _random_dataset(40, 5, seed=0)
         val = _random_dataset(12, 5, seed=1)
         cfgs = [ae.TrainConfig(max_epochs=6, batch_size=8, learning_rate=0.05,
                                gr_start_epoch=start, seed=seed)
-                for seed, start in ((0, 2), (1, 6), (2, 2))]
+                for seed, start in enumerate(starts)]
         nets = [ae.build_architecture(5, seed=cfg.seed) for cfg in cfgs]
         # output weights near float64's maximum overflow the first output
         nets[1].layers[-1].weights *= 1e308

@@ -407,7 +407,6 @@ class TestRun:
                     row["metadata"]["rows_after_prune"])
                 np.testing.assert_array_equal(npz["labels"], train_labels)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_failed_network_fails_each_of_its_heads(self, experiment, tmp_path):
         _, out_dir, config = experiment
         config = {**config, "variants": "matrix",

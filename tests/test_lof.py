@@ -102,9 +102,18 @@ class TestLrd:
         ref = np.vstack([np.zeros((3, 2)), np.ones((3, 2)) * 5])
         model = lof.fit(ref, min_pts=2)
         np.testing.assert_array_equal(model.k_distances, 0.0)
-        np.testing.assert_array_equal(model.lrds, 1e10)
+        # the cap scales with the coordinate range, 5
+        np.testing.assert_array_equal(model.lrds, 1 / lof.EPSILON / 5)
         # a coincident query gets the capped density too, so it scores 1
         assert lof.score(model, np.zeros(2))[0] == pytest.approx(1.0)
+
+    def test_duplicate_density_cap_scales_with_the_coordinates(self):
+        # 0 and 0 reach each other at distance 0, so their densities are
+        # capped; the query 0.5 counts both among its neighbors
+        ref = np.array([[0.0], [0.0], [1.0], [3.0]])
+        base = lof.score(lof.fit(ref, 1), np.array([[0.5]]))
+        scaled = lof.score(lof.fit(ref * 4, 1), np.array([[2.0]]))
+        np.testing.assert_array_equal(scaled, base)
 
     def test_scaling_coordinates_scales_lrd_inversely(self):
         rng = np.random.default_rng(4)
@@ -210,7 +219,8 @@ class TestScore:
 # ---------------------------------------------------------------------------
 # properties on small integer coordinates: duplicates and exact ties are
 # common, and every squared distance is an exact integer. Duplicates cap
-# densities at 1e10, so scores can reach 1e10 and 1e-9 is also relative.
+# densities at up to 1e10, so scores can reach 1e10 and 1e-9 is also
+# relative.
 
 SCORE_TOL = {"rtol": 1e-9, "atol": 1e-9}
 
@@ -312,11 +322,9 @@ class TestProperties:
     @given(lof_problems(), st.integers(-30, 30))
     def test_scores_invariant_to_power_of_two_scale(self, problem, exponent):
         reference, min_pts, queries = problem
-        # duplicates cap a density at the absolute 1/EPSILON, which does not
-        # scale, so the property holds on distinct reference rows; there
-        # every distance, density and ratio scales exactly
-        reference = np.unique(reference, axis=0)
-        assume(reference.shape[0] > min_pts)
+        # every distance, density, density cap and ratio scales exactly; a
+        # reference of one repeated point has no range to scale its cap by
+        assume(np.ptp(reference, axis=0).max() > 0)
         scale = 2.0 ** exponent
         base = lof.score(lof.fit(reference, min_pts), queries)
         scaled = lof.score(lof.fit(reference * scale, min_pts), queries * scale)
