@@ -32,7 +32,6 @@ from .data import (  # noqa: F401
 )
 from .autoencoder import (  # noqa: F401
     EpochStats,
-    LayerParams,
     Network,
     TrainConfig,
     backward,

@@ -26,7 +26,7 @@ start, so plain and reversal networks share a stack.
 Early stopping reads each network's validation loss after every epoch,
 one network at a time; that pass writes into activation and smooth-L1
 work arrays allocated once per stack, and its loss is bit-identical to
-``smooth_l1_loss(forward(net, x)[1], x)``.
+``smooth_l1_loss(forward(net.params, x)[-1], x)``.
 """
 
 from __future__ import annotations
@@ -46,76 +46,47 @@ from .storage import atomic_write_text
 BOTTLENECK_LAYER = 1
 
 # (weights, bias) per weight layer: (out, in) and (out,) arrays for one
-# network, or (S, out, in) and (S, out) for a stack of S networks.
+# network, or (S, out, in) and (S, out) for a stack of S networks. A
+# gradient holds one (dW, db) pair per weight layer in the same form.
 Params = list[tuple[np.ndarray, np.ndarray]]
-
-# Per-parameter gradients, one (dW, db) pair per weight layer, shaped as
-# the parameters they belong to.
-Gradients = list[tuple[np.ndarray, np.ndarray]]
-
-
-@dataclass
-class LayerParams:
-    """One weight layer: out x in weights and out bias."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise ValueError(
-                f"inconsistent layer shapes: W {self.weights.shape}, "
-                f"b {self.bias.shape}"
-            )
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
-            raise ValueError("layer parameters must be finite")
-
-    def copy(self) -> "LayerParams":
-        return LayerParams(self.weights.copy(), self.bias.copy())
 
 
 @dataclass
 class Network:
-    """Ordered weight layers; adjacent dimensions must chain.
+    """One network's (weights, bias) per weight layer, out x in and out;
+    adjacent dimensions must chain.
 
     Every layer applies tanh except the last, the reconstruction layer,
     which is linear so it can reproduce inputs outside [-1, 1].
     """
 
-    layers: list[LayerParams]
+    params: Params
 
     def __post_init__(self) -> None:
-        for prev, cur in zip(self.layers, self.layers[1:]):
-            if cur.weights.shape[1] != prev.weights.shape[0]:
+        self.params = [(np.asarray(w, dtype=np.float64),
+                        np.asarray(b, dtype=np.float64)) for w, b in self.params]
+        for weights, bias in self.params:
+            if weights.ndim != 2 or bias.shape != (weights.shape[0],):
                 raise ValueError(
-                    f"layer width mismatch: {prev.weights.shape} -> "
-                    f"{cur.weights.shape}"
+                    f"inconsistent layer shapes: W {weights.shape}, b {bias.shape}"
                 )
+            if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
+                raise ValueError("layer parameters must be finite")
+        for (prev, _), (cur, _) in zip(self.params, self.params[1:]):
+            if cur.shape[1] != prev.shape[0]:
+                raise ValueError(f"layer width mismatch: {prev.shape} -> {cur.shape}")
 
     @property
     def widths(self) -> list[int]:
         """Node-layer widths, input first."""
-        return [self.layers[0].weights.shape[1]] + [
-            layer.weights.shape[0] for layer in self.layers
-        ]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.layers[0].weights.shape[1]
-
-    @property
-    def params(self) -> Params:
-        """Each layer's (weights, bias), the arrays themselves."""
-        return [(layer.weights, layer.bias) for layer in self.layers]
+        return [self.params[0][0].shape[1]] + [w.shape[0] for w, _ in self.params]
 
     @property
     def bottleneck_width(self) -> int:
-        return self.layers[BOTTLENECK_LAYER].weights.shape[0]
+        return self.params[BOTTLENECK_LAYER][0].shape[0]
 
     def copy(self) -> "Network":
-        return Network([layer.copy() for layer in self.layers])
+        return Network([(w.copy(), b.copy()) for w, b in self.params])
 
 
 @dataclass(frozen=True)
@@ -155,6 +126,8 @@ class TrainConfig:
             )
         if self.gr_start_epoch < 0:
             raise ValueError(f"gr_start_epoch must be >= 0, got {self.gr_start_epoch}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -190,37 +163,29 @@ def build_architecture(n_features: int, seed: int = 0) -> Network:
     h = max(1, int(round(math.sqrt(n_features * m))))
     widths = [n_features, h, m, h, n_features]
     rng = np.random.default_rng(seed)
-    layers = []
+    params = []
     for fan_in, fan_out in zip(widths, widths[1:]):
         bound = 1.0 / math.sqrt(fan_in)
         weights = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        layers.append(LayerParams(weights, np.zeros(fan_out)))
-    return Network(layers)
+        params.append((weights, np.zeros(fan_out)))
+    return Network(params)
 
 
-def forward(net: Network, batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Run a batch through the network.
-
-    Returns the list of node-layer activations (input first, output last)
-    and the output; every intermediate activation is retained for
-    :func:`backward`.
-    """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != net.n_inputs:
-        raise ValueError(
-            f"batch shape {batch.shape} incompatible with {net.n_inputs} inputs"
-        )
-    activations = _forward(net.params, batch)
-    return activations, activations[-1]
-
-
-def _forward(
+def forward(
     params: Params, batch: np.ndarray, out: Sequence[np.ndarray] | None = None
 ) -> list[np.ndarray]:
-    """Node-layer activations, input first, of one network or a stack;
-    a stack's ``batch`` is (S, rows, n), one batch per network. ``out``,
-    one (rows, layer width) float64 array per weight layer, optionally
-    receives the same values, so a repeated pass allocates nothing."""
+    """Node-layer activations, input first and output last, of one network
+    or a stack; a stack's ``batch`` is (S, rows, n), one batch per network.
+    Every intermediate activation is retained for :func:`backward`.
+    ``out``, one (rows, layer width) float64 array per weight layer,
+    optionally receives the same values, so a repeated pass allocates
+    nothing."""
+    batch = np.asarray(batch, dtype=np.float64)
+    first = params[0][0]
+    if batch.ndim != first.ndim or batch.shape[-1] != first.shape[-1]:
+        raise ValueError(
+            f"batch shape {batch.shape} incompatible with {first.shape[-1]} inputs"
+        )
     activations = [batch]
     for i, (weights, bias) in enumerate(params):
         buf = None if out is None else out[i]
@@ -264,28 +229,21 @@ def smooth_l1_loss(output: np.ndarray, target: np.ndarray) -> float:
 
 
 def backward(
-    net: Network, activations: Sequence[np.ndarray], target: np.ndarray
-) -> Gradients:
-    """Backpropagate the mean smooth-L1 loss through cached activations.
-
-    Returns one (dW, db) pair per weight layer, shapes matching the
-    network's parameters.
-    """
-    return _backward(net.params, activations, target)
-
-
-def _backward(
     params: Params, activations: Sequence[np.ndarray], target: np.ndarray
-) -> Gradients:
-    """:func:`backward` for one network or a stack; a stack's gradients
-    hold each network's mean-loss gradient on the leading axis."""
+) -> Params:
+    """Backpropagate the mean smooth-L1 loss through cached activations,
+    of one network or a stack.
+
+    Returns one (dW, db) pair per weight layer, shaped as the parameters;
+    a stack's hold each network's mean-loss gradient on the leading axis.
+    """
     err = activations[-1] - target
     # d/de of one network's mean smooth-L1: e on the quadratic branch,
     # sign(e) on the linear one; the output layer is linear, so this is
     # its delta
     delta = np.clip(err, -1.0, 1.0) / (err.shape[-2] * err.shape[-1])
 
-    grads: Gradients = []
+    grads: Params = []
     for i in range(len(params) - 1, -1, -1):
         a_in = activations[i]
         grads.append((delta.swapaxes(-1, -2) @ a_in, delta.sum(axis=-2)))
@@ -296,16 +254,11 @@ def _backward(
     return grads
 
 
-def sgd_step(net: Network, grads: Gradients, lr: float) -> Network:
-    """In-place plain SGD update theta <- theta - lr * g; returns ``net``."""
-    _sgd_step(net.params, grads, lr)
-    return net
-
-
-def _sgd_step(params: Params, grads: Gradients, lr: float,
-              where: np.ndarray | None = None) -> None:
-    """:func:`sgd_step` for one network or a stack; ``where``, one bool
-    per network of a stack, limits the update to the networks it marks."""
+def sgd_step(params: Params, grads: Params, lr: float,
+             where: np.ndarray | None = None) -> None:
+    """In-place plain SGD update theta <- theta - lr * g, of one network
+    or a stack; ``where``, one bool per network of a stack, limits the
+    update to the networks it marks."""
     for (weights, bias), (dw, db) in zip(params, grads):
         if where is None:
             weights -= lr * dw
@@ -315,14 +268,9 @@ def _sgd_step(params: Params, grads: Gradients, lr: float,
             bias[where] -= lr * db[where]
 
 
-def gradient_score(bottleneck_weight_grad: np.ndarray) -> float:
-    """Frobenius norm of the bottleneck layer's weight gradient."""
-    return float(_gradient_scores(np.asarray(bottleneck_weight_grad,
-                                             dtype=np.float64)))
-
-
-def _gradient_scores(g: np.ndarray) -> np.ndarray:
-    """:func:`gradient_score` of each matrix along the leading axes."""
+def gradient_score(g: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a bottleneck weight gradient, for each matrix
+    along the leading axes."""
     return np.sqrt(np.sum(g * g, axis=(-2, -1)))
 
 
@@ -408,9 +356,9 @@ def train_stack(
     # the networks still training, on a leading axis: row k of ``params``
     # and ``orders`` (its row order for the epoch) belongs to network ids[k]
     ids = np.arange(n_nets)
-    params = [(np.stack([net.layers[j].weights for net in nets]),
-               np.stack([net.layers[j].bias for net in nets]))
-              for j in range(len(nets[0].layers))]
+    params = [(np.stack([net.params[j][0] for net in nets]),
+               np.stack([net.params[j][1] for net in nets]))
+              for j in range(len(nets[0].params))]
     orders = np.tile(np.arange(n), (n_nets, 1))
     gr_start = np.array([c.gr_start_epoch for c in cfgs])
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
@@ -435,14 +383,14 @@ def train_stack(
         loss_sum = np.zeros(ids.size)
         best_score = np.full(ids.size, math.nan)
         best_batch = np.full(ids.size, -1)
-        best_grads: Gradients | None = None
+        best_grads: Params | None = None
 
         # a diverged network's later steps overflow or compute on NaN; its
         # error is recorded, so numpy need not warn about them
         with np.errstate(over="ignore", invalid="ignore"):
             for batch_id, start in enumerate(range(0, n, batch_size)):
                 batch = x_train[orders[:, start : start + batch_size]]
-                activations = _forward(params, batch)
+                activations = forward(params, batch)
                 losses = _smooth_l1(activations[-1], batch).reshape(
                     ids.size, -1).mean(axis=1)
                 finite = np.isfinite(losses)
@@ -453,9 +401,9 @@ def train_stack(
                                 f"training diverged: non-finite loss at epoch "
                                 f"{epoch}, batch {batch_id} (lr={cfg.learning_rate})")
                 loss_sum += losses * batch.shape[1]
-                grads = _backward(params, activations, batch)
+                grads = backward(params, activations, batch)
                 if reversing.any():
-                    scores = _gradient_scores(grads[BOTTLENECK_LAYER][0])
+                    scores = gradient_score(grads[BOTTLENECK_LAYER][0])
                     better = (reversing if best_grads is None
                               else reversing & (scores > best_score))
                     if better.any():
@@ -469,15 +417,15 @@ def train_stack(
                                 best_b[better] = db[better]
                         best_score[better] = scores[better]
                         best_batch[better] = batch_id
-                _sgd_step(params, grads, cfg.learning_rate)
+                sgd_step(params, grads, cfg.learning_rate)
 
             if reversing.any():
                 # Invert each reversing network's highest-scoring batch
                 # update. The stored gradient predates later batch updates
                 # in this epoch; that staleness is inherent to scoring
                 # in-loop and reversing at epoch end.
-                _sgd_step(params, best_grads, -cfg.learning_rate,
-                          where=None if reversing.all() else reversing)
+                sgd_step(params, best_grads, -cfg.learning_rate,
+                         where=None if reversing.all() else reversing)
 
         leaving = np.zeros(ids.size, dtype=bool)
         for k, i in enumerate(ids.tolist()):
@@ -485,7 +433,7 @@ def train_stack(
                 leaving[k] = True
                 continue
             net_params = [(w[k], b[k]) for w, b in params]
-            val_out = _forward(net_params, x_val, val_acts)[-1]
+            val_out = forward(net_params, x_val, val_acts)[-1]
             val_loss = float(_smooth_l1(val_out, x_val, *val_work).mean())
             if not math.isfinite(val_loss):
                 results[i] = RuntimeError(
@@ -514,7 +462,7 @@ def train_stack(
 
     return [
         result if result is not None
-        else (Network([LayerParams(w, b) for w, b in net_params]), history)
+        else (Network(net_params), history)
         for result, net_params, history in zip(results, best_params, histories)
     ]
 
@@ -544,8 +492,8 @@ def train(
 def encode(net: Network, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the bottleneck activations (the latent representation)
     and the reconstruction error, from one forward pass."""
-    activations, output = forward(net, data.features)
-    errors = _smooth_l1(output, data.features).mean(axis=1)
+    activations = forward(net.params, data.features)
+    errors = _smooth_l1(activations[-1], data.features).mean(axis=1)
     return activations[BOTTLENECK_LAYER + 1], errors
 
 

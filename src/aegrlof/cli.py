@@ -78,15 +78,25 @@ def _field_types(cls) -> dict[str, str]:
     return {f.name: f.type.split(" | ")[0] for f in fields(cls)}
 
 
-# Numeric config sections: (name, defaults, field type names). An int
-# field takes a JSON integer, a float field any finite JSON number;
-# booleans are rejected, and null is allowed only where the default is null.
+# Numeric config sections: (name, defaults, field kinds). Null is allowed
+# only where the default is null.
 NUMERIC_SECTIONS = (
     ("split", SPLIT_DEFAULTS, _field_types(SplitSpec)),
     ("train", TRAIN_DEFAULTS, _field_types(ae.TrainConfig)),
     ("lof", LOF_DEFAULTS, {"min_pts": "int"}),
 )
-_JSON_NUMBERS = {"int": (int,), "float": (int, float)}
+
+# Each kind of config value: the JSON types it takes, and how an error
+# names it. A float field takes any JSON number; booleans, which Python
+# counts as integers, pass only where bool is listed.
+_KINDS = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "list": ((list,), "a list"),
+    "object": ((dict,), "an object"),
+    "bool-or-null": ((bool, type(None)), "true, false or null"),
+}
 
 
 @dataclass
@@ -115,25 +125,14 @@ def _check_keys(path: Path, where: str, section: dict, known) -> None:
         )
 
 
-def _check_number(path: Path, name: str, value: Any, type_name: str) -> None:
+def _check_value(path: Path, name: str, value: Any, kind: str) -> None:
+    types, phrase = _KINDS[kind]
+    if (isinstance(value, bool) and bool not in types) or not isinstance(value, types):
+        raise ValueError(f"{path}: {name} must be {phrase}, got {value!r}")
     # json.load accepts NaN, Infinity and -Infinity (and 1e400 overflows
     # to inf); none of them is a usable setting
-    if isinstance(value, bool) or not isinstance(value, _JSON_NUMBERS[type_name]):
-        kind = "an integer" if type_name == "int" else "a number"
-        raise ValueError(f"{path}: {name} must be {kind}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{path}: {name} must be finite, got {value!r}")
-
-
-def _check_numeric_section(path: Path, where: str, section: Any,
-                           defaults: dict, types: dict[str, str]) -> None:
-    if not isinstance(section, dict):
-        raise ValueError(f"{path}: {where} must be an object, got {section!r}")
-    _check_keys(path, where, section, defaults)
-    for key, value in section.items():
-        if value is None and defaults[key] is None:
-            continue
-        _check_number(path, f"{where}.{key}", value, types[key])
 
 
 def _duplicates(values: list) -> list:
@@ -149,10 +148,15 @@ def _parse_variant_entry(path: Path, entry: Any) -> dict[str, Any]:
         if "detector" not in entry:
             raise ValueError(f"{path}: variant {entry!r} needs a detector")
         out = {"detector": entry["detector"], "modifier": entry.get("modifier", "none")}
-        for key in ("aug_factor", "aug_sigma"):
-            if key in entry:
-                _check_number(path, f"variant {key}", entry[key], "float")
-                out[key] = float(entry[key])
+        aug_keys = [key for key in ("aug_factor", "aug_sigma") if key in entry]
+        for key in aug_keys:
+            _check_value(path, f"variant {key}", entry[key], "float")
+            out[key] = float(entry[key])
+        if aug_keys and out["modifier"] != "prune_da":
+            raise ValueError(
+                f"{path}: variant {out['detector']}/{out['modifier']} sets "
+                f"{aug_keys}, which only a prune_da variant reads"
+            )
         return out
     raise ValueError(f"cannot parse variant entry {entry!r}")
 
@@ -172,16 +176,9 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(dataset, dict) or "path" not in dataset:
         raise ValueError(f"{path}: config needs dataset.path")
     _check_keys(path, "dataset", dataset, DATASET_KEYS)
-    if not isinstance(dataset["path"], str):
-        raise ValueError(
-            f"{path}: dataset.path must be a string, got {dataset['path']!r}"
-        )
+    _check_value(path, "dataset.path", dataset["path"], "str")
     has_header = dataset.get("has_header")
-    if has_header is not None and not isinstance(has_header, bool):
-        raise ValueError(
-            f"{path}: dataset.has_header must be true, false or null, "
-            f"got {has_header!r}"
-        )
+    _check_value(path, "dataset.has_header", has_header, "bool-or-null")
     schema_raw = dataset.get("schema", {})
     if not (isinstance(schema_raw, dict)
             and all(kind in COLUMN_KINDS for kind in schema_raw.values())):
@@ -196,10 +193,14 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             f"at most one is allowed"
         )
     output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ValueError(f"{path}: output_dir must be a string, got {output_dir!r}")
-    for section, defaults, types in NUMERIC_SECTIONS:
-        _check_numeric_section(path, section, raw.get(section, {}), defaults, types)
+    _check_value(path, "output_dir", output_dir, "str")
+    for section, defaults, kinds in NUMERIC_SECTIONS:
+        values = raw.get(section, {})
+        _check_value(path, section, values, "object")
+        _check_keys(path, section, values, defaults)
+        for key, value in values.items():
+            if value is not None or defaults[key] is not None:
+                _check_value(path, f"{section}.{key}", value, kinds[key])
     schema: dict[str | int, str] = {}
     for key, kind in schema_raw.items():
         if has_header is False and key.isdigit():
@@ -231,8 +232,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     if duplicate_variants:
         raise ValueError(f"{path}: duplicate variants {duplicate_variants}")
     pairs = raw.get("wilcoxon_pairs", [])
-    if not isinstance(pairs, list):
-        raise ValueError(f"{path}: wilcoxon_pairs must be a list, got {pairs!r}")
+    _check_value(path, "wilcoxon_pairs", pairs, "list")
     for pair in pairs:
         if not (isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1]
                 and all(key in keys for key in pair)):
@@ -242,10 +242,11 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             )
 
     seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list):
-        raise ValueError(f"{path}: seeds must be a list, got {seeds!r}")
+    _check_value(path, "seeds", seeds, "list")
     for i, seed in enumerate(seeds):
-        _check_number(path, f"seeds[{i}]", seed, "int")
+        _check_value(path, f"seeds[{i}]", seed, "int")
+        if seed < 0:
+            raise ValueError(f"{path}: seeds[{i}] must be >= 0, got {seed}")
     if not seeds:
         raise ValueError(f"{path}: seeds must be non-empty")
     duplicate_seeds = _duplicates(seeds)
@@ -672,13 +673,13 @@ def cmd_plotdata(
     return 0
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(least: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
 
 
@@ -697,10 +698,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the variant matrix and emit reports")
     p_run.add_argument("--config", required=True, help="experiment config JSON")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--jobs", type=_positive_int, default=1,
+    p_run.add_argument("--jobs", type=partial(_int_at_least, 1), default=1,
                        help="parallel workers; the networks are dealt into "
                        "one training stack per worker (default 1)")
-    p_run.add_argument("--seed-override", type=int, default=None,
+    p_run.add_argument("--seed-override", type=partial(_int_at_least, 0),
+                       default=None,
                        help="run only this seed instead of the configured list")
 
     p_plot = sub.add_parser("plotdata", help="export latent scatter/KDE CSVs")

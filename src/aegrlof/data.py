@@ -163,6 +163,8 @@ class SplitSpec:
             raise ValueError(f"split fractions must be finite and >= 0, got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {sum(fracs)}")
+        if self.seed < 0:
+            raise ValueError(f"split seed must be >= 0, got {self.seed}")
         if self.subsample_fraction is not None and not (
             0.0 < self.subsample_fraction <= 1.0
         ):

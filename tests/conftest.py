@@ -149,18 +149,18 @@ def naive_lof_scores(reference: np.ndarray, min_pts: int,
 def finite_difference_grads(net: ae.Network, batch: np.ndarray,
                             step: float = 1e-5) -> list[tuple[np.ndarray, np.ndarray]]:
     grads = []
-    for layer in net.layers:
-        dw = np.zeros_like(layer.weights)
-        db = np.zeros_like(layer.bias)
-        for arr, out in ((layer.weights, dw), (layer.bias, db)):
+    for weights, bias in net.params:
+        dw = np.zeros_like(weights)
+        db = np.zeros_like(bias)
+        for arr, out in ((weights, dw), (bias, db)):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + step
-                hi = ae.smooth_l1_loss(ae.forward(net, batch)[1], batch)
+                hi = ae.smooth_l1_loss(ae.forward(net.params, batch)[-1], batch)
                 arr[idx] = orig - step
-                lo = ae.smooth_l1_loss(ae.forward(net, batch)[1], batch)
+                lo = ae.smooth_l1_loss(ae.forward(net.params, batch)[-1], batch)
                 arr[idx] = orig
                 out[idx] = (hi - lo) / (2.0 * step)
         grads.append((dw, db))
@@ -201,11 +201,11 @@ def reference_plain_sgd(net: ae.Network, train_data: Dataset, val_data: Dataset,
         epochs_run += 1
         for start in range(0, n, cfg.batch_size):
             batch = x[order[start : start + cfg.batch_size]]
-            activations, _ = ae.forward(net, batch)
-            grads = ae.backward(net, activations, batch)
-            ae.sgd_step(net, grads, cfg.learning_rate)
-        val_loss = ae.smooth_l1_loss(ae.forward(net, val_data.features)[1],
-                                     val_data.features)
+            activations = ae.forward(net.params, batch)
+            grads = ae.backward(net.params, activations, batch)
+            ae.sgd_step(net.params, grads, cfg.learning_rate)
+        val_loss = ae.smooth_l1_loss(
+            ae.forward(net.params, val_data.features)[-1], val_data.features)
         if val_loss < best_val - cfg.min_improvement:
             best_val = val_loss
             best_net = net.copy()

@@ -60,8 +60,8 @@ def test_criterion_2_gradient_oracle():
         batch_rows = int(rng.integers(1, 9))
         net = ae.build_architecture(n, seed=trial)
         batch = rng.normal(size=(batch_rows, n))
-        acts, _ = ae.forward(net, batch)
-        analytic = ae.backward(net, acts, batch)
+        acts = ae.forward(net.params, batch)
+        analytic = ae.backward(net.params, acts, batch)
         numeric = finite_difference_grads(net, batch, step=1e-5)
         for (dw, db), (fw, fb) in zip(analytic, numeric):
             for a, f in ((dw, fw), (db, fb)):
@@ -91,11 +91,11 @@ def test_criterion_3_reversal_identity():
         grad_w = rng.integers(-(2**20), 2**20, size=(rows, cols)) / 2.0**10
         grad_b = rng.integers(-(2**20), 2**20, size=rows) / 2.0**10
         lr = 2.0 ** -int(rng.integers(1, 7))
-        net = ae.Network([ae.LayerParams(theta_w.copy(), theta_b.copy())])
-        ae.sgd_step(net, [(grad_w, grad_b)], lr)
-        ae.sgd_step(net, [(-grad_w, -grad_b)], lr)
-        exact += (np.array_equal(net.layers[0].weights, theta_w)
-                  and np.array_equal(net.layers[0].bias, theta_b))
+        net = ae.Network([(theta_w.copy(), theta_b.copy())])
+        ae.sgd_step(net.params, [(grad_w, grad_b)], lr)
+        ae.sgd_step(net.params, [(-grad_w, -grad_b)], lr)
+        exact += (np.array_equal(net.params[0][0], theta_w)
+                  and np.array_equal(net.params[0][1], theta_b))
 
     rng_data = np.random.default_rng(404)
     train_ds = data.Dataset(rng_data.normal(size=(90, 7)) * 0.5,
@@ -108,8 +108,8 @@ def test_criterion_3_reversal_identity():
     trained, history = ae.train(net0, train_ds, val_ds, cfg)
     reference, _ = reference_plain_sgd(net0, train_ds, val_ds, cfg)
     params_equal = all(
-        np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
-        for a, b in zip(trained.layers, reference.layers)
+        np.array_equal(wa, wb) and np.array_equal(ba, bb)
+        for (wa, ba), (wb, bb) in zip(trained.params, reference.params)
     )
     no_reversals = not any(h.reversal_applied for h in history)
 

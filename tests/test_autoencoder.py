@@ -42,31 +42,46 @@ class TestArchitecture:
 
     def test_init_bounds_and_activations(self):
         net = ae.build_architecture(25, seed=3)
-        for layer in net.layers:
-            bound = 1.0 / math.sqrt(layer.weights.shape[1])
-            assert np.all(np.abs(layer.weights) <= bound)
-            np.testing.assert_array_equal(layer.bias, 0.0)
+        for weights, bias in net.params:
+            bound = 1.0 / math.sqrt(weights.shape[1])
+            assert np.all(np.abs(weights) <= bound)
+            np.testing.assert_array_equal(bias, 0.0)
         # through forward: tanh in every layer but the last, which is
         # linear; biases of 2 push pre-activations where the two differ
         rng = np.random.default_rng(4)
-        one_layer = ae.Network([ae.LayerParams(rng.normal(size=(3, 3)),
-                                               np.zeros(3))])
+        one_layer = ae.Network([(rng.normal(size=(3, 3)), np.zeros(3))])
         for model, width in ((net, 25), (one_layer, 3)):
-            for layer in model.layers:
-                layer.bias[:] = 2.0
-            acts, out = ae.forward(model, rng.normal(size=(6, width)))
-            for i, layer in enumerate(model.layers):
-                pre = acts[i] @ layer.weights.T + layer.bias
-                last = i == len(model.layers) - 1
+            for _, bias in model.params:
+                bias[:] = 2.0
+            acts = ae.forward(model.params, rng.normal(size=(6, width)))
+            for i, (weights, bias) in enumerate(model.params):
+                pre = acts[i] @ weights.T + bias
+                last = i == len(model.params) - 1
                 np.testing.assert_array_equal(acts[i + 1],
                                               pre if last else np.tanh(pre))
-            assert np.max(np.abs(out)) > 1.0
+            assert np.max(np.abs(acts[-1])) > 1.0
+
+    @pytest.mark.parametrize("params,message", [
+        ([(np.ones(3), np.zeros(3))],
+         r"inconsistent layer shapes: W \(3,\), b \(3,\)"),
+        ([(np.ones((2, 3)), np.zeros(3))],
+         r"inconsistent layer shapes: W \(2, 3\), b \(3,\)"),
+        ([(np.ones((2, 3)), np.zeros((2, 1)))], "inconsistent layer shapes"),
+        ([(np.ones((2, 3)), np.zeros(2)), (np.ones((3, 4)), np.zeros(3))],
+         r"layer width mismatch: \(2, 3\) -> \(3, 4\)"),
+        ([(np.array([[1.0, np.nan]]), np.zeros(1))], "must be finite"),
+        ([(np.ones((1, 2)), np.array([np.inf]))], "must be finite"),
+    ], ids=["weights_1d", "bias_length", "bias_2d", "width_chain",
+            "nan_weight", "inf_bias"])
+    def test_invalid_network_rejected(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            ae.Network(params)
 
     def test_init_deterministic_per_seed(self):
         a = ae.build_architecture(10, seed=5)
         b = ae.build_architecture(10, seed=5)
-        for la, lb in zip(a.layers, b.layers):
-            np.testing.assert_array_equal(la.weights, lb.weights)
+        for (wa, _), (wb, _) in zip(a.params, b.params):
+            np.testing.assert_array_equal(wa, wb)
 
 
 class TestActivation:
@@ -74,55 +89,64 @@ class TestActivation:
 
     def test_zero(self):
         net = ae.build_architecture(6, seed=0)
-        acts, out = ae.forward(net, np.zeros((1, 6)))
+        acts = ae.forward(net.params, np.zeros((1, 6)))
         for hidden in acts[1:-1]:
             np.testing.assert_array_equal(hidden, 0.0)
-        np.testing.assert_array_equal(out, 0.0)
+        np.testing.assert_array_equal(acts[-1], 0.0)
 
     def test_antisymmetry(self):
         # zero biases and odd activations make the whole network odd
         net = ae.build_architecture(6, seed=1)
         x = np.random.default_rng(0).normal(size=(20, 6))
-        np.testing.assert_array_equal(ae.forward(net, x)[1],
-                                      -ae.forward(net, -x)[1])
+        np.testing.assert_array_equal(ae.forward(net.params, x)[-1],
+                                      -ae.forward(net.params, -x)[-1])
 
     def test_saturation(self):
         net = ae.build_architecture(4, seed=2)
-        net.layers[0].weights[:] = 1.0
-        acts, _ = ae.forward(net, np.full((1, 4), 50.0))
+        net.params[0][0][:] = 1.0
+        acts = ae.forward(net.params, np.full((1, 4), 50.0))
         np.testing.assert_allclose(acts[1], 1.0, atol=1e-12)
 
 
 class TestForward:
     def test_zero_network_outputs_zero(self):
         net = ae.build_architecture(6, seed=0)
-        for layer in net.layers:
-            layer.weights[:] = 0.0
-        _, out = ae.forward(net, np.random.default_rng(0).normal(size=(5, 6)))
+        for weights, _ in net.params:
+            weights[:] = 0.0
+        out = ae.forward(net.params, np.random.default_rng(0).normal(size=(5, 6)))[-1]
         np.testing.assert_array_equal(out, np.zeros((5, 6)))
 
     def test_single_row_shape(self):
         net = ae.build_architecture(4, seed=1)
-        acts, out = ae.forward(net, np.ones((1, 4)))
-        assert out.shape == (1, 4)
+        acts = ae.forward(net.params, np.ones((1, 4)))
+        assert acts[-1].shape == (1, 4)
         assert acts[2].shape == (1, net.bottleneck_width)
 
     def test_bottleneck_in_open_unit_interval(self):
         net = ae.build_architecture(8, seed=2)
-        acts, _ = ae.forward(net, np.random.default_rng(1).normal(size=(20, 8)) * 50)
+        acts = ae.forward(net.params, np.random.default_rng(1).normal(size=(20, 8)) * 50)
         assert np.all(np.abs(acts[2]) < 1.0)
 
     def test_dimension_mismatch(self):
         net = ae.build_architecture(4, seed=0)
         with pytest.raises(ValueError, match="incompatible"):
-            ae.forward(net, np.ones((2, 5)))
+            ae.forward(net.params, np.ones((2, 5)))
+
+    def test_stacked_batch_dimension_mismatch(self):
+        nets = [ae.build_architecture(4, seed=seed) for seed in range(3)]
+        stack = [(np.stack([net.params[j][0] for net in nets]),
+                  np.stack([net.params[j][1] for net in nets]))
+                 for j in range(len(nets[0].params))]
+        assert ae.forward(stack, np.ones((3, 2, 4)))[-1].shape == (3, 2, 4)
+        with pytest.raises(ValueError, match=r"\(3, 2, 5\) incompatible with 4"):
+            ae.forward(stack, np.ones((3, 2, 5)))
 
     def test_out_arrays_receive_identical_activations(self):
         net = ae.build_architecture(9, seed=3)
         x = np.random.default_rng(2).normal(size=(7, 9)) * 3
-        fresh, _ = ae.forward(net, x)
+        fresh = ae.forward(net.params, x)
         bufs = [np.full((7, width), np.nan) for width in net.widths[1:]]
-        acts = ae._forward(net.params, x, bufs)
+        acts = ae.forward(net.params, x, bufs)
         assert all(a is b for a, b in zip(acts[1:], bufs))
         for a, b in zip(fresh, acts):
             np.testing.assert_array_equal(a, b)
@@ -148,8 +172,8 @@ class TestBackward:
     def test_zero_error_gives_zero_gradients(self):
         net = ae.build_architecture(5, seed=0)
         batch = np.random.default_rng(0).normal(size=(4, 5))
-        acts, out = ae.forward(net, batch)
-        grads = ae.backward(net, acts, out)  # target equals output
+        acts = ae.forward(net.params, batch)
+        grads = ae.backward(net.params, acts, acts[-1])  # target equals output
         for dw, db in grads:
             np.testing.assert_array_equal(dw, 0.0)
             np.testing.assert_array_equal(db, 0.0)
@@ -160,8 +184,8 @@ class TestBackward:
             n = int(rng.integers(2, 9))
             net = ae.build_architecture(n, seed=seed)
             batch = rng.normal(size=(int(rng.integers(1, 6)), n))
-            acts, _ = ae.forward(net, batch)
-            grads = ae.backward(net, acts, batch)
+            acts = ae.forward(net.params, batch)
+            grads = ae.backward(net.params, acts, batch)
             fd = finite_difference_grads(net, batch)
             for (dw, db), (fw, fb) in zip(grads, fd):
                 for analytic, numeric in ((dw, fw), (db, fb)):
@@ -175,10 +199,11 @@ class TestBackward:
         # offset scales every gradient by the same factor
         net = ae.build_architecture(6, seed=1)
         batch = np.random.default_rng(2).normal(size=(3, 6)) * 0.3
-        acts, out = ae.forward(net, batch)
+        acts = ae.forward(net.params, batch)
+        out = acts[-1]
         shift = np.random.default_rng(3).normal(size=out.shape) * 0.05
-        g1 = ae.backward(net, acts, out - shift)
-        g3 = ae.backward(net, acts, out - 3.0 * shift)
+        g1 = ae.backward(net.params, acts, out - shift)
+        g3 = ae.backward(net.params, acts, out - 3.0 * shift)
         for (dw1, db1), (dw3, db3) in zip(g1, g3):
             np.testing.assert_allclose(dw3, 3.0 * dw1, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(db3, 3.0 * db1, rtol=1e-12, atol=1e-15)
@@ -187,18 +212,16 @@ class TestBackward:
 class TestSgdStep:
     def test_zero_learning_rate_is_identity(self):
         net = ae.build_architecture(4, seed=0)
-        before = [layer.weights.copy() for layer in net.layers]
-        grads = [(np.ones_like(l.weights), np.ones_like(l.bias))
-                 for l in net.layers]
-        ae.sgd_step(net, grads, 0.0)
-        for w, layer in zip(before, net.layers):
-            np.testing.assert_array_equal(w, layer.weights)
+        before = [w.copy() for w, _ in net.params]
+        grads = [(np.ones_like(w), np.ones_like(b)) for w, b in net.params]
+        ae.sgd_step(net.params, grads, 0.0)
+        for w, (weights, _) in zip(before, net.params):
+            np.testing.assert_array_equal(w, weights)
 
     def test_arithmetic(self):
-        layer = ae.LayerParams(np.array([[1.0]]), np.zeros(1))
-        net = ae.Network([layer])
-        ae.sgd_step(net, [(np.array([[0.5]]), np.zeros(1))], 0.1)
-        assert net.layers[0].weights[0, 0] == 0.95
+        net = ae.Network([(np.array([[1.0]]), np.zeros(1))])
+        ae.sgd_step(net.params, [(np.array([[0.5]]), np.zeros(1))], 0.1)
+        assert net.params[0][0][0, 0] == 0.95
 
     def test_step_then_inverted_step_restores_dyadic_params(self):
         # exactly representable values isolate the update rule from IEEE
@@ -211,11 +234,11 @@ class TestSgdStep:
             gw = rng.integers(-(2**20), 2**20, size=(rows, cols)) / 2.0**10
             gb = rng.integers(-(2**20), 2**20, size=rows) / 2.0**10
             lr = 2.0 ** -int(rng.integers(1, 7))
-            net = ae.Network([ae.LayerParams(w.copy(), b.copy())])
-            ae.sgd_step(net, [(gw, gb)], lr)
-            ae.sgd_step(net, [(-gw, -gb)], lr)
-            np.testing.assert_array_equal(net.layers[0].weights, w)
-            np.testing.assert_array_equal(net.layers[0].bias, b)
+            net = ae.Network([(w.copy(), b.copy())])
+            ae.sgd_step(net.params, [(gw, gb)], lr)
+            ae.sgd_step(net.params, [(-gw, -gb)], lr)
+            np.testing.assert_array_equal(net.params[0][0], w)
+            np.testing.assert_array_equal(net.params[0][1], b)
 
 
 class TestGradientScore:
@@ -238,9 +261,9 @@ class TestTrain:
         net = ae.build_architecture(5, seed=9)
         net_a, hist_a = ae.train(net, train, val, cfg)
         net_b, hist_b = ae.train(net, train, val, cfg)
-        for la, lb in zip(net_a.layers, net_b.layers):
-            np.testing.assert_array_equal(la.weights, lb.weights)
-            np.testing.assert_array_equal(la.bias, lb.bias)
+        for (wa, ba), (wb, bb) in zip(net_a.params, net_b.params):
+            np.testing.assert_array_equal(wa, wb)
+            np.testing.assert_array_equal(ba, bb)
         assert [h.val_loss for h in hist_a] == [h.val_loss for h in hist_b]
 
     @pytest.mark.parametrize("rows", [100, 2001])
@@ -253,19 +276,19 @@ class TestTrain:
         explicit = replace(unset, batch_size=ae.default_batch_size(rows))
         net_a, hist_a = ae.train(net, train, val, unset)
         net_b, hist_b = ae.train(net, train, val, explicit)
-        for la, lb in zip(net_a.layers, net_b.layers):
-            np.testing.assert_array_equal(la.weights, lb.weights)
-            np.testing.assert_array_equal(la.bias, lb.bias)
+        for (wa, ba), (wb, bb) in zip(net_a.params, net_b.params):
+            np.testing.assert_array_equal(wa, wb)
+            np.testing.assert_array_equal(ba, bb)
         assert hist_a == hist_b
 
     def test_input_network_not_mutated(self):
         train = _random_dataset(40, 4, seed=0)
         val = _random_dataset(10, 4, seed=1)
         net = ae.build_architecture(4, seed=0)
-        snapshot = [l.weights.copy() for l in net.layers]
+        snapshot = [w.copy() for w, _ in net.params]
         ae.train(net, train, val, ae.TrainConfig(max_epochs=3, batch_size=8))
-        for w, layer in zip(snapshot, net.layers):
-            np.testing.assert_array_equal(w, layer.weights)
+        for w, (weights, _) in zip(snapshot, net.params):
+            np.testing.assert_array_equal(w, weights)
 
     def test_disabled_reversal_equals_plain_sgd(self):
         train = _random_dataset(70, 6, seed=2)
@@ -275,9 +298,9 @@ class TestTrain:
         net = ae.build_architecture(6, seed=4)
         trained, history = ae.train(net, train, val, cfg)
         reference, _ = reference_plain_sgd(net, train, val, cfg)
-        for lt, lr_ in zip(trained.layers, reference.layers):
-            np.testing.assert_array_equal(lt.weights, lr_.weights)
-            np.testing.assert_array_equal(lt.bias, lr_.bias)
+        for (wt, bt), (wr, br) in zip(trained.params, reference.params):
+            np.testing.assert_array_equal(wt, wr)
+            np.testing.assert_array_equal(bt, br)
         assert not any(h.reversal_applied for h in history)
 
     def test_single_batch_epoch_reversal_undoes_update(self):
@@ -290,8 +313,8 @@ class TestTrain:
         net = ae.build_architecture(4, seed=8)
         trained, history = ae.train(net, train, val, cfg)
         assert all(h.reversal_applied for h in history)
-        for l0, l1 in zip(net.layers, trained.layers):
-            np.testing.assert_allclose(l1.weights, l0.weights, atol=1e-12)
+        for (w0, _), (w1, _) in zip(net.params, trained.params):
+            np.testing.assert_allclose(w1, w0, atol=1e-12)
 
     def test_reversal_scores_recorded_after_start_epoch(self):
         train = _random_dataset(50, 4, seed=1)
@@ -319,8 +342,8 @@ class TestTrain:
             val = _random_dataset(n_val, 5, seed=4)
             trained, history = ae.train(ae.build_architecture(5, seed=2), train,
                                         val, cfg)
-            returned = ae.smooth_l1_loss(ae.forward(trained, val.features)[1],
-                                         val.features)
+            returned = ae.smooth_l1_loss(
+                ae.forward(trained.params, val.features)[-1], val.features)
             assert returned == min(h.val_loss for h in history)
 
     def test_early_stopping_stops_before_max(self):
@@ -354,7 +377,7 @@ class TestTrain:
 
     def test_validation_width_mismatch_fails_before_training(self, monkeypatch):
         steps = []
-        monkeypatch.setattr(ae, "_backward",
+        monkeypatch.setattr(ae, "backward",
                             lambda *args: steps.append(args))
         with pytest.raises(ValueError, match="validation data width 4 does "
                            "not match network input width 3"):
@@ -374,9 +397,10 @@ class TestTrain:
         replay, scores = net.copy(), []
         for start in range(0, 50, 8):
             batch = train.features[start : start + 8]
-            grads = ae.backward(replay, ae.forward(replay, batch)[0], batch)
+            grads = ae.backward(replay.params,
+                                ae.forward(replay.params, batch), batch)
             scores.append(ae.gradient_score(grads[ae.BOTTLENECK_LAYER][0]))
-            ae.sgd_step(replay, grads, cfg.learning_rate)
+            ae.sgd_step(replay.params, grads, cfg.learning_rate)
         assert len(set(scores)) == len(scores)
         assert history[0].reversed_batch == int(np.argmax(scores))
         assert history[0].max_gs == max(scores)
@@ -396,9 +420,10 @@ def _train_alone_and_stacked(nets, train, val, cfgs):
             assert isinstance(got, RuntimeError) and str(got) == str(exc)
             continue
         assert not isinstance(got, RuntimeError), got
-        for want_layer, got_layer in zip(want[0].layers, got[0].layers):
-            np.testing.assert_array_equal(got_layer.weights, want_layer.weights)
-            np.testing.assert_array_equal(got_layer.bias, want_layer.bias)
+        for (want_w, want_b), (got_w, got_b) in zip(want[0].params,
+                                                    got[0].params):
+            np.testing.assert_array_equal(got_w, want_w)
+            np.testing.assert_array_equal(got_b, want_b)
         # nan == nan is False, so compare the histories as text
         assert repr(got[1]) == repr(want[1])
     return stacked
@@ -455,7 +480,7 @@ class TestTrainStack:
                 for seed, start in enumerate(starts)]
         nets = [ae.build_architecture(5, seed=cfg.seed) for cfg in cfgs]
         # output weights near float64's maximum overflow the first output
-        nets[1].layers[-1].weights *= 1e308
+        nets[1].params[-1][0][:] *= 1e308
         stacked = _train_alone_and_stacked(nets, train, val, cfgs)
         assert str(stacked[1]).startswith(
             "training diverged: non-finite loss at epoch 1, batch ")
@@ -497,8 +522,8 @@ class TestEncodeAndErrors:
 
     def test_reconstruction_error_zero_at_fixed_point(self):
         net = ae.build_architecture(4, seed=0)
-        for layer in net.layers:
-            layer.weights[:] = 0.0
+        for weights, _ in net.params:
+            weights[:] = 0.0
         res = ae.reconstruction_error(net, _dataset(np.zeros((3, 4))))
         np.testing.assert_array_equal(res, np.zeros(3))
 
@@ -506,7 +531,7 @@ class TestEncodeAndErrors:
         net = ae.build_architecture(5, seed=3)
         ds = _random_dataset(8, 5, seed=4)
         res = ae.reconstruction_error(net, ds)
-        _, out = ae.forward(net, ds.features)
+        out = ae.forward(net.params, ds.features)[-1]
         for i in range(8):
             expected = ae.smooth_l1_loss(out[i : i + 1], ds.features[i : i + 1])
             np.testing.assert_allclose(res[i], expected, rtol=1e-12)
@@ -548,3 +573,8 @@ def test_default_batch_size_rule():
     assert ae.default_batch_size(2001) == 64
     assert ae.default_batch_size(2000) == 16
     assert ae.default_batch_size(100) == 16
+
+
+def test_train_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ae.TrainConfig(seed=-1)

@@ -104,6 +104,12 @@ class TestConfig:
         ({"dataset": {"path": "x.csv", "schema": {"label": "label",
                                                   "f0": "label"}}},
          "dataset.schema names 2 label columns"),
+        ({"seeds": [0, -1]}, "seeds[1] must be >= 0, got -1"),
+        ({"split": {"seed": -2}}, "split seed must be >= 0, got -2"),
+        ({"variants": [{"detector": "aegr_lof", "modifier": "prune",
+                        "aug_factor": 5}]},
+         "variant aegr_lof/prune sets ['aug_factor'], which only a prune_da "
+         "variant reads"),
     ], ids=["top_level_key", "dataset_key", "lof_key", "variant_key",
             "duplicate_seeds", "duplicate_variants", "variant_without_detector",
             "seeds_not_list", "wilcoxon_pair_of_one", "wilcoxon_unconfigured",
@@ -112,7 +118,8 @@ class TestConfig:
             "train_nan", "split_nan", "train_infinity", "seed_float",
             "seed_bool", "aug_factor_bool", "aug_sigma_nan", "schema_list",
             "schema_unknown_kind", "path_number", "output_dir_number",
-            "has_header_string", "variants_number", "two_labels"])
+            "has_header_string", "variants_number", "two_labels",
+            "seed_negative", "split_seed_negative", "aug_without_prune_da"])
     def test_invalid_config_fails_before_loading_data(self, experiment, tmp_path,
                                                       capsys, change, offender):
         _, out_dir, config = experiment
@@ -292,15 +299,19 @@ class TestRun:
         for jobs in ("2", "3"):
             assert run_outputs("--jobs", jobs) == serial
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_one_rejected_at_parsing(self, experiment, capsys, jobs):
+    # a negative --seed-override is rejected the same way
+    @pytest.mark.parametrize("flag,value,least", [
+        ("--jobs", "0", 1), ("--jobs", "-2", 1), ("--seed-override", "-1", 0),
+    ], ids=["0", "-2", "seed_override_-1"])
+    def test_jobs_below_one_rejected_at_parsing(self, experiment, capsys, flag,
+                                                value, least):
         config_path, out_dir, _ = experiment
         cli.main(["prepare", "--config", str(config_path)])
         capsys.readouterr()
         with pytest.raises(SystemExit) as exit_info:
-            cli.main(["run", "--config", str(config_path), "--jobs", jobs])
+            cli.main(["run", "--config", str(config_path), flag, value])
         assert exit_info.value.code == 2
-        assert (f"error: argument --jobs: must be at least 1, got {jobs}"
+        assert (f"error: argument {flag}: must be at least {least}, got {value}"
                 in capsys.readouterr().err)
         assert not (out_dir / "report.json").exists()
 

@@ -235,9 +235,10 @@ class TestTrainNetworks:
         train, val, test = _prepared_splits(seed=9, n_normal=120, n_anom=6)
         passes, prunes = [], []
 
-        def forward(net, batch, *args):
-            passes.append(batch.shape[0])
-            return real_forward(net, batch, *args)
+        def forward(params, batch, *args):
+            if batch is train.features or batch is test.features:
+                passes.append(batch.shape[0])
+            return real_forward(params, batch, *args)
 
         def prune(latents, res):
             prunes.append(latents.shape[0])
@@ -248,8 +249,9 @@ class TestTrainNetworks:
         monkeypatch.setattr(pipeline, "prune", prune)
         networks = pipeline.train_networks([(0, False), (0, True)], train, val,
                                            test, _FAST_CFG)
-        # training runs its own passes; each network then makes one pass
-        # over the training split and one over the test split
+        # training's passes run over its batches and the validation split,
+        # so only whole-split passes count: each network makes one over the
+        # training split and one over the test split
         assert passes == [train.n_rows, test.n_rows] * 2
         assert prunes == [train.n_rows] * 2
         for network in networks:
@@ -263,8 +265,8 @@ _NETWORK_VARIANTS = [v for v in pipeline.VARIANT_MATRIX if v[0] != "lof_raw"]
 def _network_arrays(network):
     arrays = [network.train_latents, network.train_errors,
               network.test_latents, network.test_errors, network.kept]
-    for layer in network.net.layers:
-        arrays += [layer.weights, layer.bias]
+    for weights, bias in network.net.params:
+        arrays += [weights, bias]
     return [a.copy() for a in arrays]
 
 
