@@ -24,17 +24,18 @@ does as a stack of one. The networks may differ in seed and reversal
 start, so plain and reversal networks share a stack.
 
 Early stopping reads each network's validation loss after every epoch,
-one network at a time; that pass writes into activation and smooth-L1
-work arrays allocated once per stack, and its loss is bit-identical to
-``smooth_l1_loss(forward(net.params, x)[-1], x)``.
+one pass per network, which may run on a thread pool; a pass writes into
+activation and smooth-L1 work arrays allocated once per thread, and its
+loss is bit-identical to ``smooth_l1_loss(forward(net.params, x)[-1], x)``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -314,6 +315,8 @@ def train_stack(
     train_data: Dataset,
     val_data: Dataset,
     cfgs: Sequence[TrainConfig],
+    *,
+    map: Callable = map,
 ) -> list[tuple[Network, list[EpochStats]] | RuntimeError]:
     """Train copies of S networks of one architecture in lockstep.
 
@@ -339,6 +342,12 @@ def train_stack(
     Networks leave the stack only at the end of an epoch, and the others
     go on.
 
+    The batch steps run on the calling thread. At each epoch's end the
+    validation passes of the networks still training go through ``map``
+    (say, a thread pool's ``map``); they only read the stack, and each
+    thread that runs one keeps its own work arrays. A pool must not be
+    the one running this call, or it waits on its own workers.
+
     The input networks are not modified, so repeated calls with the same
     configs produce bitwise-identical results.
 
@@ -362,12 +371,20 @@ def train_stack(
     orders = np.tile(np.arange(n), (n_nets, 1))
     gr_start = np.array([c.gr_start_epoch for c in cfgs])
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
-    # validation runs one network at a time over the same rows every
-    # epoch, so its activations and smooth-L1 work arrays are allocated
-    # once and shared by the stack
-    val_acts = [np.empty((x_val.shape[0], width)) for width in nets[0].widths[1:]]
-    val_work = (np.empty(x_val.shape), np.empty(x_val.shape),
-                np.empty(x_val.shape, dtype=bool))
+    # a validation pass reads the same rows every epoch, so each thread
+    # that runs passes allocates its activation and smooth-L1 work arrays
+    # once and reuses them
+    val_local = threading.local()
+
+    def val_loss_of(k: int) -> float:
+        if not hasattr(val_local, "work"):
+            val_local.acts = [np.empty((x_val.shape[0], width))
+                              for width in nets[0].widths[1:]]
+            val_local.work = (np.empty(x_val.shape), np.empty(x_val.shape),
+                              np.empty(x_val.shape, dtype=bool))
+        val_out = forward([(w[k], b[k]) for w, b in params], x_val,
+                          val_local.acts)[-1]
+        return float(_smooth_l1(val_out, x_val, *val_local.work).mean())
 
     results: list = [None] * n_nets
     histories: list[list[EpochStats]] = [[] for _ in nets]
@@ -427,14 +444,10 @@ def train_stack(
                 sgd_step(params, best_grads, -cfg.learning_rate,
                          where=None if reversing.all() else reversing)
 
-        leaving = np.zeros(ids.size, dtype=bool)
-        for k, i in enumerate(ids.tolist()):
-            if results[i] is not None:
-                leaving[k] = True
-                continue
-            net_params = [(w[k], b[k]) for w, b in params]
-            val_out = forward(net_params, x_val, val_acts)[-1]
-            val_loss = float(_smooth_l1(val_out, x_val, *val_work).mean())
+        leaving = np.array([results[i] is not None for i in ids.tolist()])
+        validated = np.flatnonzero(~leaving).tolist()
+        for k, val_loss in zip(validated, map(val_loss_of, validated)):
+            i = int(ids[k])
             if not math.isfinite(val_loss):
                 results[i] = RuntimeError(
                     f"training diverged: non-finite validation loss at epoch {epoch}"
@@ -447,7 +460,7 @@ def train_stack(
             ))
             if val_loss < best_val[i] - cfg.min_improvement:
                 best_val[i] = val_loss
-                best_params[i] = [(w.copy(), b.copy()) for w, b in net_params]
+                best_params[i] = [(w[k].copy(), b[k].copy()) for w, b in params]
                 stall[i] = 0
             else:
                 stall[i] += 1

@@ -24,7 +24,7 @@ import platform
 import sys
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -45,7 +45,6 @@ from .data import (
 )
 from .pipeline import (
     VARIANT_MATRIX,
-    ScoredRun,
     TrainedNetwork,
     VariantSpec,
     run_variant,
@@ -320,8 +319,15 @@ def cmd_prepare(config: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-# One executed (variant, seed): its run, or the error that stopped it.
-_Outcome = tuple[VariantSpec, ScoredRun | None, str | None]
+# One executed (variant, seed): its report row, or the error that stopped it.
+_Outcome = tuple[VariantSpec, dict[str, Any] | None, str | None]
+
+# Every file a run and its plotdata export write; a rerun deletes them
+# before training, so no file of an earlier run's seeds or networks
+# survives, even when the rerun stops early.
+_RUN_FILES = ("scores_*.csv", "history_*.csv", "latents_*.npz",
+              "latent_scatter.csv", "kde_curves.csv", "report.json",
+              "report.md", "timings.json")
 
 
 class _StageTimes:
@@ -344,6 +350,42 @@ class _StageTimes:
             self.add(stage, time.perf_counter() - start)
 
 
+class _Timeline:
+    """When each unit of a run ran, and on which thread, in seconds from
+    the timeline's creation."""
+
+    def __init__(self) -> None:
+        self.start = time.perf_counter()
+        self.units: list[dict[str, Any]] = []
+        self._lock = threading.Lock()
+
+    def elapsed(self) -> float:
+        return time.perf_counter() - self.start
+
+    @contextmanager
+    def unit(self, kind: str, **keys: Any) -> Iterator[None]:
+        start_s = self.elapsed()
+        try:
+            yield
+        finally:
+            record = {"kind": kind, **keys,
+                      "thread": threading.current_thread().name,
+                      "start_s": start_s, "stop_s": self.elapsed()}
+            with self._lock:
+                self.units.append(record)
+
+
+def _done(value: Any) -> concurrent.futures.Future:
+    future: concurrent.futures.Future = concurrent.futures.Future()
+    future.set_result(value)
+    return future
+
+
+def _network_name(key: tuple[int, bool]) -> str:
+    seed, reversal = key
+    return f"{'aegr' if reversal else 'ae'}_{seed}"
+
+
 def cmd_run(
     config: ExperimentConfig,
     out_dir: Path,
@@ -353,13 +395,16 @@ def cmd_run(
     """Run every (variant, seed), evaluate, and write reports.
 
     Per seed, a plain network serves ``ae_re`` and ``ae_lof/*`` and a
-    reversal network serves ``aegr_lof/*``. The networks are dealt
-    round-robin into ``min(jobs, networks)`` stacks; the unit of work is
-    one stack, trained in lockstep, then every head of its networks.
-    ``lof_raw`` does not depend on the seed, so one fit, its own unit,
-    fills every seed's row. ``jobs`` workers run the units in parallel.
-    Each trained network writes ``history_<ae|aegr>_<seed>.csv`` and
-    ``latents_<ae|aegr>_<seed>.npz``.
+    reversal network serves ``aegr_lof/*``. Every network of the run
+    trains in one lockstep stack on the calling thread. Each head (its
+    LOF fit and score, metrics and score file) is then one unit of work.
+    ``lof_raw`` does not depend on the seed, so one unit, started before
+    training, fills every seed's row. With ``jobs`` above 1 the units and
+    each epoch's validation passes run on a pool of ``jobs`` threads;
+    with 1, everything runs in order on the calling thread. Each trained
+    network writes ``history_<ae|aegr>_<seed>.csv`` and
+    ``latents_<ae|aegr>_<seed>.npz``, and ``timings.json`` records when
+    and on which thread each unit ran.
     """
     cache_path = out_dir / CACHE_FILENAME
     if not cache_path.exists():
@@ -385,93 +430,37 @@ def cmd_run(
             f"lof.min_pts must be at least 1 and below the {n_train} training "
             f"rows, got {config.min_pts}"
         )
+    for pattern in _RUN_FILES:
+        for path in out_dir.glob(pattern):
+            path.unlink()
 
     seeds = [seed_override] if seed_override is not None else config.seeds
     specs = [VariantSpec(**variant) for variant in config.variants]
 
     started = time.time()
+    timeline = _Timeline()
     stages = _StageTimes(("train", "score", "metrics_write"))
-    failures: list[dict[str, Any]] = []
 
-    def _run_head(spec: VariantSpec,
-                  network: TrainedNetwork | None = None) -> _Outcome:
-        try:
-            with stages.timed("score"):
-                return spec, run_variant(spec, prepared.train, prepared.test,
-                                         config.min_pts, network), None
-        except Exception as exc:  # recorded per-variant, run continues
-            logger.exception("variant %s seed %d failed", spec.key, spec.seed)
-            return spec, None, f"{type(exc).__name__}: {exc}"
-
-    def _run_raw(spec: VariantSpec) -> list[_Outcome]:
-        # lof_raw does not depend on the seed: one result fills every row
-        _, run, error = _run_head(replace(spec, seed=seeds[0]))
-        return [(replace(spec, seed=seed), run, error) for seed in seeds]
-
-    # the heads each (seed, reversal) network serves
-    network_heads: dict[tuple[int, bool], list[VariantSpec]] = {}
-    for seed in seeds:
-        for reversal in (False, True):
-            heads = [replace(spec, seed=seed) for spec in specs
-                     if spec.reversal == reversal]
-            if heads:
-                network_heads[(seed, reversal)] = heads
-
-    def _run_stack(keys: list[tuple[int, bool]]) -> list[_Outcome]:
-        start = time.perf_counter()
-        try:
-            networks = train_networks(keys, prepared.train, prepared.val,
-                                      prepared.test, config.train)
-        except Exception as exc:  # every head of this stack fails alike
-            logger.exception("stack of networks %s failed", keys)
-            networks = [exc] * len(keys)
-        seconds = time.perf_counter() - start
-        stages.add("train", seconds)
-        logger.info("trained stack %s: epochs %s in %.2f s", keys,
-                    [len(n.history) if isinstance(n, TrainedNetwork) else None
-                     for n in networks], seconds)
-        outcomes: list[_Outcome] = []
-        for (seed, reversal), network in zip(keys, networks):
-            heads = network_heads[(seed, reversal)]
-            if not isinstance(network, TrainedNetwork):
-                logger.error("network seed %d reversal=%s failed: %s",
-                             seed, reversal, network)
-                error = f"{type(network).__name__}: {network}"
-                outcomes += [(spec, None, error) for spec in heads]
-                continue
-            name = f"{'aegr' if reversal else 'ae'}_{seed}"
+    def _evaluate(kind: str, tags: dict[str, Any], heads: list[VariantSpec],
+                  network: TrainedNetwork | None = None) -> list[_Outcome]:
+        # one unit: one run of the first head fills the row and the score
+        # file of every head given
+        with timeline.unit(kind, **tags):
+            try:
+                with stages.timed("score"):
+                    run = run_variant(heads[0], prepared.train, prepared.test,
+                                      config.min_pts, network)
+            except Exception as exc:  # recorded per-variant, run continues
+                logger.exception("variant %s seed %d failed", heads[0].key,
+                                 heads[0].seed)
+                return [(spec, None, f"{type(exc).__name__}: {exc}")
+                        for spec in heads]
             with stages.timed("metrics_write"):
-                ae.history_to_csv(network.history, out_dir / f"history_{name}.csv")
-                latents = {"latents": network.train_latents,
-                           "pruned_mask": (~network.kept).astype(np.int8)}
-                if prepared.train.labels is not None:
-                    latents["labels"] = prepared.train.labels
-                write_npz(out_dir / f"latents_{name}.npz", latents)
-            outcomes += [_run_head(spec, network) for spec in heads]
-        return outcomes
-
-    keys = list(network_heads)
-    n_stacks = min(jobs, len(keys))
-    units = [partial(_run_raw, spec) for spec in specs
-             if spec.detector == "lof_raw"]
-    units += [partial(_run_stack, keys[k::n_stacks]) for k in range(n_stacks)]
-
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_unit = list(pool.map(lambda unit: unit(), units))
-    else:
-        per_unit = [unit() for unit in units]
-    outcomes = [outcome for unit_outcomes in per_unit for outcome in unit_outcomes]
-
-    write_start = time.perf_counter()
-    rows: list[dict[str, Any]] = []
-    for spec, run, error in outcomes:
-        if run is None:
-            failures.append({"variant": spec.key, "seed": spec.seed, "error": error})
-            continue
-        result = metrics.compute_metrics(run.scores, prepared.test.labels)
-        rows.append(
-            {
+                result = metrics.compute_metrics(run.scores, prepared.test.labels)
+                for spec in heads:
+                    write_scores_csv(out_dir / f"scores_{spec.detector}_"
+                                     f"{spec.modifier}_{spec.seed}.csv", run.scores)
+            return [(spec, {
                 "detector": spec.detector,
                 "modifier": spec.modifier,
                 "seed": spec.seed,
@@ -481,16 +470,74 @@ def cmd_run(
                 "n_neg": result.n_neg,
                 "metadata": {**run.metadata, "detector": spec.detector,
                              "modifier": spec.modifier, "seed": spec.seed},
-            }
-        )
-        write_scores_csv(
-            out_dir / f"scores_{spec.detector}_{spec.modifier}_{spec.seed}.csv",
-            run.scores,
-        )
+            }, None) for spec in heads]
 
-    rows.sort(key=lambda r: (r["detector"], r["modifier"], r["seed"]))
-    wilcoxon_rows = _wilcoxon_comparisons(config.wilcoxon_pairs, rows, seeds)
-    stages.add("metrics_write", time.perf_counter() - write_start)
+    # the heads each (seed, reversal) network serves
+    network_heads: dict[tuple[int, bool], list[VariantSpec]] = {}
+    for seed in seeds:
+        for reversal in (False, True):
+            heads = [replace(spec, seed=seed) for spec in specs
+                     if spec.reversal == reversal]
+            if heads:
+                network_heads[(seed, reversal)] = heads
+    keys = list(network_heads)
+
+    # each unit's outcomes, in submission order: lof_raw, then every
+    # network's heads in key order
+    pending: list[concurrent.futures.Future] = []
+    with ExitStack() as cleanup:
+        if jobs > 1:
+            pool = cleanup.enter_context(concurrent.futures.ThreadPoolExecutor(
+                max_workers=jobs, thread_name_prefix="aegrlof"))
+            submit, pool_map = pool.submit, pool.map
+        else:
+            submit, pool_map = (lambda fn, *args: _done(fn(*args))), map
+
+        pending += [submit(_evaluate, "lof_raw", {"variant": spec.key, "seeds": seeds},
+                           [replace(spec, seed=seed) for seed in seeds])
+                    for spec in specs if spec.detector == "lof_raw"]
+
+        networks: list = []
+        if keys:
+            with (timeline.unit("train", networks=[_network_name(k) for k in keys]),
+                  stages.timed("train")):
+                try:
+                    networks = train_networks(keys, prepared.train, prepared.val,
+                                              prepared.test, config.train,
+                                              map=pool_map)
+                except Exception as exc:  # every head fails alike
+                    logger.exception("training networks %s failed", keys)
+                    networks = [exc] * len(keys)
+            logger.info("trained stack %s: epochs %s", keys,
+                        [len(n.history) if isinstance(n, TrainedNetwork) else None
+                         for n in networks])
+
+        for key, network in zip(keys, networks):
+            heads = network_heads[key]
+            if not isinstance(network, TrainedNetwork):
+                logger.error("network seed %d reversal=%s failed: %s",
+                             *key, network)
+                error = f"{type(network).__name__}: {network}"
+                pending.append(_done([(spec, None, error) for spec in heads]))
+                continue
+            name = _network_name(key)
+            with timeline.unit("write", network=name), stages.timed("metrics_write"):
+                ae.history_to_csv(network.history, out_dir / f"history_{name}.csv")
+                latents = {"latents": network.train_latents,
+                           "pruned_mask": (~network.kept).astype(np.int8)}
+                if prepared.train.labels is not None:
+                    latents["labels"] = prepared.train.labels
+                write_npz(out_dir / f"latents_{name}.npz", latents)
+            pending += [submit(_evaluate, "head", {"variant": spec.key, "seed": spec.seed},
+                               [spec], network) for spec in heads]
+        outcomes = [outcome for future in pending for outcome in future.result()]
+
+    with stages.timed("metrics_write"):
+        rows = sorted((row for _, row, _ in outcomes if row is not None),
+                      key=lambda r: (r["detector"], r["modifier"], r["seed"]))
+        failures = [{"variant": spec.key, "seed": spec.seed, "error": error}
+                    for spec, row, error in outcomes if row is None]
+        wilcoxon_rows = _wilcoxon_comparisons(config.wilcoxon_pairs, rows, seeds)
 
     report = {
         "config": {**config.resolved, "seeds": seeds},
@@ -499,12 +546,13 @@ def cmd_run(
         "wilcoxon": wilcoxon_rows,
         "failures": sorted(failures, key=lambda f: (f["variant"], f["seed"])),
     }
+    duration_s = timeline.elapsed()
     environment = {
         "package_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "started_unix": started,
-        "duration_s": time.time() - started,
+        "duration_s": duration_s,
         "stage_s": stages.seconds,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -514,6 +562,12 @@ def cmd_run(
                    indent=2, sort_keys=True) + "\n",
     )
     atomic_write_text(out_dir / "report.md", _render_markdown(report, seeds))
+    units = sorted(timeline.units, key=lambda unit: unit["start_s"])
+    atomic_write_text(
+        out_dir / "timings.json",
+        json.dumps({"jobs": jobs, "duration_s": duration_s, "units": units},
+                   indent=2, sort_keys=True) + "\n",
+    )
 
     print(f"completed {len(rows)}/{len(outcomes)} runs -> {out_dir / 'report.json'}")
     for failure in failures:
@@ -699,8 +753,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="experiment config JSON")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--jobs", type=partial(_int_at_least, 1), default=1,
-                       help="parallel workers; the networks are dealt into "
-                       "one training stack per worker (default 1)")
+                       help="worker threads for the LOF heads and each "
+                       "epoch's validation passes; every network trains in "
+                       "one stack on the main thread (default 1)")
     p_run.add_argument("--seed-override", type=partial(_int_at_least, 0),
                        default=None,
                        help="run only this seed instead of the configured list")

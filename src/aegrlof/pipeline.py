@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -175,11 +175,13 @@ def train_networks(
     val_data: Dataset,
     test_data: Dataset,
     cfg: ae.TrainConfig,
+    *,
+    map: Callable = map,
 ) -> list[TrainedNetwork | RuntimeError]:
     """Train one autoencoder per (seed, reversal) key, all in one
     :func:`autoencoder.train_stack` stack, encode the training and test
     splits with each, one forward pass per split, and prune its training
-    rows once.
+    rows once. ``map`` runs the stack's validation passes.
 
     A key's seed drives initialization and batch shuffling and overrides
     ``cfg.seed``. Without reversal the reversal start is moved to
@@ -191,7 +193,7 @@ def train_networks(
             for seed, reversal in keys]
     nets = [ae.build_architecture(train_data.n_features, seed=seed)
             for seed, _ in keys]
-    results = ae.train_stack(nets, train_data, val_data, cfgs)
+    results = ae.train_stack(nets, train_data, val_data, cfgs, map=map)
     return [result if isinstance(result, RuntimeError)
             else _encode_splits(key, *result, train_data, test_data)
             for key, result in zip(keys, results)]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -406,26 +407,40 @@ class TestTrain:
         assert history[0].max_gs == max(scores)
 
 
+def _assert_same_results(got, want):
+    """Assert two train_stack results are identical bit for bit."""
+    assert len(got) == len(want)
+    for got_one, want_one in zip(got, want):
+        if isinstance(want_one, RuntimeError):
+            assert isinstance(got_one, RuntimeError)
+            assert str(got_one) == str(want_one)
+            continue
+        assert not isinstance(got_one, RuntimeError), got_one
+        for (want_w, want_b), (got_w, got_b) in zip(want_one[0].params,
+                                                    got_one[0].params):
+            np.testing.assert_array_equal(got_w, want_w)
+            np.testing.assert_array_equal(got_b, want_b)
+        # nan == nan is False, so compare the histories as text
+        assert repr(got_one[1]) == repr(want_one[1])
+
+
 def _train_alone_and_stacked(nets, train, val, cfgs):
-    """Train each network alone and all of them as one stack; assert the
+    """Train each network alone and all of them as one stack, with the
+    validation passes run in order and on a 2-thread pool; assert the
     results are identical bit for bit and return the stacked ones."""
     # the stack trains first, so a stack that changed its input networks
     # would show here
     stacked = ae.train_stack(nets, train, val, cfgs)
-    assert len(stacked) == len(nets)
-    for net, cfg, got in zip(nets, cfgs, stacked):
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        _assert_same_results(
+            ae.train_stack(nets, train, val, cfgs, map=pool.map), stacked)
+    alone = []
+    for net, cfg in zip(nets, cfgs):
         try:
-            want = ae.train(net, train, val, cfg)
+            alone.append(ae.train(net, train, val, cfg))
         except RuntimeError as exc:
-            assert isinstance(got, RuntimeError) and str(got) == str(exc)
-            continue
-        assert not isinstance(got, RuntimeError), got
-        for (want_w, want_b), (got_w, got_b) in zip(want[0].params,
-                                                    got[0].params):
-            np.testing.assert_array_equal(got_w, want_w)
-            np.testing.assert_array_equal(got_b, want_b)
-        # nan == nan is False, so compare the histories as text
-        assert repr(got[1]) == repr(want[1])
+            alone.append(exc)
+    _assert_same_results(stacked, alone)
     return stacked
 
 

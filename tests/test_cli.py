@@ -1,5 +1,6 @@
 import json
 import logging
+import threading
 from collections import Counter
 
 import numpy as np
@@ -294,10 +295,58 @@ class TestRun:
         assert {"report.md", "scores_aegr_lof_prune_1.csv",
                 "latents_aegr_1.npz",
                 "history_aegr_1.csv"} <= serial.keys()
-        # the networks are dealt into one stack per worker, so each job
-        # count splits them into other stacks than the serial run's one
+        # at 2 and 3 jobs the heads and the validation passes run on a
+        # pool, in another order than the serial run's
         for jobs in ("2", "3"):
             assert run_outputs("--jobs", jobs) == serial
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_timings_record_each_unit(self, experiment, tmp_path, jobs):
+        _, out_dir, config = experiment
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({**config, "variants": "matrix"}))
+        cli.main(["prepare", "--config", str(path)])
+        assert cli.main(["run", "--config", str(path), "--jobs", jobs]) == 0
+        timings = json.loads((out_dir / "timings.json").read_text())
+        assert timings["jobs"] == int(jobs)
+        units = timings["units"]
+        by_kind = Counter(unit["kind"] for unit in units)
+        # 2 seeds x 7 network heads, one write per network, one lof_raw
+        assert by_kind == {"lof_raw": 1, "train": 1, "write": 4, "head": 14}
+        train = next(unit for unit in units if unit["kind"] == "train")
+        assert train["networks"] == ["ae_0", "aegr_0", "ae_1", "aegr_1"]
+        # the stack trains on the calling thread, never in a pool worker
+        assert train["thread"] == "MainThread"
+        assert sorted((u["variant"], u["seed"]) for u in units
+                      if u["kind"] == "head") == sorted(
+            (f"{d}/{m}", seed) for d, m in cli.VARIANT_MATRIX if d != "lof_raw"
+            for seed in (0, 1))
+        assert [(u["variant"], u["seeds"]) for u in units
+                if u["kind"] == "lof_raw"] == [("lof_raw/none", [0, 1])]
+        assert sorted(u["network"] for u in units if u["kind"] == "write") == [
+            "ae_0", "ae_1", "aegr_0", "aegr_1"]
+        for unit in units:
+            assert 0 <= unit["start_s"] <= unit["stop_s"] <= timings["duration_s"]
+        environment = json.loads((out_dir / "report.json").read_text())[
+            "environment"]
+        assert environment["duration_s"] == timings["duration_s"]
+        assert set(environment["stage_s"]) == {"train", "score", "metrics_write"}
+
+    def test_rerun_deletes_the_earlier_runs_files(self, experiment, capsys):
+        config_path, out_dir, _ = experiment
+        cli.main(["prepare", "--config", str(config_path)])
+        assert cli.main(["run", "--config", str(config_path)]) == 0
+        assert cli.main(["plotdata", "--out", str(out_dir)]) == 0
+        assert cli.main(["run", "--config", str(config_path),
+                         "--seed-override", "9"]) == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == [
+            cli.CACHE_FILENAME, "history_aegr_9.csv", "latents_aegr_9.npz",
+            "prepare_summary.json", "report.json", "report.md",
+            "scores_aegr_lof_prune_9.csv", "scores_lof_raw_none_9.csv",
+            "timings.json"]
+        capsys.readouterr()
+        assert cli.main(["plotdata", "--out", str(out_dir)]) == 0
+        assert "from latents_aegr_9.npz" in capsys.readouterr().out
 
     # a negative --seed-override is rejected the same way
     @pytest.mark.parametrize("flag,value,least", [
@@ -363,33 +412,38 @@ class TestRun:
         assert trained == []
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("jobs", [1, 2, 3], ids=str)
     def test_matrix_trains_each_network_once(self, experiment, tmp_path,
-                                             monkeypatch):
+                                             monkeypatch, jobs):
         _, out_dir, config = experiment
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps({**config, "variants": "matrix"}))
         cli.main(["prepare", "--config", str(path)])
         calls = Counter()
+        # pool workers call lof.fit concurrently; += is not atomic
+        lock = threading.Lock()
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                with lock:
+                    calls[name] += 1
                 return func(*args, **kwargs)
             return wrapper
 
         stacks = []
 
-        def train_stack(nets, train_data, val_data, cfgs):
+        def train_stack(nets, train_data, val_data, cfgs, **kwargs):
             stacks.append([(cfg.seed, cfg.gr_start_epoch < cfg.max_epochs)
                            for cfg in cfgs])
-            return real_train_stack(nets, train_data, val_data, cfgs)
+            return real_train_stack(nets, train_data, val_data, cfgs, **kwargs)
 
         real_train_stack = autoencoder.train_stack
         monkeypatch.setattr(autoencoder, "train_stack", train_stack)
         monkeypatch.setattr(lof, "fit", counted("fit", lof.fit))
-        assert cli.main(["run", "--config", str(path)]) == 0
+        assert cli.main(["run", "--config", str(path), "--jobs", str(jobs)]) == 0
         # one stack holds the 2 seeds x (plain + reversal) networks, each
-        # once; lof_raw is fitted once, plus 2 seeds x 6 latent-LOF heads
+        # once, whatever --jobs is; lof_raw is fitted once, plus 2 seeds x 6
+        # latent-LOF heads
         assert len(stacks) == 1
         assert sorted(stacks[0]) == [(0, False), (0, True), (1, False), (1, True)]
         assert calls == {"fit": 13}
@@ -438,6 +492,10 @@ class TestRun:
                 assert len(errors) == 1
         assert {(r["detector"], r["seed"]) for r in report["rows"]} == {
             ("lof_raw", 0), ("lof_raw", 1)}
+        # the heads of a failed network never run
+        timings = json.loads((out_dir / "timings.json").read_text())
+        assert Counter(u["kind"] for u in timings["units"]) == {
+            "lof_raw": 1, "train": 1}
 
     def test_wilcoxon_needs_five_seeds(self, experiment, tmp_path):
         config_path, out_dir, config = experiment
