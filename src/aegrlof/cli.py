@@ -363,14 +363,14 @@ class _Timeline:
         return time.perf_counter() - self.start
 
     @contextmanager
-    def unit(self, kind: str, **keys: Any) -> Iterator[None]:
-        start_s = self.elapsed()
+    def unit(self, kind: str, **keys: Any) -> Iterator[dict[str, Any]]:
+        """Record one unit; the body may add keys to the yielded record."""
+        record = {"kind": kind, **keys, "start_s": self.elapsed()}
         try:
-            yield
+            yield record
         finally:
-            record = {"kind": kind, **keys,
-                      "thread": threading.current_thread().name,
-                      "start_s": start_s, "stop_s": self.elapsed()}
+            record.update(thread=threading.current_thread().name,
+                          stop_s=self.elapsed())
             with self._lock:
                 self.units.append(record)
 
@@ -445,11 +445,12 @@ def cmd_run(
                   network: TrainedNetwork | None = None) -> list[_Outcome]:
         # one unit: one run of the first head fills the row and the score
         # file of every head given
-        with timeline.unit(kind, **tags):
+        with timeline.unit(kind, **tags) as record:
             try:
                 with stages.timed("score"):
                     run = run_variant(heads[0], prepared.train, prepared.test,
                                       config.min_pts, network)
+                record.update(run.timings)
             except Exception as exc:  # recorded per-variant, run continues
                 logger.exception("variant %s seed %d failed", heads[0].key,
                                  heads[0].seed)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -95,10 +96,16 @@ class VariantSpec:
 
 @dataclass
 class ScoredRun:
-    """Scores for one executed variant plus run metadata."""
+    """Scores for one executed variant plus run metadata.
+
+    ``timings`` holds the seconds of the LOF fit and score and the path
+    the fit took (:attr:`lof.LofModel.path`), for ``timings.json``; it
+    varies from run to run, so it never enters the report.
+    """
 
     scores: np.ndarray
     metadata: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.scores = np.asarray(self.scores, dtype=np.float64)
@@ -240,10 +247,10 @@ def run_variant(
     if spec.detector == "lof_raw":
         if network is not None:
             raise ValueError("lof_raw scores the raw features and takes no network")
-        model = lof.fit(train_data.features, min_pts)
-        scores = lof.score(model, test_data.features)
+        model, scores, timings = _lof_scores(train_data.features,
+                                             test_data.features, min_pts)
         meta.update(min_pts=min_pts, reference_rows=model.n_reference)
-        return ScoredRun(scores, meta)
+        return ScoredRun(scores, meta, timings)
 
     if network is None:
         raise ValueError(f"{spec.key} needs a network from train_networks")
@@ -276,10 +283,21 @@ def run_variant(
             f"reference rows; LOF needs more than min_pts={min_pts}"
         )
 
-    model = lof.fit(reference, min_pts)
-    scores = lof.score(model, network.test_latents)
+    model, scores, timings = _lof_scores(reference, network.test_latents, min_pts)
     meta.update(min_pts=min_pts, reference_rows=model.n_reference,
                 latent_dim=network.net.bottleneck_width)
     logger.info("variant %s seed %d: %d reference rows, %d epochs",
                 spec.key, spec.seed, model.n_reference, len(history))
-    return ScoredRun(scores, meta)
+    return ScoredRun(scores, meta, timings)
+
+
+def _lof_scores(reference: np.ndarray, queries: np.ndarray, min_pts: int,
+                ) -> tuple[lof.LofModel, np.ndarray, dict]:
+    """Fit LOF on ``reference`` and score ``queries``, timing both."""
+    start = time.perf_counter()
+    model = lof.fit(reference, min_pts)
+    fitted = time.perf_counter()
+    scores = lof.score(model, queries)
+    return model, scores, {"lof_fit_s": fitted - start,
+                           "lof_score_s": time.perf_counter() - fitted,
+                           "lof_path": model.path}

@@ -327,6 +327,18 @@ class TestRun:
             "ae_0", "ae_1", "aegr_0", "aegr_1"]
         for unit in units:
             assert 0 <= unit["start_s"] <= unit["stop_s"] <= timings["duration_s"]
+            # every unit that fits and scores LOF says how long each took
+            # and which path it took; ae_re fits none
+            lof_keys = {"lof_fit_s", "lof_score_s", "lof_path"}
+            if unit["kind"] == "lof_raw" or (unit["kind"] == "head"
+                                             and unit["variant"] != "ae_re/none"):
+                assert lof_keys <= unit.keys()
+                assert unit["lof_path"] in ("leaves", "dense")
+                assert 0 <= unit["lof_fit_s"] and 0 <= unit["lof_score_s"]
+                assert (unit["lof_fit_s"] + unit["lof_score_s"]
+                        <= unit["stop_s"] - unit["start_s"])
+            else:
+                assert not lof_keys & unit.keys()
         environment = json.loads((out_dir / "report.json").read_text())[
             "environment"]
         assert environment["duration_s"] == timings["duration_s"]

@@ -196,24 +196,90 @@ class TestScore:
         assert np.all(np.isnan(scores[1:]))
         assert lof.score(model, np.empty((0, 2))).shape == (0,)
 
-    def test_blocks_and_chunks_do_not_change_results(self, monkeypatch):
+    def test_blocks_and_chunks_do_not_change_results(self):
         # all-tie rows (duplicates) make every pair a candidate; a tiny
-        # budget splits rows into many blocks and gathers in many chunks
+        # budget splits rows into many blocks, or leaf groups into many
+        # batches, and gathers in many chunks
         rng = np.random.default_rng(16)
         ref = np.vstack([np.zeros((40, 3)), rng.integers(-2, 3, size=(60, 3))])
         queries = np.vstack([np.zeros((5, 3)), rng.normal(size=(20, 3))])
-        base = lof.fit(ref, 7)
-        base_scores = lof.score(base, queries)
-        monkeypatch.setattr(lof, "_ELEMENT_BUDGET", 50)
-        small = lof.fit(ref, 7)
-        np.testing.assert_array_equal(small.k_distances, base.k_distances)
-        np.testing.assert_array_equal(small.lrds, base.lrds)
-        np.testing.assert_array_equal(lof.score(small, queries), base_scores)
+        for path in ("dense", "leaves"):
+            with pytest.MonkeyPatch.context() as patch:
+                if path == "leaves":
+                    _take_leaves(patch, leaf_size=8)
+                base = lof.fit(ref, 7)
+                assert base.path == path
+                base_scores = lof.score(base, queries)
+                patch.setattr(lof, "_ELEMENT_BUDGET", 50)
+                small = lof.fit(ref, 7)
+                assert small.path == path
+                np.testing.assert_array_equal(small.k_distances, base.k_distances)
+                np.testing.assert_array_equal(small.lrds, base.lrds)
+                np.testing.assert_array_equal(lof.score(small, queries), base_scores)
 
     def test_width_mismatch(self):
         model = lof.fit(np.random.default_rng(0).normal(size=(10, 3)), 2)
         with pytest.raises(ValueError, match="width"):
             lof.score(model, np.zeros((2, 4)))
+
+
+def _take_leaves(monkeypatch, leaf_size):
+    """Make ``fit`` keep its k-d leaves, of at most ``leaf_size`` rows,
+    whatever share of pairs they prune."""
+    monkeypatch.setattr(lof, "_LEAF_SIZE", leaf_size)
+    monkeypatch.setattr(lof, "_LEAF_SHARE", 1.0)
+
+
+def _assert_paths_agree(reference, min_pts, queries, monkeypatch, leaf_size=4):
+    """Fit on the leaf path and on the dense path; every k-distance,
+    density and score must be bit-equal."""
+    _take_leaves(monkeypatch, leaf_size)
+    leaves = lof.fit(reference, min_pts)
+    assert leaves.path == "leaves"
+    monkeypatch.setattr(lof, "_LEAF_SHARE", -1.0)
+    dense = lof.fit(reference, min_pts)
+    assert dense.path == "dense"
+    np.testing.assert_array_equal(leaves.k_distances, dense.k_distances)
+    np.testing.assert_array_equal(leaves.lrds, dense.lrds)
+    np.testing.assert_array_equal(lof.score(leaves, queries), lof.score(dense, queries))
+
+
+class TestLeafPath:
+    def test_no_finite_queries(self, monkeypatch):
+        _take_leaves(monkeypatch, leaf_size=4)
+        model = lof.fit(_grid_2d(6), min_pts=3)
+        assert model.path == "leaves"
+        scores = lof.score(model, np.array([[np.nan, 1.0], [2.0, -np.inf]]))
+        assert scores.shape == (2,) and np.all(np.isnan(scores))
+        assert lof.score(model, np.empty((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("min_pts", [1, 4, 9])
+    def test_reference_of_min_pts_plus_one_rows(self, monkeypatch, min_pts):
+        rng = np.random.default_rng(min_pts)
+        _assert_paths_agree(rng.normal(size=(min_pts + 1, 3)), min_pts,
+                            rng.normal(size=(12, 3)), monkeypatch)
+
+    def test_all_duplicate_leaves(self, monkeypatch):
+        # 8 copies of each of 8 points: every leaf of 8 rows is one
+        # repeated point with an empty box, and every distance ties
+        rng = np.random.default_rng(7)
+        points = rng.integers(-2, 3, size=(8, 2)).astype(float)
+        reference = np.repeat(points, 8, axis=0)
+        queries = np.vstack([points, rng.normal(size=(10, 2))])
+        for min_pts in (3, 8, 12):
+            _assert_paths_agree(reference, min_pts, queries, monkeypatch, leaf_size=8)
+        leaves = lof._build_leaves(reference)
+        np.testing.assert_array_equal(leaves.lo, leaves.hi)
+
+    def test_dense_rule(self):
+        rng = np.random.default_rng(5)
+        # 5-D latents in tight clusters: the leaves prune most pairs
+        centers = rng.uniform(size=(25, 5))
+        clustered = (centers[rng.integers(0, 25, size=1500)]
+                     + rng.normal(scale=0.005, size=(1500, 5)))
+        assert lof.fit(clustered, 20).path == "leaves"
+        # wide uniform rows: every box reaches every other
+        assert lof.fit(rng.uniform(size=(1200, 122)), 20).path == "dense"
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +321,52 @@ def _tree_neighbor_sets(points, reference, min_pts, exclude_self):
                          for i, ball in enumerate(balls)]
 
 
+@st.composite
+def leaf_problems(draw):
+    """(reference, min_pts, leaf_size) over many small leaves: integer
+    grids, whose duplicates and ties stay exact, or that grid scaled by
+    0.1 or 0.3, whose ties round apart by an ulp; or tight clusters of
+    5-D rows. Every coordinate may be moved by +-1e3.
+
+    Leaves of one row make a box distance the distance itself, so a
+    squared distance an ulp above the bound, whose square root still
+    equals the k-distance, needs the box test's rounding margin.
+    """
+    min_pts = draw(st.integers(1, 6))
+    n = draw(st.integers(min_pts + 1, 60))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 5))
+        coords = st.integers(-3, 3).map(float)
+        scale = draw(st.sampled_from([1.0, 0.1, 0.3]))
+        reference = draw(arrays(np.float64, (n, d), elements=coords)) * scale
+    else:
+        d = 5
+        centers = draw(arrays(np.float64, (draw(st.integers(1, 4)), d),
+                              elements=st.integers(-4, 4).map(float)))
+        which = draw(arrays(np.intp, n, elements=st.integers(0, len(centers) - 1)))
+        reference = centers[which] + draw(arrays(np.float64, (n, d),
+                                                 elements=st.floats(-0.05, 0.05)))
+    offset = draw(arrays(np.float64, d, elements=st.sampled_from([-1e3, 0.0, 1e3])))
+    leaf_size = draw(st.sampled_from([1, 2, 4, 8]))
+    return reference + offset, min_pts, leaf_size
+
+
 class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(leaf_problems())
+    def test_leaf_path_matches_dense_path(self, problem):
+        # rows, columns, distances and k-distances are bit-equal, so every
+        # density and score is too
+        reference, min_pts, leaf_size = problem
+        reference_sq = lof._sq_norms(reference)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lof, "_LEAF_SIZE", leaf_size)
+            leaves = lof._build_leaves(reference)
+        args = (reference, reference_sq, reference, reference_sq, min_pts, True)
+        dense = lof._neighborhoods(*args)
+        for got, want in zip(lof._neighborhoods(*args, leaves=leaves), dense):
+            np.testing.assert_array_equal(got, want)
+
     @settings(max_examples=150)
     @given(lof_problems())
     def test_neighborhoods_match_kd_tree(self, problem):
