@@ -5,7 +5,8 @@ Subcommands:
     prepare   Preprocess a CSV (encode, split, subsample, normalize) into a
               cached dataset and print a summary.
     run       Execute every configured (variant, seed), write report.json,
-              report.md and per-variant score CSVs.
+              report.md, timings.json, per-variant score CSVs, and each
+              trained network's history_*.csv and latents_*.npz.
     plotdata  Export latent scatter and KDE curve CSVs from a finished run.
 
 All experiment settings live in a single JSON config; see the README for
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import copy
 import json
 import logging
 import math
@@ -24,8 +26,9 @@ import platform
 import sys
 import threading
 import time
+from collections import Counter
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Iterator
@@ -57,34 +60,6 @@ logger = logging.getLogger(__name__)
 
 CACHE_FILENAME = "dataset_cache.npz"
 
-# The seed comes from the run's seed list.
-TRAIN_DEFAULTS = {f.name: f.default for f in fields(ae.TrainConfig)
-                  if f.name != "seed"}
-
-SPLIT_DEFAULTS = {f.name: f.default for f in fields(SplitSpec)}
-
-LOF_DEFAULTS = {"min_pts": 20}
-
-CONFIG_KEYS = ("dataset", "split", "train", "lof", "variants", "seeds",
-               "wilcoxon_pairs", "output_dir")
-DATASET_KEYS = ("path", "has_header", "schema")
-VARIANT_KEYS = ("detector", "modifier", "aug_factor", "aug_sigma")
-
-
-def _field_types(cls) -> dict[str, str]:
-    # annotations are strings under `from __future__ import annotations`;
-    # "float | None" -> "float"
-    return {f.name: f.type.split(" | ")[0] for f in fields(cls)}
-
-
-# Numeric config sections: (name, defaults, field kinds). Null is allowed
-# only where the default is null.
-NUMERIC_SECTIONS = (
-    ("split", SPLIT_DEFAULTS, _field_types(SplitSpec)),
-    ("train", TRAIN_DEFAULTS, _field_types(ae.TrainConfig)),
-    ("lof", LOF_DEFAULTS, {"min_pts": "int"}),
-)
-
 # Each kind of config value: the JSON types it takes, and how an error
 # names it. A float field takes any JSON number; booleans, which Python
 # counts as integers, pass only where bool is listed.
@@ -96,6 +71,37 @@ _KINDS = {
     "object": ((dict,), "an object"),
     "bool-or-null": ((bool, type(None)), "true, false or null"),
 }
+
+
+def _table(cls, *skip: str) -> dict[str, tuple[str, Any]]:
+    # annotations are strings under `from __future__ import annotations`;
+    # "float | None" -> "float"
+    return {f.name: (f.type.split(" | ")[0], f.default)
+            for f in fields(cls) if f.name not in skip}
+
+
+# Each config object's keys, as key -> (kind, default); a MISSING default
+# makes the key required, and null passes only where the default is null.
+# `variants` has no kind here: it is "matrix" or a list, parsed by hand.
+CONFIG_TABLE = {
+    "dataset": ("object", {}),
+    "split": ("object", {}),
+    "train": ("object", {}),
+    "lof": ("object", {}),
+    "variants": (None, "matrix"),
+    "seeds": ("list", [0]),
+    "wilcoxon_pairs": ("list", []),
+    "output_dir": ("str", "out"),
+}
+SECTION_TABLES = {
+    "dataset": {"path": ("str", MISSING), "has_header": ("bool-or-null", None),
+                "schema": ("object", {})},
+    "split": _table(SplitSpec),
+    # the seed comes from the run's seed list
+    "train": _table(ae.TrainConfig, "seed"),
+    "lof": {"min_pts": ("int", 20)},
+}
+VARIANT_KEYS = ("detector", "modifier", "aug_factor", "aug_sigma")
 
 
 @dataclass
@@ -115,45 +121,62 @@ class ExperimentConfig:
     resolved: dict = field(default_factory=dict)
 
 
-def _check_keys(path: Path, where: str, section: dict, known) -> None:
+def _check_keys(where: str, section: dict, known) -> None:
     unknown = set(section) - set(known)
     if unknown:
         raise ValueError(
-            f"{path}: unknown {where} keys {sorted(unknown)} "
+            f"unknown {where} keys {sorted(unknown)} "
             f"(expected from {sorted(known)})"
         )
 
 
-def _check_value(path: Path, name: str, value: Any, kind: str) -> None:
+def _check_value(name: str, value: Any, kind: str) -> None:
     types, phrase = _KINDS[kind]
     if (isinstance(value, bool) and bool not in types) or not isinstance(value, types):
-        raise ValueError(f"{path}: {name} must be {phrase}, got {value!r}")
+        raise ValueError(f"{name} must be {phrase}, got {value!r}")
     # json.load accepts NaN, Infinity and -Infinity (and 1e400 overflows
     # to inf); none of them is a usable setting
     if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{path}: {name} must be finite, got {value!r}")
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _read_object(where: str, values: dict, table: dict) -> dict[str, Any]:
+    """Check one config object's keys and kinds against its table, and
+    return it with every default filled in."""
+    _check_keys(where or "top-level", values, table)
+    out = {}
+    for key, (kind, default) in table.items():
+        name = f"{where}.{key}" if where else key
+        value = values.get(key, default)
+        if value is MISSING:
+            raise ValueError(f"config needs {name}")
+        if kind is not None and (value is not None or default is not None):
+            _check_value(name, value, kind)
+        # each config owns its values; none shares a default list or object
+        out[key] = copy.deepcopy(value)
+    return out
 
 
 def _duplicates(values: list) -> list:
     return sorted({v for v in values if values.count(v) > 1})
 
 
-def _parse_variant_entry(path: Path, entry: Any) -> dict[str, Any]:
+def _parse_variant_entry(entry: Any) -> dict[str, Any]:
     if isinstance(entry, str):
         detector, _, modifier = entry.partition("/")
         return {"detector": detector, "modifier": modifier or "none"}
     if isinstance(entry, dict):
-        _check_keys(path, "variant", entry, VARIANT_KEYS)
+        _check_keys("variant", entry, VARIANT_KEYS)
         if "detector" not in entry:
-            raise ValueError(f"{path}: variant {entry!r} needs a detector")
+            raise ValueError(f"variant {entry!r} needs a detector")
         out = {"detector": entry["detector"], "modifier": entry.get("modifier", "none")}
         aug_keys = [key for key in ("aug_factor", "aug_sigma") if key in entry]
         for key in aug_keys:
-            _check_value(path, f"variant {key}", entry[key], "float")
+            _check_value(f"variant {key}", entry[key], "float")
             out[key] = float(entry[key])
         if aug_keys and out["modifier"] != "prune_da":
             raise ValueError(
-                f"{path}: variant {out['detector']}/{out['modifier']} sets "
+                f"variant {out['detector']}/{out['modifier']} sets "
                 f"{aug_keys}, which only a prune_da variant reads"
             )
         return out
@@ -161,136 +184,142 @@ def _parse_variant_entry(path: Path, entry: Any) -> dict[str, Any]:
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    """Read, validate, and default-fill an experiment config JSON."""
+    """Read, validate, and default-fill an experiment config JSON; every
+    error it raises names the file."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        return _resolve_config(json.loads(path.read_text(encoding="utf-8")))
+    except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from exc
 
+
+def _resolve_config(raw: Any) -> ExperimentConfig:
     if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    _check_keys(path, "top-level", raw, CONFIG_KEYS)
-    dataset = raw.get("dataset")
-    if not isinstance(dataset, dict) or "path" not in dataset:
-        raise ValueError(f"{path}: config needs dataset.path")
-    _check_keys(path, "dataset", dataset, DATASET_KEYS)
-    _check_value(path, "dataset.path", dataset["path"], "str")
-    has_header = dataset.get("has_header")
-    _check_value(path, "dataset.has_header", has_header, "bool-or-null")
-    schema_raw = dataset.get("schema", {})
-    if not (isinstance(schema_raw, dict)
-            and all(kind in COLUMN_KINDS for kind in schema_raw.values())):
+        raise ValueError("config must be a JSON object")
+    resolved = _read_object("", raw, CONFIG_TABLE)
+    for section, table in SECTION_TABLES.items():
+        resolved[section] = _read_object(section, resolved[section], table)
+    output_dir = resolved.pop("output_dir")
+
+    dataset = resolved["dataset"]
+    if not all(kind in COLUMN_KINDS for kind in dataset["schema"].values()):
         raise ValueError(
-            f"{path}: dataset.schema must be an object mapping columns to "
-            f"one of {list(COLUMN_KINDS)}, got {schema_raw!r}"
+            f"dataset.schema must be an object mapping columns to "
+            f"one of {list(COLUMN_KINDS)}, got {dataset['schema']!r}"
         )
-    n_labels = list(schema_raw.values()).count("label")
+    n_labels = list(dataset["schema"].values()).count("label")
     if n_labels > 1:
         raise ValueError(
-            f"{path}: dataset.schema names {n_labels} label columns; "
+            f"dataset.schema names {n_labels} label columns; "
             f"at most one is allowed"
         )
-    output_dir = raw.get("output_dir", "out")
-    _check_value(path, "output_dir", output_dir, "str")
-    for section, defaults, kinds in NUMERIC_SECTIONS:
-        values = raw.get(section, {})
-        _check_value(path, section, values, "object")
-        _check_keys(path, section, values, defaults)
-        for key, value in values.items():
-            if value is not None or defaults[key] is not None:
-                _check_value(path, f"{section}.{key}", value, kinds[key])
     schema: dict[str | int, str] = {}
-    for key, kind in schema_raw.items():
-        if has_header is False and key.isdigit():
+    for key, kind in dataset["schema"].items():
+        if dataset["has_header"] is False and key.isdigit():
             schema[int(key)] = kind
         else:
             schema[key] = kind
 
-    split_cfg = {**SPLIT_DEFAULTS, **raw.get("split", {})}
-    split = SplitSpec(**split_cfg)
-    train_cfg = {**TRAIN_DEFAULTS, **raw.get("train", {})}
-    train = ae.TrainConfig(**train_cfg)
-    lof_cfg = {**LOF_DEFAULTS, **raw.get("lof", {})}
-
-    variants_raw = raw.get("variants", "matrix")
+    variants_raw = resolved["variants"]
     if variants_raw == "matrix":
         variants = [{"detector": d, "modifier": m} for d, m in VARIANT_MATRIX]
     elif isinstance(variants_raw, list):
-        variants = [_parse_variant_entry(path, v) for v in variants_raw]
+        variants = [_parse_variant_entry(v) for v in variants_raw]
     else:
         raise ValueError(
-            f'{path}: variants must be "matrix" or a list, got {variants_raw!r}'
+            f'variants must be "matrix" or a list, got {variants_raw!r}'
         )
     if not variants:
-        raise ValueError(f"{path}: at least one variant required")
+        raise ValueError("at least one variant required")
+    resolved["variants"] = variants
     # report rows, score files and shared networks are keyed by
     # (detector/modifier, seed), so each may appear only once
     keys = [VariantSpec(**v).key for v in variants]
     duplicate_variants = _duplicates(keys)
     if duplicate_variants:
-        raise ValueError(f"{path}: duplicate variants {duplicate_variants}")
-    pairs = raw.get("wilcoxon_pairs", [])
-    _check_value(path, "wilcoxon_pairs", pairs, "list")
-    for pair in pairs:
+        raise ValueError(f"duplicate variants {duplicate_variants}")
+    for pair in resolved["wilcoxon_pairs"]:
         if not (isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1]
                 and all(key in keys for key in pair)):
             raise ValueError(
-                f"{path}: wilcoxon pair {pair!r} must name two distinct "
+                f"wilcoxon pair {pair!r} must name two distinct "
                 f"configured variants from {sorted(keys)}"
             )
 
-    seeds = raw.get("seeds", [0])
-    _check_value(path, "seeds", seeds, "list")
+    seeds = resolved["seeds"]
     for i, seed in enumerate(seeds):
-        _check_value(path, f"seeds[{i}]", seed, "int")
+        _check_value(f"seeds[{i}]", seed, "int")
         if seed < 0:
-            raise ValueError(f"{path}: seeds[{i}] must be >= 0, got {seed}")
+            raise ValueError(f"seeds[{i}] must be >= 0, got {seed}")
     if not seeds:
-        raise ValueError(f"{path}: seeds must be non-empty")
+        raise ValueError("seeds must be non-empty")
     duplicate_seeds = _duplicates(seeds)
     if duplicate_seeds:
-        raise ValueError(f"{path}: duplicate seeds {duplicate_seeds}")
+        raise ValueError(f"duplicate seeds {duplicate_seeds}")
 
-    resolved = {
-        "dataset": {"path": dataset["path"], "schema": schema_raw,
-                    "has_header": has_header},
-        "split": split_cfg,
-        "train": train_cfg,
-        "lof": lof_cfg,
-        "variants": variants,
-        "seeds": seeds,
-        "wilcoxon_pairs": pairs,
-    }
     return ExperimentConfig(
         dataset_path=dataset["path"],
         schema=schema,
-        has_header=has_header,
-        split=split,
-        train=train,
-        min_pts=lof_cfg["min_pts"],
+        has_header=dataset["has_header"],
+        split=SplitSpec(**resolved["split"]),
+        train=ae.TrainConfig(**resolved["train"]),
+        min_pts=resolved["lof"]["min_pts"],
         variants=variants,
         seeds=seeds,
-        wilcoxon_pairs=pairs,
+        wilcoxon_pairs=resolved["wilcoxon_pairs"],
         output_dir=output_dir,
         resolved=resolved,
     )
 
 
+class _Timeline:
+    """When each unit of a command ran, and on which thread, in seconds from
+    the timeline's creation."""
+
+    def __init__(self) -> None:
+        self.start = time.perf_counter()
+        self.units: list[dict[str, Any]] = []
+        self._lock = threading.Lock()
+
+    def elapsed(self) -> float:
+        return time.perf_counter() - self.start
+
+    @contextmanager
+    def unit(self, kind: str, **keys: Any) -> Iterator[dict[str, Any]]:
+        """Record one unit; the body may add keys to the yielded record."""
+        record = {"kind": kind, **keys, "start_s": self.elapsed()}
+        try:
+            yield record
+        finally:
+            record.update(thread=threading.current_thread().name,
+                          stop_s=self.elapsed())
+            with self._lock:
+                self.units.append(record)
+
+
+def _stage_seconds(units: list[dict[str, Any]]) -> dict[str, float]:
+    """Busy seconds per unit kind, summed over worker threads."""
+    seconds: Counter[str] = Counter()
+    for unit in units:
+        seconds[unit["kind"]] += unit["stop_s"] - unit["start_s"]
+    return seconds
+
+
 def cmd_prepare(config: ExperimentConfig, out_dir: Path) -> int:
     """Preprocess the configured CSV into a byte-reproducible cache."""
-    stages = _StageTimes(("load_csv", "encode", "split_normalize", "write"))
-    with stages.timed("load_csv"):
+    timeline = _Timeline()
+    with timeline.unit("load_csv"):
         table = load_csv(config.dataset_path, config.schema, config.has_header)
-    prepared = prepare(table, config.split, stages=stages)
+    prepared = prepare(table, config.split, timed=timeline.unit)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = out_dir / CACHE_FILENAME
-    with stages.timed("write"):
+    with timeline.unit("write"):
         save_cache(cache_path, prepared,
                    source_sha256=file_sha256(config.dataset_path))
         cache_sha256 = file_sha256(cache_path)
+    stage_s = _stage_seconds(timeline.units)
     logger.info("prepare stages: %s", ", ".join(
-        f"{stage} {seconds:.3f} s" for stage, seconds in stages.seconds.items()))
+        f"{stage} {seconds:.3f} s" for stage, seconds in stage_s.items()))
 
     summary = {
         "raw_columns": len(table.columns),
@@ -304,7 +333,7 @@ def cmd_prepare(config: ExperimentConfig, out_dir: Path) -> int:
         "has_labels": prepared.meta["has_labels"],
         "cache": str(cache_path),
         "cache_sha256": cache_sha256,
-        "stage_s": stages.seconds,
+        "stage_s": stage_s,
     }
     atomic_write_text(out_dir / "prepare_summary.json",
                       json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -328,51 +357,6 @@ _Outcome = tuple[VariantSpec, dict[str, Any] | None, str | None]
 _RUN_FILES = ("scores_*.csv", "history_*.csv", "latents_*.npz",
               "latent_scatter.csv", "kde_curves.csv", "report.json",
               "report.md", "timings.json")
-
-
-class _StageTimes:
-    """Busy seconds per named stage, summed over worker threads."""
-
-    def __init__(self, stages: tuple[str, ...]) -> None:
-        self.seconds = dict.fromkeys(stages, 0.0)
-        self._lock = threading.Lock()
-
-    def add(self, stage: str, seconds: float) -> None:
-        with self._lock:
-            self.seconds[stage] += seconds
-
-    @contextmanager
-    def timed(self, stage: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(stage, time.perf_counter() - start)
-
-
-class _Timeline:
-    """When each unit of a run ran, and on which thread, in seconds from
-    the timeline's creation."""
-
-    def __init__(self) -> None:
-        self.start = time.perf_counter()
-        self.units: list[dict[str, Any]] = []
-        self._lock = threading.Lock()
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.start
-
-    @contextmanager
-    def unit(self, kind: str, **keys: Any) -> Iterator[dict[str, Any]]:
-        """Record one unit; the body may add keys to the yielded record."""
-        record = {"kind": kind, **keys, "start_s": self.elapsed()}
-        try:
-            yield record
-        finally:
-            record.update(thread=threading.current_thread().name,
-                          stop_s=self.elapsed())
-            with self._lock:
-                self.units.append(record)
 
 
 def _done(value: Any) -> concurrent.futures.Future:
@@ -439,7 +423,6 @@ def cmd_run(
 
     started = time.time()
     timeline = _Timeline()
-    stages = _StageTimes(("train", "score", "metrics_write"))
 
     def _evaluate(kind: str, tags: dict[str, Any], heads: list[VariantSpec],
                   network: TrainedNetwork | None = None) -> list[_Outcome]:
@@ -447,20 +430,18 @@ def cmd_run(
         # file of every head given
         with timeline.unit(kind, **tags) as record:
             try:
-                with stages.timed("score"):
-                    run = run_variant(heads[0], prepared.train, prepared.test,
-                                      config.min_pts, network)
+                run = run_variant(heads[0], prepared.train, prepared.test,
+                                  config.min_pts, network)
                 record.update(run.timings)
             except Exception as exc:  # recorded per-variant, run continues
                 logger.exception("variant %s seed %d failed", heads[0].key,
                                  heads[0].seed)
                 return [(spec, None, f"{type(exc).__name__}: {exc}")
                         for spec in heads]
-            with stages.timed("metrics_write"):
-                result = metrics.compute_metrics(run.scores, prepared.test.labels)
-                for spec in heads:
-                    write_scores_csv(out_dir / f"scores_{spec.detector}_"
-                                     f"{spec.modifier}_{spec.seed}.csv", run.scores)
+            result = metrics.compute_metrics(run.scores, prepared.test.labels)
+            for spec in heads:
+                write_scores_csv(out_dir / f"scores_{spec.detector}_"
+                                 f"{spec.modifier}_{spec.seed}.csv", run.scores)
             return [(spec, {
                 "detector": spec.detector,
                 "modifier": spec.modifier,
@@ -500,8 +481,7 @@ def cmd_run(
 
         networks: list = []
         if keys:
-            with (timeline.unit("train", networks=[_network_name(k) for k in keys]),
-                  stages.timed("train")):
+            with timeline.unit("train", networks=[_network_name(k) for k in keys]):
                 try:
                     networks = train_networks(keys, prepared.train, prepared.val,
                                               prepared.test, config.train,
@@ -522,7 +502,7 @@ def cmd_run(
                 pending.append(_done([(spec, None, error) for spec in heads]))
                 continue
             name = _network_name(key)
-            with timeline.unit("write", network=name), stages.timed("metrics_write"):
+            with timeline.unit("write", network=name):
                 ae.history_to_csv(network.history, out_dir / f"history_{name}.csv")
                 latents = {"latents": network.train_latents,
                            "pruned_mask": (~network.kept).astype(np.int8)}
@@ -533,28 +513,27 @@ def cmd_run(
                                [spec], network) for spec in heads]
         outcomes = [outcome for future in pending for outcome in future.result()]
 
-    with stages.timed("metrics_write"):
+    with timeline.unit("report"):
         rows = sorted((row for _, row, _ in outcomes if row is not None),
                       key=lambda r: (r["detector"], r["modifier"], r["seed"]))
         failures = [{"variant": spec.key, "seed": spec.seed, "error": error}
                     for spec, row, error in outcomes if row is None]
-        wilcoxon_rows = _wilcoxon_comparisons(config.wilcoxon_pairs, rows, seeds)
-
-    report = {
-        "config": {**config.resolved, "seeds": seeds},
-        "dataset_sha256": file_sha256(cache_path),
-        "rows": rows,
-        "wilcoxon": wilcoxon_rows,
-        "failures": sorted(failures, key=lambda f: (f["variant"], f["seed"])),
-    }
+        report = {
+            "config": {**config.resolved, "seeds": seeds},
+            "dataset_sha256": file_sha256(cache_path),
+            "rows": rows,
+            "wilcoxon": _wilcoxon_comparisons(config.wilcoxon_pairs, rows, seeds),
+            "failures": sorted(failures, key=lambda f: (f["variant"], f["seed"])),
+        }
     duration_s = timeline.elapsed()
+    units = sorted(timeline.units, key=lambda unit: unit["start_s"])
     environment = {
         "package_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "started_unix": started,
         "duration_s": duration_s,
-        "stage_s": stages.seconds,
+        "stage_s": _stage_seconds(units),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(
@@ -563,7 +542,6 @@ def cmd_run(
                    indent=2, sort_keys=True) + "\n",
     )
     atomic_write_text(out_dir / "report.md", _render_markdown(report, seeds))
-    units = sorted(timeline.units, key=lambda unit: unit["start_s"])
     atomic_write_text(
         out_dir / "timings.json",
         json.dumps({"jobs": jobs, "duration_s": duration_s, "units": units},
@@ -783,7 +761,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_prepare(config, out_dir)
         return cmd_run(config, out_dir, jobs=args.jobs,
                        seed_override=args.seed_override)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

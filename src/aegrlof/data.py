@@ -421,15 +421,15 @@ class PreparedData:
     meta: dict = field(default_factory=dict)
 
 
-def prepare(table: RawTable, spec: SplitSpec, stages=None) -> PreparedData:
+def prepare(table: RawTable, spec: SplitSpec,
+            timed=contextlib.nullcontext) -> PreparedData:
     """Full preprocessing chain: encode, split, subsample, normalize.
 
     Normalization statistics are fitted on the final (post-subsample)
-    training split and applied unchanged to validation and test. When
-    given, ``stages`` times the ``"encode"`` and ``"split_normalize"``
-    steps through its ``timed(stage)`` context manager.
+    training split and applied unchanged to validation and test. The
+    ``"encode"`` and ``"split_normalize"`` steps each run inside the
+    context manager ``timed(step)`` returns, so a caller can time them.
     """
-    timed = stages.timed if stages is not None else _untimed
     with timed("encode"):
         encoded = one_hot_encode(table)
     with timed("split_normalize"):
@@ -450,10 +450,6 @@ def prepare(table: RawTable, spec: SplitSpec, stages=None) -> PreparedData:
             norm=norm,
             meta=meta,
         )
-
-
-def _untimed(stage: str) -> contextlib.AbstractContextManager:
-    return contextlib.nullcontext()
 
 
 def save_cache(path: str | Path, prepared: PreparedData, source_sha256: str = "") -> None:

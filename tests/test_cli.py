@@ -2,6 +2,7 @@ import json
 import logging
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,14 @@ def experiment(tmp_path):
     config_path = tmp_path / "experiment.json"
     config_path.write_text(json.dumps(config))
     return config_path, tmp_path / "out", config
+
+
+def _readme_config() -> dict:
+    """The README's example `experiment.json`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    return json.loads(readme.split("`experiment.json`:\n\n```json\n", 1)[1]
+                      .split("```", 1)[0])
 
 
 class TestConfig:
@@ -111,6 +120,8 @@ class TestConfig:
                         "aug_factor": 5}]},
          "variant aegr_lof/prune sets ['aug_factor'], which only a prune_da "
          "variant reads"),
+        ({"variants": [5]}, "bad.json: cannot parse variant entry 5"),
+        ({"variants": ["lof_rawx"]}, "bad.json: unknown detector 'lof_rawx'"),
     ], ids=["top_level_key", "dataset_key", "lof_key", "variant_key",
             "duplicate_seeds", "duplicate_variants", "variant_without_detector",
             "seeds_not_list", "wilcoxon_pair_of_one", "wilcoxon_unconfigured",
@@ -120,7 +131,8 @@ class TestConfig:
             "seed_bool", "aug_factor_bool", "aug_sigma_nan", "schema_list",
             "schema_unknown_kind", "path_number", "output_dir_number",
             "has_header_string", "variants_number", "two_labels",
-            "seed_negative", "split_seed_negative", "aug_without_prune_da"])
+            "seed_negative", "split_seed_negative", "aug_without_prune_da",
+            "variant_number", "variant_unknown_detector"])
     def test_invalid_config_fails_before_loading_data(self, experiment, tmp_path,
                                                       capsys, change, offender):
         _, out_dir, config = experiment
@@ -130,6 +142,49 @@ class TestConfig:
             assert cli.main([command, "--config", str(path)]) == 1
             assert offender in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("content,offender", [
+        (b'{"dataset": {"path": "x.csv"},\n', "Expecting property name"),
+        (b'{"output_dir": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["truncated", "not_utf8"])
+    def test_unparsable_config_names_the_file(self, tmp_path, capsys, content,
+                                              offender):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert cli.main(["prepare", "--config", str(path)]) == 1
+        assert f"error: {path}: {offender}" in capsys.readouterr().err
+
+    def test_directory_in_place_of_a_file_fails_without_traceback(
+            self, experiment, tmp_path, capsys):
+        _, _, config = experiment
+        assert cli.main(["prepare", "--config", str(tmp_path)]) == 1
+        assert "error: " in capsys.readouterr().err
+        path = tmp_path / "dir.json"
+        path.write_text(json.dumps({**config, "dataset": {"path": str(tmp_path)}}))
+        assert cli.main(["prepare", "--config", str(path)]) == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_readme_example_names_every_key(self, tmp_path):
+        raw = _readme_config()
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(raw))
+        cli.load_experiment_config(path)
+        assert raw.keys() == cli.CONFIG_TABLE.keys()
+        for section, table in cli.SECTION_TABLES.items():
+            assert raw[section].keys() == table.keys(), section
+
+    @pytest.mark.parametrize("source", ["readme", "experiment"])
+    def test_resolved_config_loads_to_itself(self, experiment, tmp_path, source):
+        raw = _readme_config() if source == "readme" else experiment[2]
+        path = tmp_path / "first.json"
+        path.write_text(json.dumps(raw))
+        first = cli.load_experiment_config(path)
+        path = tmp_path / "again.json"
+        path.write_text(json.dumps({**first.resolved,
+                                    "output_dir": first.output_dir}))
+        again = cli.load_experiment_config(path)
+        assert again.resolved == first.resolved
+        assert (again.split, again.train) == (first.split, first.train)
 
     def test_non_object_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "list.json"
@@ -258,7 +313,7 @@ class TestRun:
                 else:
                     assert applied == "1" and 0 <= int(batch) < 12
         stage_s = report["environment"]["stage_s"]
-        assert set(stage_s) == {"train", "score", "metrics_write"}
+        assert set(stage_s) == {"lof_raw", "train", "write", "head", "report"}
         assert all(seconds > 0 for seconds in stage_s.values())
 
     def test_report_block_deterministic(self, experiment, tmp_path):
@@ -312,7 +367,8 @@ class TestRun:
         units = timings["units"]
         by_kind = Counter(unit["kind"] for unit in units)
         # 2 seeds x 7 network heads, one write per network, one lof_raw
-        assert by_kind == {"lof_raw": 1, "train": 1, "write": 4, "head": 14}
+        assert by_kind == {"lof_raw": 1, "train": 1, "write": 4, "head": 14,
+                           "report": 1}
         train = next(unit for unit in units if unit["kind"] == "train")
         assert train["networks"] == ["ae_0", "aegr_0", "ae_1", "aegr_1"]
         # the stack trains on the calling thread, never in a pool worker
@@ -342,7 +398,12 @@ class TestRun:
         environment = json.loads((out_dir / "report.json").read_text())[
             "environment"]
         assert environment["duration_s"] == timings["duration_s"]
-        assert set(environment["stage_s"]) == {"train", "score", "metrics_write"}
+        # stage_s is each kind's busy seconds, summed in the file's order
+        stage_s: dict[str, float] = {}
+        for unit in units:
+            stage_s[unit["kind"]] = (stage_s.get(unit["kind"], 0.0)
+                                     + (unit["stop_s"] - unit["start_s"]))
+        assert environment["stage_s"] == stage_s
 
     def test_rerun_deletes_the_earlier_runs_files(self, experiment, capsys):
         config_path, out_dir, _ = experiment
@@ -507,7 +568,7 @@ class TestRun:
         # the heads of a failed network never run
         timings = json.loads((out_dir / "timings.json").read_text())
         assert Counter(u["kind"] for u in timings["units"]) == {
-            "lof_raw": 1, "train": 1}
+            "lof_raw": 1, "train": 1, "report": 1}
 
     def test_wilcoxon_needs_five_seeds(self, experiment, tmp_path):
         config_path, out_dir, config = experiment
