@@ -20,8 +20,9 @@ weights are held as (S, out, in) and biases as (S, out), so each numpy
 call of a batch step serves every network. numpy computes a stack one
 network slice at a time with the single-network arithmetic, so each
 network ends bit-identical to training it alone, which :func:`train`
-does as a stack of one. The networks may differ in seed and reversal
-start, so plain and reversal networks share a stack.
+does as a stack of one. The networks share one :class:`TrainConfig`, and
+each has its own (seed, reversal) key, so plain and reversal networks
+share a stack.
 
 Early stopping reads each network's validation loss after every epoch,
 one pass per network, which may run on a thread pool; a pass writes into
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -110,7 +111,6 @@ class TrainConfig:
     gr_start_epoch: int = 5
     patience: int = 10
     min_improvement: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_epochs < 1:
@@ -127,8 +127,6 @@ class TrainConfig:
             )
         if self.gr_start_epoch < 0:
             raise ValueError(f"gr_start_epoch must be >= 0, got {self.gr_start_epoch}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -275,32 +273,18 @@ def gradient_score(g: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(g * g, axis=(-2, -1)))
 
 
-# TrainConfig fields every network of a stack must share: the stack steps
-# through the same batches and epochs with one learning rate
-_STACK_SHARED = tuple(f.name for f in fields(TrainConfig)
-                      if f.name not in ("seed", "gr_start_epoch"))
-
-
 def _check_stack(nets: Sequence[Network], train_data: Dataset,
-                 val_data: Dataset, cfgs: Sequence[TrainConfig]) -> None:
+                 val_data: Dataset, keys: Sequence[tuple[int, bool]]) -> None:
     if not nets:
         raise ValueError("train_stack needs at least one network")
-    if len(cfgs) != len(nets):
-        raise ValueError(f"{len(nets)} networks but {len(cfgs)} training configs")
+    if len(keys) != len(nets):
+        raise ValueError(f"{len(nets)} networks but {len(keys)} keys")
     widths = nets[0].widths
     for net in nets[1:]:
         if net.widths != widths:
             raise ValueError(
                 f"stacked networks must share one architecture, got widths "
                 f"{widths} and {net.widths}"
-            )
-    for cfg in cfgs[1:]:
-        differ = [name for name in _STACK_SHARED
-                  if getattr(cfg, name) != getattr(cfgs[0], name)]
-        if differ:
-            raise ValueError(
-                f"stacked networks may differ only in seed and "
-                f"gr_start_epoch, not in {differ}"
             )
     for split, data in (("training", train_data), ("validation", val_data)):
         if data.n_features != widths[0]:
@@ -314,24 +298,26 @@ def train_stack(
     nets: Sequence[Network],
     train_data: Dataset,
     val_data: Dataset,
-    cfgs: Sequence[TrainConfig],
+    cfg: TrainConfig,
+    keys: Sequence[tuple[int, bool]],
     *,
     map: Callable = map,
 ) -> list[tuple[Network, list[EpochStats]] | RuntimeError]:
     """Train copies of S networks of one architecture in lockstep.
 
-    Network ``i`` trains with ``cfgs[i]``, which may differ from the other
-    configs only in ``seed`` (its batch shuffling) and ``gr_start_epoch``,
-    so plain and reversal networks share a stack; anything else, an empty
-    stack, networks of different widths or data of another width raises
-    ``ValueError`` before the first batch. Weights are held as
-    (S, out, in) and biases as (S, out), so each numpy call of a batch
-    step serves every network; numpy computes each network's slice as the
-    single-network step does, so each result is bit-identical to training
-    that network alone.
+    Every network trains with ``cfg``. Network ``i`` has the key
+    ``keys[i]``, a (seed, reversal) pair: the seed drives its batch
+    shuffling, and a network whose reversal is False never reverses, so
+    plain and reversal networks share a stack. An empty stack, a key count
+    other than the network count, networks of different widths or data of
+    another width raises ``ValueError`` before the first batch. Weights
+    are held as (S, out, in) and biases as (S, out), so each numpy call of
+    a batch step serves every network; numpy computes each network's slice
+    as the single-network step does, so each result is bit-identical to
+    training that network alone.
 
     Each epoch iterates minibatches with forward/backward/SGD. In epochs
-    past a network's ``gr_start_epoch`` the batch with its highest
+    past ``cfg.gr_start_epoch`` a reversal network's batch with the highest
     gradient score is tracked (only that batch's gradients are retained,
     bounding memory to one gradient set per network) and its stored
     gradient is applied inverted at epoch end. Rows are reshuffled into
@@ -349,14 +335,13 @@ def train_stack(
     the one running this call, or it waits on its own workers.
 
     The input networks are not modified, so repeated calls with the same
-    configs produce bitwise-identical results.
+    config and keys produce bitwise-identical results.
 
     Returns, per network, its best-validation network and history, or the
     ``RuntimeError`` that ended it on a non-finite training or validation
     loss.
     """
-    _check_stack(nets, train_data, val_data, cfgs)
-    cfg = cfgs[0]
+    _check_stack(nets, train_data, val_data, keys)
     x_train = train_data.features
     x_val = val_data.features
     n = x_train.shape[0]
@@ -369,8 +354,8 @@ def train_stack(
                np.stack([net.params[j][1] for net in nets]))
               for j in range(len(nets[0].params))]
     orders = np.tile(np.arange(n), (n_nets, 1))
-    gr_start = np.array([c.gr_start_epoch for c in cfgs])
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    reverses = np.array([reversal for _, reversal in keys], dtype=bool)
+    rngs = [np.random.default_rng(seed) for seed, _ in keys]
     # a validation pass reads the same rows every epoch, so each thread
     # that runs passes allocates its activation and smooth-L1 work arrays
     # once and reuses them
@@ -395,7 +380,7 @@ def train_stack(
     for epoch in range(1, cfg.max_epochs + 1):
         if not ids.size:
             break
-        reversing = epoch > gr_start[ids]
+        reversing = reverses[ids] & (epoch > cfg.gr_start_epoch)
         # summed training loss; highest gradient score, its batch and grads
         loss_sum = np.zeros(ids.size)
         best_score = np.full(ids.size, math.nan)
@@ -485,18 +470,19 @@ def train(
     train_data: Dataset,
     val_data: Dataset,
     cfg: TrainConfig,
+    seed: int = 0,
 ) -> tuple[Network, list[EpochStats]]:
     """Train a copy of ``net``; returns the best-validation network and
     its history.
 
-    This is :func:`train_stack` on a stack of one, which describes the
-    training; that network's error is raised here.
+    This is :func:`train_stack` on a stack of one, keyed ``(seed, True)``,
+    which describes the training; that network's error is raised here.
 
     Raises:
         ValueError: Data of another width than the network's input.
         RuntimeError: Non-finite training or validation loss.
     """
-    result = train_stack([net], train_data, val_data, [cfg])[0]
+    result = train_stack([net], train_data, val_data, cfg, [(seed, True)])[0]
     if isinstance(result, RuntimeError):
         raise result
     return result

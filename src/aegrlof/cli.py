@@ -73,11 +73,10 @@ _KINDS = {
 }
 
 
-def _table(cls, *skip: str) -> dict[str, tuple[str, Any]]:
+def _table(cls) -> dict[str, tuple[str, Any]]:
     # annotations are strings under `from __future__ import annotations`;
     # "float | None" -> "float"
-    return {f.name: (f.type.split(" | ")[0], f.default)
-            for f in fields(cls) if f.name not in skip}
+    return {f.name: (f.type.split(" | ")[0], f.default) for f in fields(cls)}
 
 
 # Each config object's keys, as key -> (kind, default); a MISSING default
@@ -97,8 +96,7 @@ SECTION_TABLES = {
     "dataset": {"path": ("str", MISSING), "has_header": ("bool-or-null", None),
                 "schema": ("object", {})},
     "split": _table(SplitSpec),
-    # the seed comes from the run's seed list
-    "train": _table(ae.TrainConfig, "seed"),
+    "train": _table(ae.TrainConfig),
     "lof": {"min_pts": ("int", 20)},
 }
 VARIANT_KEYS = ("detector", "modifier", "aug_factor", "aug_sigma")
@@ -481,7 +479,8 @@ def cmd_run(
 
         networks: list = []
         if keys:
-            with timeline.unit("train", networks=[_network_name(k) for k in keys]):
+            names = [_network_name(k) for k in keys]
+            with timeline.unit("train", networks=names) as record:
                 try:
                     networks = train_networks(keys, prepared.train, prepared.val,
                                               prepared.test, config.train,
@@ -489,9 +488,11 @@ def cmd_run(
                 except Exception as exc:  # every head fails alike
                     logger.exception("training networks %s failed", keys)
                     networks = [exc] * len(keys)
-            logger.info("trained stack %s: epochs %s", keys,
-                        [len(n.history) if isinstance(n, TrainedNetwork) else None
-                         for n in networks])
+                # epochs run per network, null for a failed one
+                record["epochs"] = {
+                    name: len(n.history) if isinstance(n, TrainedNetwork) else None
+                    for name, n in zip(names, networks)}
+            logger.info("trained stack: epochs %s", record["epochs"])
 
         for key, network in zip(keys, networks):
             heads = network_heads[key]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -481,19 +482,30 @@ def save_cache(path: str | Path, prepared: PreparedData, source_sha256: str = ""
 
 
 def load_cache(path: str | Path) -> PreparedData:
-    """Load splits written by :func:`save_cache`."""
-    with np.load(path, allow_pickle=False) as npz:
-        version = int(npz["cache_version"])
-        if version != CACHE_VERSION:
-            raise ValueError(
-                f"{path}: cache version {version} unsupported "
-                f"(expected {CACHE_VERSION})"
-            )
-        names = [str(s) for s in npz["feature_names"]]
-        parts = {}
-        for part in ("train", "val", "test"):
-            labels = npz[f"{part}_labels"] if f"{part}_labels" in npz.files else None
-            parts[part] = Dataset(npz[f"{part}_features"], list(names), labels)
-        norm = NormParams(npz["norm_min"], npz["norm_max"])
-        meta = {"source_sha256": str(npz["source_sha256"])}
-    return PreparedData(parts["train"], parts["val"], parts["test"], norm, meta)
+    """Load splits written by :func:`save_cache`.
+
+    A cache of another version, and a file that cannot be read as a cache
+    (cut short, overwritten, or missing an array), raise ``ValueError``
+    naming the file.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            version = int(npz["cache_version"])
+            if version == CACHE_VERSION:
+                names = [str(s) for s in npz["feature_names"]]
+                parts = [Dataset(npz[f"{part}_features"], list(names),
+                                 npz.get(f"{part}_labels"))
+                         for part in ("train", "val", "test")]
+                norm = NormParams(npz["norm_min"], npz["norm_max"])
+                meta = {"source_sha256": str(npz["source_sha256"])}
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(
+            f"{path}: damaged dataset cache ({type(exc).__name__}: {exc}); "
+            "run `prepare` again"
+        ) from exc
+    if version != CACHE_VERSION:
+        raise ValueError(
+            f"{path}: cache version {version} unsupported "
+            f"(expected {CACHE_VERSION})"
+        )
+    return PreparedData(*parts, norm, meta)

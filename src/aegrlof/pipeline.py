@@ -12,13 +12,14 @@ reference set.
 
 Every detector but ``lof_raw`` is a scoring head on one trained network:
 ``ae_re`` and ``ae_lof/*`` on the plain network, ``aegr_lof/*`` on the
-gradient-reversal one. :func:`train_networks` trains each network once,
-all of one call in lockstep, and records in a :class:`TrainedNetwork`
-everything the heads read: one forward pass per split gives the latents
-and reconstruction errors, and one :func:`prune` call the rows pruning
-keeps. :func:`run_variant` scores one head from a network: it picks the
-LOF reference and fits and scores LOF. A head reads the network's arrays
-and never changes them, so every head of a network can share it.
+gradient-reversal one. :func:`train_networks` trains one network per
+(seed, reversal) key, each once, all of one call in lockstep with one
+training config, and records in a :class:`TrainedNetwork` everything the
+heads read: one forward pass per split gives the latents and
+reconstruction errors, and one :func:`prune` call the rows pruning keeps.
+:func:`run_variant` scores one head from a network: it picks the LOF
+reference and fits and scores LOF. A head reads the network's arrays and
+never changes them, so every head of a network can share it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -190,17 +191,13 @@ def train_networks(
     splits with each, one forward pass per split, and prune its training
     rows once. ``map`` runs the stack's validation passes.
 
-    A key's seed drives initialization and batch shuffling and overrides
-    ``cfg.seed``. Without reversal the reversal start is moved to
-    ``cfg.max_epochs``, which yields plain SGD. A network whose training
-    diverged gets its ``RuntimeError`` in place of a result.
+    A key's seed drives initialization and batch shuffling; a key without
+    reversal trains by plain SGD. A network whose training diverged gets
+    its ``RuntimeError`` in place of a result.
     """
-    cfgs = [replace(cfg, seed=seed,
-                    gr_start_epoch=cfg.gr_start_epoch if reversal else cfg.max_epochs)
-            for seed, reversal in keys]
     nets = [ae.build_architecture(train_data.n_features, seed=seed)
             for seed, _ in keys]
-    results = ae.train_stack(nets, train_data, val_data, cfgs, map=map)
+    results = ae.train_stack(nets, train_data, val_data, cfg, keys, map=map)
     return [result if isinstance(result, RuntimeError)
             else _encode_splits(key, *result, train_data, test_data)
             for key, result in zip(keys, results)]

@@ -185,11 +185,12 @@ def pair_count_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def reference_plain_sgd(net: ae.Network, train_data: Dataset, val_data: Dataset,
-                        cfg: ae.TrainConfig) -> tuple[ae.Network, int]:
+                        cfg: ae.TrainConfig, seed: int = 0) -> tuple[ae.Network, int]:
     """Minimal minibatch-SGD trainer implementing the documented training
-    contract without any gradient recording or reversal code paths."""
+    contract without any gradient recording or reversal code paths; ``seed``
+    drives the batch shuffling."""
     net = net.copy()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     x = train_data.features
     n = x.shape[0]
     order = np.arange(n)

@@ -103,10 +103,10 @@ def test_criterion_3_reversal_identity():
     val_ds = data.Dataset(rng_data.normal(size=(30, 7)) * 0.5,
                           train_ds.feature_names)
     cfg = ae.TrainConfig(max_epochs=12, batch_size=16, learning_rate=0.05,
-                         gr_start_epoch=12, patience=5, seed=11)
+                         gr_start_epoch=12, patience=5)
     net0 = ae.build_architecture(7, seed=11)
-    trained, history = ae.train(net0, train_ds, val_ds, cfg)
-    reference, _ = reference_plain_sgd(net0, train_ds, val_ds, cfg)
+    trained, history = ae.train(net0, train_ds, val_ds, cfg, seed=11)
+    reference, _ = reference_plain_sgd(net0, train_ds, val_ds, cfg, seed=11)
     params_equal = all(
         np.array_equal(wa, wb) and np.array_equal(ba, bb)
         for (wa, ba), (wb, bb) in zip(trained.params, reference.params)
@@ -204,7 +204,7 @@ def test_criterion_7_synthetic_directional():
     the random-ranking baseline (test-set prevalence) on >= 4/5 seeds."""
     start = time.time()
     cfg = ae.TrainConfig(max_epochs=30, batch_size=16, learning_rate=0.05,
-                         gr_start_epoch=5, patience=8, seed=0)
+                         gr_start_epoch=5, patience=8)
     pr_by_variant: dict[tuple[str, str], list[float]] = {}
     prevalence_by_seed: list[float] = []
     for seed in range(5):
@@ -344,7 +344,7 @@ def test_criterion_9_pruning_contract():
     train, val, test = (data.normalize_apply(norm, s)
                         for s in (train, val, test))
     cfg = ae.TrainConfig(max_epochs=10, batch_size=16, learning_rate=0.05,
-                         gr_start_epoch=4, patience=5, seed=0)
+                         gr_start_epoch=4, patience=5)
     [network] = pipeline.train_networks([(0, True)], train, val, test, cfg)
     run = pipeline.run_variant(pipeline.VariantSpec("aegr_lof", "prune", seed=0),
                                train, test, 15, network)

@@ -258,10 +258,10 @@ class TestTrain:
         train = _random_dataset(60, 5, seed=0)
         val = _random_dataset(20, 5, seed=1)
         cfg = ae.TrainConfig(max_epochs=8, batch_size=8, learning_rate=0.05,
-                             gr_start_epoch=3, patience=4, seed=42)
+                             gr_start_epoch=3, patience=4)
         net = ae.build_architecture(5, seed=9)
-        net_a, hist_a = ae.train(net, train, val, cfg)
-        net_b, hist_b = ae.train(net, train, val, cfg)
+        net_a, hist_a = ae.train(net, train, val, cfg, seed=42)
+        net_b, hist_b = ae.train(net, train, val, cfg, seed=42)
         for (wa, ba), (wb, bb) in zip(net_a.params, net_b.params):
             np.testing.assert_array_equal(wa, wb)
             np.testing.assert_array_equal(ba, bb)
@@ -272,11 +272,11 @@ class TestTrain:
         train = _random_dataset(rows, 3, seed=6)
         val = _random_dataset(20, 3, seed=7)
         net = ae.build_architecture(3, seed=1)
-        unset = ae.TrainConfig(max_epochs=2, gr_start_epoch=0, seed=3)
+        unset = ae.TrainConfig(max_epochs=2, gr_start_epoch=0)
         assert unset.batch_size is None
         explicit = replace(unset, batch_size=ae.default_batch_size(rows))
-        net_a, hist_a = ae.train(net, train, val, unset)
-        net_b, hist_b = ae.train(net, train, val, explicit)
+        net_a, hist_a = ae.train(net, train, val, unset, seed=3)
+        net_b, hist_b = ae.train(net, train, val, explicit, seed=3)
         for (wa, ba), (wb, bb) in zip(net_a.params, net_b.params):
             np.testing.assert_array_equal(wa, wb)
             np.testing.assert_array_equal(ba, bb)
@@ -295,10 +295,10 @@ class TestTrain:
         train = _random_dataset(70, 6, seed=2)
         val = _random_dataset(25, 6, seed=3)
         cfg = ae.TrainConfig(max_epochs=10, batch_size=16, learning_rate=0.05,
-                             gr_start_epoch=10, patience=3, seed=5)
+                             gr_start_epoch=10, patience=3)
         net = ae.build_architecture(6, seed=4)
-        trained, history = ae.train(net, train, val, cfg)
-        reference, _ = reference_plain_sgd(net, train, val, cfg)
+        trained, history = ae.train(net, train, val, cfg, seed=5)
+        reference, _ = reference_plain_sgd(net, train, val, cfg, seed=5)
         for (wt, bt), (wr, br) in zip(trained.params, reference.params):
             np.testing.assert_array_equal(wt, wr)
             np.testing.assert_array_equal(bt, br)
@@ -310,7 +310,7 @@ class TestTrain:
         train = _random_dataset(12, 4, seed=6)
         val = _random_dataset(6, 4, seed=7)
         cfg = ae.TrainConfig(max_epochs=4, batch_size=12, learning_rate=0.1,
-                             gr_start_epoch=0, patience=0, seed=0)
+                             gr_start_epoch=0, patience=0)
         net = ae.build_architecture(4, seed=8)
         trained, history = ae.train(net, train, val, cfg)
         assert all(h.reversal_applied for h in history)
@@ -321,8 +321,9 @@ class TestTrain:
         train = _random_dataset(50, 4, seed=1)
         val = _random_dataset(20, 4, seed=2)
         cfg = ae.TrainConfig(max_epochs=6, batch_size=10, learning_rate=0.02,
-                             gr_start_epoch=3, patience=0, seed=1)
-        _, history = ae.train(ae.build_architecture(4, seed=1), train, val, cfg)
+                             gr_start_epoch=3, patience=0)
+        _, history = ae.train(ae.build_architecture(4, seed=1), train, val, cfg,
+                              seed=1)
         for h in history:
             if h.epoch <= 3:
                 assert not h.reversal_applied and math.isnan(h.max_gs)
@@ -333,8 +334,7 @@ class TestTrain:
 
     def test_returns_best_validation_network(self):
         cfg = ae.TrainConfig(max_epochs=20, batch_size=16, learning_rate=0.1,
-                             gr_start_epoch=2, patience=0, min_improvement=0.0,
-                             seed=2)
+                             gr_start_epoch=2, patience=0, min_improvement=0.0)
         # the tall case holds far more validation rows than training rows and
         # more than 8192 elements, so the validation pass over reused work
         # arrays is pinned bit for bit to smooth_l1_loss(forward(...))
@@ -342,7 +342,7 @@ class TestTrain:
             train = _random_dataset(n_train, 5, seed=3)
             val = _random_dataset(n_val, 5, seed=4)
             trained, history = ae.train(ae.build_architecture(5, seed=2), train,
-                                        val, cfg)
+                                        val, cfg, seed=2)
             returned = ae.smooth_l1_loss(
                 ae.forward(trained.params, val.features)[-1], val.features)
             assert returned == min(h.val_loss for h in history)
@@ -352,7 +352,7 @@ class TestTrain:
         val = _random_dataset(15, 3, seed=6)
         cfg = ae.TrainConfig(max_epochs=500, batch_size=8, learning_rate=1e-6,
                              gr_start_epoch=500, patience=3,
-                             min_improvement=0.5, seed=0)
+                             min_improvement=0.5)
         _, history = ae.train(ae.build_architecture(3, seed=0), train, val, cfg)
         assert len(history) < 500
 
@@ -392,7 +392,7 @@ class TestTrain:
         train = _random_dataset(50, 4, seed=3)
         val = _random_dataset(10, 4, seed=4)
         cfg = ae.TrainConfig(max_epochs=1, batch_size=8, learning_rate=0.3,
-                             gr_start_epoch=0, patience=0, seed=0)
+                             gr_start_epoch=0, patience=0)
         net = ae.build_architecture(4, seed=5)
         _, history = ae.train(net, train, val, cfg)
         replay, scores = net.copy(), []
@@ -424,20 +424,22 @@ def _assert_same_results(got, want):
         assert repr(got_one[1]) == repr(want_one[1])
 
 
-def _train_alone_and_stacked(nets, train, val, cfgs):
+def _train_alone_and_stacked(nets, train, val, cfg, keys):
     """Train each network alone and all of them as one stack, with the
     validation passes run in order and on a 2-thread pool; assert the
     results are identical bit for bit and return the stacked ones."""
     # the stack trains first, so a stack that changed its input networks
     # would show here
-    stacked = ae.train_stack(nets, train, val, cfgs)
+    stacked = ae.train_stack(nets, train, val, cfg, keys)
     with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
         _assert_same_results(
-            ae.train_stack(nets, train, val, cfgs, map=pool.map), stacked)
+            ae.train_stack(nets, train, val, cfg, keys, map=pool.map), stacked)
     alone = []
-    for net, cfg in zip(nets, cfgs):
+    for net, (seed, reversal) in zip(nets, keys):
+        # alone, a plain network is one whose reversal starts after training
+        alone_cfg = cfg if reversal else replace(cfg, gr_start_epoch=cfg.max_epochs)
         try:
-            alone.append(ae.train(net, train, val, cfg))
+            alone.append(ae.train(net, train, val, alone_cfg, seed=seed))
         except RuntimeError as exc:
             alone.append(exc)
     _assert_same_results(stacked, alone)
@@ -447,74 +449,75 @@ def _train_alone_and_stacked(nets, train, val, cfgs):
 class TestTrainStack:
     @settings(max_examples=30, deadline=None)
     @given(width=st.integers(3, 16),
-           networks=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 6)),
-                             min_size=1, max_size=4),
+           keys=st.lists(st.tuples(st.integers(0, 2**16), st.booleans()),
+                         min_size=1, max_size=4),
            rows=st.tuples(st.integers(8, 60), st.integers(1, 30)),
            batch_size=st.integers(1, 16),
            learning_rate=st.sampled_from([0.01, 0.05, 0.3]),
+           gr_start_epoch=st.integers(0, 6),
            patience=st.integers(0, 3),
            min_improvement=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
            data_seed=st.integers(0, 1000))
-    def test_stack_matches_separate_training(self, width, networks, rows,
+    def test_stack_matches_separate_training(self, width, keys, rows,
                                              batch_size, learning_rate,
-                                             patience, min_improvement,
-                                             data_seed):
+                                             gr_start_epoch, patience,
+                                             min_improvement, data_seed):
         train = _random_dataset(rows[0], width, seed=data_seed)
         val = _random_dataset(rows[1], width, seed=data_seed + 1)
-        nets = [ae.build_architecture(width, seed=seed) for seed, _ in networks]
-        cfgs = [ae.TrainConfig(max_epochs=6, batch_size=batch_size,
-                               learning_rate=learning_rate, gr_start_epoch=start,
-                               patience=patience, min_improvement=min_improvement,
-                               seed=seed)
-                for seed, start in networks]
-        _train_alone_and_stacked(nets, train, val, cfgs)
+        nets = [ae.build_architecture(width, seed=seed) for seed, _ in keys]
+        cfg = ae.TrainConfig(max_epochs=6, batch_size=batch_size,
+                             learning_rate=learning_rate,
+                             gr_start_epoch=gr_start_epoch, patience=patience,
+                             min_improvement=min_improvement)
+        _train_alone_and_stacked(nets, train, val, cfg, keys)
 
     def test_networks_stopping_at_different_epochs_leave_the_stack(self):
         train = _random_dataset(300, 7, seed=0)
         val = _random_dataset(100, 7, seed=1)
-        keys = [(seed, start) for seed in range(3) for start in (2, 60)]
-        cfgs = [ae.TrainConfig(max_epochs=60, batch_size=16, learning_rate=0.05,
-                               gr_start_epoch=start, patience=2,
-                               min_improvement=1e-3, seed=seed)
-                for seed, start in keys]
+        keys = [(seed, reversal) for seed in range(3) for reversal in (False, True)]
+        cfg = ae.TrainConfig(max_epochs=60, batch_size=16, learning_rate=0.05,
+                             gr_start_epoch=2, patience=2, min_improvement=1e-3)
         nets = [ae.build_architecture(7, seed=seed) for seed, _ in keys]
-        stacked = _train_alone_and_stacked(nets, train, val, cfgs)
+        stacked = _train_alone_and_stacked(nets, train, val, cfg, keys)
         epochs = [len(history) for _, history in stacked]
         assert len(set(epochs)) > 2 and max(epochs) < 60
 
-    @pytest.mark.parametrize("starts", [(2, 6, 2), (0, 0, 0)],
+    @pytest.mark.parametrize("gr_start_epoch,reversals",
+                             [(2, (True, False, True)), (0, (True, True, True))],
                              ids=["mixed", "all_reversing"])
-    def test_diverging_network_leaves_the_others_unchanged(self, starts):
-        # at (0, 0, 0) every network reverses in the epoch where network 1
-        # diverges, and its diverged slices train on beside the others'
-        # until the epoch ends
+    def test_diverging_network_leaves_the_others_unchanged(self, gr_start_epoch,
+                                                           reversals):
+        # with every network reversing from epoch 1, each reverses in the
+        # epoch where network 1 diverges, and its diverged slices train on
+        # beside the others' until the epoch ends
         train = _random_dataset(40, 5, seed=0)
         val = _random_dataset(12, 5, seed=1)
-        cfgs = [ae.TrainConfig(max_epochs=6, batch_size=8, learning_rate=0.05,
-                               gr_start_epoch=start, seed=seed)
-                for seed, start in enumerate(starts)]
-        nets = [ae.build_architecture(5, seed=cfg.seed) for cfg in cfgs]
+        cfg = ae.TrainConfig(max_epochs=6, batch_size=8, learning_rate=0.05,
+                             gr_start_epoch=gr_start_epoch)
+        keys = list(enumerate(reversals))
+        nets = [ae.build_architecture(5, seed=seed) for seed, _ in keys]
         # output weights near float64's maximum overflow the first output
         nets[1].params[-1][0][:] *= 1e308
-        stacked = _train_alone_and_stacked(nets, train, val, cfgs)
+        stacked = _train_alone_and_stacked(nets, train, val, cfg, keys)
         assert str(stacked[1]).startswith(
             "training diverged: non-finite loss at epoch 1, batch ")
         assert [len(result[1]) for result in (stacked[0], stacked[2])] == [6, 6]
 
-    @pytest.mark.parametrize("nets,cfgs,message", [
+    @pytest.mark.parametrize("nets,keys,message", [
         ([], [], "at least one network"),
-        ([3], [ae.TrainConfig(), ae.TrainConfig()], "1 networks but 2"),
-        ([3, 4], [ae.TrainConfig()] * 2, "share one architecture"),
-        ([3, 3], [ae.TrainConfig(), ae.TrainConfig(learning_rate=0.1)],
-         r"differ only in seed and gr_start_epoch, not in \['learning_rate'\]"),
-        ([3, 3], [ae.TrainConfig(), ae.TrainConfig(patience=2, batch_size=4)],
-         r"not in \['batch_size', 'patience'\]"),
-    ], ids=["empty", "config_count", "widths", "learning_rate", "two_fields"])
-    def test_invalid_stack_rejected_before_training(self, nets, cfgs, message):
+        ([3], [(0, True), (1, True)], "1 networks but 2 keys"),
+        ([3, 4], [(0, True), (1, True)], "share one architecture"),
+        ([3], [(-1, True)], "non-negative"),
+    ], ids=["empty", "key_count", "widths", "negative_seed"])
+    def test_invalid_stack_rejected_before_training(self, nets, keys, message,
+                                                    monkeypatch):
+        steps = []
+        monkeypatch.setattr(ae, "backward", lambda *args: steps.append(args))
         train = _random_dataset(10, 3, 0)
         with pytest.raises(ValueError, match=message):
             ae.train_stack([ae.build_architecture(n, seed=0) for n in nets],
-                           train, train, cfgs)
+                           train, train, ae.TrainConfig(), keys)
+        assert steps == []
 
 
 class TestEncodeAndErrors:
@@ -588,8 +591,3 @@ def test_default_batch_size_rule():
     assert ae.default_batch_size(2001) == 64
     assert ae.default_batch_size(2000) == 16
     assert ae.default_batch_size(100) == 16
-
-
-def test_train_config_rejects_negative_seed():
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        ae.TrainConfig(seed=-1)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from aegrlof import autoencoder, cli, data, lof
+from aegrlof.storage import write_npz
 
 from conftest import make_embedded_blob, write_dataset_csv
 
@@ -273,6 +274,29 @@ class TestRun:
         assert cli.main(["run", "--config", str(config_path)]) == 1
         assert "prepare" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["truncated", "text", "no_version"])
+    def test_damaged_cache_is_an_input_error(self, experiment, capsys, damage):
+        config_path, out_dir, _ = experiment
+        cli.main(["prepare", "--config", str(config_path)])
+        cache = out_dir / cli.CACHE_FILENAME
+        if damage == "truncated":
+            cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2])
+        elif damage == "text":
+            cache.write_text("train,val,test\n1,2,3\n")
+        else:
+            with np.load(cache) as npz:
+                arrays = {name: npz[name] for name in npz.files
+                          if name != "cache_version"}
+            write_npz(cache, arrays)
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        [line] = [line for line in err.splitlines() if line.startswith("error:")]
+        assert line.startswith(f"error: {cache}: damaged dataset cache (")
+        assert line.endswith("); run `prepare` again")
+        assert "Traceback" not in err
+        assert not (out_dir / "report.json").exists()
+
     def test_full_run_report(self, experiment):
         config_path, out_dir, _ = experiment
         cli.main(["prepare", "--config", str(config_path)])
@@ -371,6 +395,10 @@ class TestRun:
                            "report": 1}
         train = next(unit for unit in units if unit["kind"] == "train")
         assert train["networks"] == ["ae_0", "aegr_0", "ae_1", "aegr_1"]
+        # each network's epochs, one history row apiece
+        assert train["epochs"] == {
+            name: len((out_dir / f"history_{name}.csv").read_text().splitlines()) - 1
+            for name in train["networks"]}
         # the stack trains on the calling thread, never in a pool worker
         assert train["thread"] == "MainThread"
         assert sorted((u["variant"], u["seed"]) for u in units
@@ -505,10 +533,9 @@ class TestRun:
 
         stacks = []
 
-        def train_stack(nets, train_data, val_data, cfgs, **kwargs):
-            stacks.append([(cfg.seed, cfg.gr_start_epoch < cfg.max_epochs)
-                           for cfg in cfgs])
-            return real_train_stack(nets, train_data, val_data, cfgs, **kwargs)
+        def train_stack(nets, train_data, val_data, cfg, keys, **kwargs):
+            stacks.append(list(keys))
+            return real_train_stack(nets, train_data, val_data, cfg, keys, **kwargs)
 
         real_train_stack = autoencoder.train_stack
         monkeypatch.setattr(autoencoder, "train_stack", train_stack)
@@ -569,6 +596,8 @@ class TestRun:
         timings = json.loads((out_dir / "timings.json").read_text())
         assert Counter(u["kind"] for u in timings["units"]) == {
             "lof_raw": 1, "train": 1, "report": 1}
+        [train] = [u for u in timings["units"] if u["kind"] == "train"]
+        assert train["epochs"] == dict.fromkeys(train["networks"])
 
     def test_wilcoxon_needs_five_seeds(self, experiment, tmp_path):
         config_path, out_dir, config = experiment

@@ -320,8 +320,9 @@ class TestCache:
                       for k in npz.files}
         arrays["cache_version"] = np.array(99, dtype=np.int64)
         storage.write_npz(path, arrays)
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError) as error:
             data.load_cache(path)
+        assert str(error.value) == f"{path}: cache version 99 unsupported (expected 1)"
 
 
 def test_prepare_subsamples_training_only():

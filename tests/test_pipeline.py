@@ -127,7 +127,7 @@ def _prepared_splits(seed=0, **blob_kwargs):
 
 
 _FAST_CFG = TrainConfig(max_epochs=12, batch_size=16, learning_rate=0.05,
-                        gr_start_epoch=4, patience=6, seed=0)
+                        gr_start_epoch=4, patience=6)
 
 
 def _score(spec, train, val, test, cfg=_FAST_CFG):
@@ -141,7 +141,7 @@ class TestRunVariant:
     def test_disabled_reversal_reduces_to_plain_ae_lof(self):
         train, val, test = _prepared_splits(seed=1, n_normal=240, n_anom=12)
         cfg = TrainConfig(max_epochs=8, batch_size=16, learning_rate=0.05,
-                          gr_start_epoch=8, patience=4, seed=0)
+                          gr_start_epoch=8, patience=4)
         run_plain = _score(pipeline.VariantSpec("ae_lof", seed=3),
                            train, val, test, cfg)
         run_gr_off = _score(pipeline.VariantSpec("aegr_lof", seed=3),
@@ -257,6 +257,25 @@ class TestTrainNetworks:
         for network in networks:
             np.testing.assert_array_equal(network.kept, real_prune(
                 network.train_latents, network.train_errors)[1])
+
+    def test_plain_and_reversal_twins_match_until_the_first_reversal(self):
+        # a seed's two networks share the initialization and the shuffles,
+        # so the plain one is the reversal one's counterfactual: identical
+        # through epoch g, and in epoch g + 1 until its end-of-epoch reversal
+        g = 4
+        train, val, test = _prepared_splits(seed=6, n_normal=240, n_anom=12)
+        cfg = TrainConfig(max_epochs=12, batch_size=16, learning_rate=0.05,
+                          gr_start_epoch=g, patience=0)
+        plain, aegr = pipeline.train_networks([(3, False), (3, True)], train, val,
+                                              test, cfg)
+        assert len(plain.history) == len(aegr.history) == 12
+        for p, r in zip(plain.history[:g], aegr.history[:g]):
+            assert (p.train_loss, p.val_loss) == (r.train_loss, r.val_loss)
+        assert plain.history[g].train_loss == aegr.history[g].train_loss
+        assert plain.history[g].val_loss != aegr.history[g].val_loss
+        assert not any(h.reversal_applied for h in plain.history)
+        assert ([h.reversal_applied for h in aegr.history]
+                == [False] * g + [True] * (12 - g))
 
 
 _NETWORK_VARIANTS = [v for v in pipeline.VARIANT_MATRIX if v[0] != "lof_raw"]
