@@ -99,6 +99,9 @@ SECTION_TABLES = {
     "train": _table(ae.TrainConfig),
     "lof": {"min_pts": ("int", 20)},
 }
+# The config objects `prepare` reads; the cache records them, and `run`
+# reads only a cache prepared with the config's.
+PREPARE_SECTIONS = ("dataset", "split")
 VARIANT_KEYS = ("detector", "modifier", "aug_factor", "aug_sigma")
 
 
@@ -313,11 +316,14 @@ def cmd_prepare(config: ExperimentConfig, out_dir: Path) -> int:
     cache_path = out_dir / CACHE_FILENAME
     with timeline.unit("write"):
         save_cache(cache_path, prepared,
-                   source_sha256=file_sha256(config.dataset_path))
+                   source_sha256=file_sha256(config.dataset_path),
+                   settings={section: config.resolved[section]
+                             for section in PREPARE_SECTIONS})
         cache_sha256 = file_sha256(cache_path)
     stage_s = _stage_seconds(timeline.units)
-    logger.info("prepare stages: %s", ", ".join(
-        f"{stage} {seconds:.3f} s" for stage, seconds in stage_s.items()))
+    logger.info("prepare stages: %s; csv parser %s", ", ".join(
+        f"{stage} {seconds:.3f} s" for stage, seconds in stage_s.items()),
+        table.parser)
 
     summary = {
         "raw_columns": len(table.columns),
@@ -331,6 +337,7 @@ def cmd_prepare(config: ExperimentConfig, out_dir: Path) -> int:
         "has_labels": prepared.meta["has_labels"],
         "cache": str(cache_path),
         "cache_sha256": cache_sha256,
+        "csv_parser": table.parser,
         "stage_s": stage_s,
     }
     atomic_write_text(out_dir / "prepare_summary.json",
@@ -355,6 +362,30 @@ _Outcome = tuple[VariantSpec, dict[str, Any] | None, str | None]
 _RUN_FILES = ("scores_*.csv", "history_*.csv", "latents_*.npz",
               "latent_scatter.csv", "kde_curves.csv", "report.json",
               "report.md", "timings.json")
+
+
+def _check_cache_source(config: ExperimentConfig, cache_path: Path,
+                        meta: dict[str, Any]) -> None:
+    """Fail unless the cache was prepared with the config's ``dataset`` and
+    ``split`` objects and, when the CSV is still there, from its bytes."""
+    differ = []
+    for section in PREPARE_SECTIONS:
+        cached = meta["settings"].get(section, {})
+        for key, value in config.resolved[section].items():
+            if cached.get(key) != value:
+                differ.append(f"{section}.{key}: cache {cached.get(key)!r}, "
+                              f"config {value!r}")
+    if differ:
+        raise ValueError(
+            f"{cache_path} was prepared with other settings "
+            f"({'; '.join(differ)}); run `prepare` again"
+        )
+    csv_path = Path(config.dataset_path)
+    if csv_path.is_file() and file_sha256(csv_path) != meta["source_sha256"]:
+        raise ValueError(
+            f"{csv_path} changed after `prepare` wrote {cache_path}; "
+            "run `prepare` again"
+        )
 
 
 def _done(value: Any) -> concurrent.futures.Future:
@@ -386,7 +417,9 @@ def cmd_run(
     with 1, everything runs in order on the calling thread. Each trained
     network writes ``history_<ae|aegr>_<seed>.csv`` and
     ``latents_<ae|aegr>_<seed>.npz``, and ``timings.json`` records when
-    and on which thread each unit ran.
+    and on which thread each unit ran. A cache prepared with other
+    ``dataset`` or ``split`` settings, or from a CSV that has changed
+    since, fails before anything runs.
     """
     cache_path = out_dir / CACHE_FILENAME
     if not cache_path.exists():
@@ -394,6 +427,7 @@ def cmd_run(
             f"prepared dataset not found at {cache_path}; run `prepare` first"
         )
     prepared = load_cache(cache_path)
+    _check_cache_source(config, cache_path, prepared.meta)
     if prepared.test.labels is None:
         raise ValueError(
             "test split has no labels; evaluation requires a label column"

@@ -7,9 +7,12 @@ subsample the training split, then min-max normalize every split into
 anomaly) are carried alongside the features but are never consumed by
 training code, only by evaluation.
 
-Tables are held by column (:class:`RawTable`), so loading and encoding
-work a whole column at a time; a file with a bad row or cell is scanned
-once more, cell by cell, only to name the first bad one.
+Tables are held by column (:class:`RawTable`). One ``np.loadtxt`` call
+parses a CSV's data rows; a file it cannot read, or one with a bad
+value, goes to a csv path that parses each column whole with Python's
+``float()`` and, for a bad row or cell, scans the file once more, cell
+by cell, only to name the first bad one. Encoding writes every column
+straight into one preallocated feature matrix.
 
 All operations are pure functions of their inputs plus an explicit seed,
 so they are safe to call concurrently.
@@ -19,11 +22,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
+import json
 import math
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -31,7 +36,7 @@ from .storage import write_npz
 
 COLUMN_KINDS = ("numeric", "categorical", "label")
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclass
@@ -44,11 +49,14 @@ class RawTable:
     label column, and a list of stripped strings for a categorical
     column. Numeric and label entries are converted to those arrays;
     categorical entries stay Python strings, so no value is truncated or
-    padded the way a fixed-width numpy string array would.
+    padded the way a fixed-width numpy string array would. ``parser``
+    names the path of :func:`load_csv` that read the table, ``"numpy"``
+    or ``"csv"``, and is None for a table built in code.
     """
 
     columns: list[tuple[str, str]]
     values: list[np.ndarray | list[str]]
+    parser: str | None = None
 
     def __post_init__(self) -> None:
         n_label = sum(1 for _, kind in self.columns if kind == "label")
@@ -114,9 +122,10 @@ class Dataset:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.features.shape[0],):
                 raise ValueError("labels length must match feature rows")
-            bad = set(np.unique(self.labels)) - {0, 1}
-            if bad:
-                raise ValueError(f"labels must be 0/1, found {sorted(bad)}")
+            binary = (self.labels == 0) | (self.labels == 1)
+            if not binary.all():
+                bad = list(np.unique(self.labels[~binary]))
+                raise ValueError(f"labels must be 0/1, found {bad}")
 
     @property
     def n_rows(self) -> int:
@@ -181,11 +190,17 @@ def load_csv(
 ) -> RawTable:
     """Parse a CSV file into a :class:`RawTable` under a column-kind schema.
 
-    The rows are transposed once and each column is parsed whole: numeric
-    and label cells with Python's ``float()``, categorical cells stripped.
-    When any row or cell is bad, the data rows are scanned again one cell
-    at a time in file order, so the error names the first bad row or
-    cell, exactly as a row-by-row parse would.
+    The file is read once. ``csv.reader`` finds the header and the first
+    data row, which fix the column names and count, and one
+    ``np.loadtxt`` call then parses every data row, with one field per
+    column: a row of another width, or a cell numpy cannot read as a
+    number, ends it. Such a file, and one with a non-finite number or a
+    label other than 0 or 1, is parsed again by the csv path: each column
+    whole with Python's ``float()``, which also reads ``1_000`` and
+    Unicode digits. When a row or cell is bad there too, the data rows are
+    scanned one cell at a time in file order, so the error names the first
+    bad row or cell, exactly as a row-by-row parse would. The table's
+    ``parser`` says which path read it.
 
     Args:
         path: CSV file, comma separated, UTF-8 (a leading byte-order mark
@@ -209,16 +224,17 @@ def load_csv(
         has_header = any(isinstance(k, str) for k in schema)
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        # blank lines come back as empty lists and are skipped
-        rows = list(filter(None, csv.reader(fh)))
-
-    header = None
-    if has_header and rows:
-        header = [c.strip() for c in rows.pop(0)]
-    if not rows:
+        text = fh.read()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    # blank lines come back as empty lists and are skipped
+    rows = filter(None, reader)
+    header = [c.strip() for c in next(rows, [])] if has_header else None
+    header_lines = reader.line_num
+    first = next(rows, None)
+    if first is None:
         raise ValueError(f"{path}: no rows")
 
-    width = len(rows[0])
+    width = len(first)
     names = header if header is not None else [f"col{i}" for i in range(width)]
     if len(names) != width:
         raise ValueError(
@@ -249,26 +265,76 @@ def load_csv(
                 raise ValueError(f"schema column {key!r} not found in header") from None
 
     columns = list(zip(names, kinds))
+    values = _loadtxt_columns(text, header_lines, kinds)
+    if values is not None:
+        return RawTable(columns=columns, values=values, parser="numpy")
+
+    rows = [first, *rows]
     if set(map(len, rows)) != {width}:
         raise _first_bad_cell(path, has_header, columns)
     n = len(rows)
-    values: list = []
+    values = []
     for kind, cells in zip(kinds, zip(*rows)):
         if kind == "categorical":
             values.append(list(map(str.strip, cells)))
             continue
         try:
-            col = np.fromiter(map(float, cells), np.float64, count=n)
+            col = _checked(np.fromiter(map(float, cells), np.float64, count=n), kind)
         except ValueError:
-            raise _first_bad_cell(path, has_header, columns) from None
-        if not np.isfinite(col).all():
+            col = None
+        if col is None:
             raise _first_bad_cell(path, has_header, columns)
-        if kind == "label":
-            if not ((col == 0.0) | (col == 1.0)).all():
-                raise _first_bad_cell(path, has_header, columns)
-            col = col.astype(np.int64)
         values.append(col)
-    return RawTable(columns=columns, values=values)
+    return RawTable(columns=columns, values=values, parser="csv")
+
+
+def _checked(col: np.ndarray, kind: str) -> np.ndarray | None:
+    """A parsed numeric or label column as :class:`RawTable` holds it, or
+    None when a value is not finite or a label is not 0 or 1."""
+    if not np.isfinite(col).all():
+        return None
+    if kind == "label":
+        if not ((col == 0.0) | (col == 1.0)).all():
+            return None
+        return col.astype(np.int64)
+    return col
+
+
+def _loadtxt_columns(text: str, skiprows: int,
+                     kinds: list[str]) -> list[np.ndarray | list[str]] | None:
+    """The data rows of ``text``, after its first ``skiprows`` lines, parsed
+    by one ``np.loadtxt`` call and held by column as :class:`RawTable`
+    holds them; None when a row or a cell is bad.
+
+    The caller has found a data row, so loadtxt never sees a file without
+    one, and a file holding an ASCII information separator (U+001C to
+    U+001F) is left to the csv path. Each column is one field of a
+    structured dtype, so a row of any other width raises; categorical
+    fields are Python strings (an ``object`` field), which keep trailing
+    NULs that a fixed-width string field would drop.
+    """
+    # numpy reads these separators around a number as whitespace, where
+    # float() rejects the cell
+    if any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        return None
+    dtype = [(f"f{j}", object if kind == "categorical" else np.float64)
+             for j, kind in enumerate(kinds)]
+    try:
+        parsed = np.loadtxt(io.StringIO(text, newline=""), dtype=dtype,
+                            delimiter=",", comments=None, quotechar='"',
+                            skiprows=skiprows, ndmin=1)
+    except ValueError:
+        return None
+    values: list[np.ndarray | list[str]] = []
+    for field, kind in zip(parsed.dtype.names, kinds):
+        if kind == "categorical":
+            values.append(list(map(str.strip, parsed[field].tolist())))
+            continue
+        col = _checked(np.ascontiguousarray(parsed[field]), kind)
+        if col is None:
+            return None
+        values.append(col)
+    return values
 
 
 def _first_bad_cell(
@@ -319,24 +385,29 @@ def one_hot_encode(table: RawTable) -> Dataset:
     """
     n = table.n_rows
     names: list[str] = []
-    # the empty block keeps a table without feature columns 2-D
-    blocks: list[np.ndarray] = [np.zeros((n, 0))]
+    # each feature column's values, and each indicator block's per-row
+    # column, by the feature index they start at
+    numeric: list[tuple[int, np.ndarray]] = []
+    indicators: list[tuple[int, np.ndarray]] = []
     labels = None
     for (name, kind), col in zip(table.columns, table.values):
         if kind == "label":
             labels = col.copy()
         elif kind == "numeric":
-            blocks.append(col.reshape(n, 1))
+            numeric.append((len(names), col))
             names.append(name)
         else:
             cats = sorted(set(col))
             index = {c: k for k, c in enumerate(cats)}
             codes = np.fromiter(map(index.__getitem__, col), np.intp, count=n)
-            block = np.zeros((n, len(cats)))
-            block[np.arange(n), codes] = 1.0
-            blocks.append(block)
+            indicators.append((len(names), codes))
             names.extend(f"{name}={c}" for c in cats)
-    features = np.concatenate(blocks, axis=1)
+    features = np.zeros((n, len(names)))
+    for start, col in numeric:
+        features[:, start] = col
+    rows = np.arange(n)
+    for start, codes in indicators:
+        features[rows, start + codes] = 1.0
 
     if not np.all(np.isfinite(features)):
         raise ValueError("non-finite feature values after encoding")
@@ -453,11 +524,15 @@ def prepare(table: RawTable, spec: SplitSpec,
         )
 
 
-def save_cache(path: str | Path, prepared: PreparedData, source_sha256: str = "") -> None:
+def save_cache(path: str | Path, prepared: PreparedData, source_sha256: str = "",
+               settings: Mapping[str, Any] | None = None) -> None:
     """Persist prepared splits to a versioned, byte-reproducible .npz.
 
-    A feature name the stored string array cannot hold (numpy drops
-    trailing NULs) raises ``ValueError`` before anything is written.
+    ``source_sha256`` names the CSV the splits came from, and ``settings``,
+    a JSON object, the settings they were prepared with; both come back
+    in :func:`load_cache`'s ``meta``. A feature name the stored string
+    array cannot hold (numpy drops trailing NULs) raises ``ValueError``
+    before anything is written.
     """
     names = np.array(prepared.train.feature_names)
     for name, stored in zip(prepared.train.feature_names, names.tolist()):
@@ -472,6 +547,7 @@ def save_cache(path: str | Path, prepared: PreparedData, source_sha256: str = ""
         "norm_min": prepared.norm.minimum,
         "norm_max": prepared.norm.maximum,
         "source_sha256": np.array(source_sha256),
+        "settings": np.array(json.dumps(settings or {}, sort_keys=True)),
     }
     for part, ds in (("train", prepared.train), ("val", prepared.val),
                      ("test", prepared.test)):
@@ -497,7 +573,8 @@ def load_cache(path: str | Path) -> PreparedData:
                                  npz.get(f"{part}_labels"))
                          for part in ("train", "val", "test")]
                 norm = NormParams(npz["norm_min"], npz["norm_max"])
-                meta = {"source_sha256": str(npz["source_sha256"])}
+                meta = {"source_sha256": str(npz["source_sha256"]),
+                        "settings": json.loads(str(npz["settings"]))}
     except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(
             f"{path}: damaged dataset cache ({type(exc).__name__}: {exc}); "

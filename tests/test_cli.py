@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import threading
 from collections import Counter
 from pathlib import Path
@@ -244,6 +245,25 @@ class TestPrepare:
         assert any(record.getMessage().startswith("prepare stages: load_csv ")
                    for record in caplog.records)
 
+    @pytest.mark.parametrize("cell,parser", [("1000", "numpy"), ("1_000", "csv")])
+    def test_summary_names_the_csv_parser(self, tmp_path, caplog, cell, parser):
+        # float() reads 1_000, numpy's loadtxt does not
+        csv_path = tmp_path / "flows.csv"
+        csv_path.write_text("bytes,label\n" + f"{cell},0\n" * 9 + "7,1\n")
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(
+            {"dataset": {"path": str(csv_path), "schema": {"label": "label"}},
+             "output_dir": str(tmp_path / "out")}))
+        with caplog.at_level(logging.INFO, logger="aegrlof.cli"):
+            assert cli.main(["prepare", "--config", str(config_path)]) == 0
+        summary = json.loads((tmp_path / "out" / "prepare_summary.json").read_text())
+        assert summary["csv_parser"] == parser
+        [line] = [record.getMessage() for record in caplog.records
+                  if record.getMessage().startswith("prepare stages: ")]
+        assert line.endswith(f"; csv parser {parser}")
+        norm = data.load_cache(tmp_path / "out" / cli.CACHE_FILENAME).norm
+        assert norm.maximum.tolist() == [1000.0]
+
     def test_feature_name_the_cache_cannot_hold_fails(self, tmp_path, capsys):
         csv_path = tmp_path / "nul.csv"
         csv_path.write_text("c,v,label\n" + "x,1,0\nx\x00,2,1\n" * 10)
@@ -296,6 +316,56 @@ class TestRun:
         assert line.endswith("); run `prepare` again")
         assert "Traceback" not in err
         assert not (out_dir / "report.json").exists()
+
+    @pytest.mark.parametrize("section,change,keys", [
+        ("split", {"seed": 7}, ["split.seed"]),
+        ("split", {"subsample_fraction": 0.5}, ["split.subsample_fraction"]),
+        ("split", {"train_fraction": 0.5, "val_fraction": 0.3},
+         ["split.train_fraction", "split.val_fraction"]),
+        ("split", {"val_fraction": 0.1, "test_fraction": 0.3},
+         ["split.val_fraction", "split.test_fraction"]),
+        ("dataset", {"has_header": None}, ["dataset.has_header"]),
+        ("dataset", {"schema": {"label": "label", "f0": "numeric"}},
+         ["dataset.schema"]),
+        ("dataset", {"path": "copy"}, ["dataset.path"]),
+    ], ids=["seed", "subsample_fraction", "train_fraction", "test_fraction",
+            "has_header", "schema", "path"])
+    def test_cache_prepared_with_other_settings_is_refused(
+            self, experiment, tmp_path, capsys, section, change, keys):
+        config_path, out_dir, config = experiment
+        cli.main(["prepare", "--config", str(config_path)])
+        if change.get("path") == "copy":
+            copy = tmp_path / "copy.csv"
+            copy.write_bytes(Path(config["dataset"]["path"]).read_bytes())
+            change = {"path": str(copy)}
+        config[section] = {**config[section], **change}
+        config_path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(config_path)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        cache = out_dir / cli.CACHE_FILENAME
+        assert line.startswith(f"error: {cache} was prepared with other settings (")
+        assert line.endswith("); run `prepare` again")
+        assert re.findall(r"(\w+\.\w+): cache ", line) == keys
+        assert not (out_dir / "report.json").exists()
+
+    def test_cache_of_a_changed_csv_is_refused(self, experiment, capsys):
+        config_path, out_dir, config = experiment
+        cli.main(["prepare", "--config", str(config_path)])
+        csv_path = Path(config["dataset"]["path"])
+        csv_path.write_text(csv_path.read_text() + "0,0,0,0,0,0,0,0,1\n")
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {csv_path} changed after `prepare` wrote "
+            f"{out_dir / cli.CACHE_FILENAME}; run `prepare` again\n")
+        assert not (out_dir / "report.json").exists()
+
+    def test_cache_whose_csv_is_gone_is_used(self, experiment):
+        config_path, out_dir, config = experiment
+        cli.main(["prepare", "--config", str(config_path)])
+        Path(config["dataset"]["path"]).unlink()
+        assert cli.main(["run", "--config", str(config_path)]) == 0
 
     def test_full_run_report(self, experiment):
         config_path, out_dir, _ = experiment

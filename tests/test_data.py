@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -322,7 +323,8 @@ class TestCache:
         storage.write_npz(path, arrays)
         with pytest.raises(ValueError) as error:
             data.load_cache(path)
-        assert str(error.value) == f"{path}: cache version 99 unsupported (expected 1)"
+        assert str(error.value) == (f"{path}: cache version 99 unsupported "
+                                    f"(expected {data.CACHE_VERSION})")
 
 
 def test_prepare_subsamples_training_only():
@@ -387,10 +389,11 @@ def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
     assert ds.feature_names == ["duration", "proto=tcp", "proto=udp"]
 
 
-# -- differential property: the columnar load and encode against a per-cell
-# referee, a copy of the row-by-row implementation they replaced. The copy
-# opens files as "utf-8-sig", like the code under test, so the byte-order
-# mark fix does not count as a difference.
+# -- differential property: load_csv, whichever of its numpy and csv paths
+# reads the file, and one_hot_encode against a per-cell referee, a copy of
+# the row-by-row implementation they replaced. The copy opens files as
+# "utf-8-sig", like the code under test, so the byte-order mark fix does
+# not count as a difference.
 
 
 def _referee_load_csv(path, schema, has_header):
@@ -532,7 +535,8 @@ def _csv_files(draw):
         row = rows[draw(st.integers(0, len(rows) - 1))]
         fault = draw(st.sampled_from(_FAULTS))
         if fault == "drop":
-            row.pop()
+            if row:
+                row.pop()
         elif fault == "add":
             row.append("0")
         elif parsed and len(row) == len(kinds):
@@ -564,17 +568,9 @@ def _bits(array):
     return np.ascontiguousarray(array, dtype=np.float64).view(np.int64)
 
 
-@settings(max_examples=300)
-@given(_csv_files())
-def test_columnar_load_and_encode_match_per_cell_referee(tmp_path_factory, case):
-    text, schema, has_header = case
-    path = tmp_path_factory.mktemp("csv") / "data.csv"
-    path.write_text(text, encoding="utf-8", newline="")
-    want, want_error = _outcome(_referee_load_csv, path, schema, has_header)
-    table, error = _outcome(data.load_csv, path, schema, has_header)
-    assert error == want_error
-    if want is None:
-        return
+def _assert_same_table(table, want):
+    """``table`` holds the referee's columns and rows, cell for cell and
+    bit for bit."""
     columns, rows = want
     assert table.columns == columns
     assert table.n_rows == len(rows)
@@ -587,6 +583,21 @@ def test_columnar_load_and_encode_match_per_cell_referee(tmp_path_factory, case)
             np.testing.assert_array_equal(col, np.array(cells, dtype=np.int64))
         else:
             np.testing.assert_array_equal(_bits(col), _bits(cells))
+
+
+@settings(max_examples=300)
+@given(_csv_files())
+def test_columnar_load_and_encode_match_per_cell_referee(tmp_path_factory, case):
+    text, schema, has_header = case
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    want, want_error = _outcome(_referee_load_csv, path, schema, has_header)
+    table, error = _outcome(data.load_csv, path, schema, has_header)
+    assert error == want_error
+    if want is None:
+        return
+    _assert_same_table(table, want)
+    columns, rows = want
     want_ds, want_error = _outcome(_referee_one_hot_encode, columns, rows)
     ds, error = _outcome(data.one_hot_encode, table)
     assert error == want_error
@@ -600,3 +611,54 @@ def test_columnar_load_and_encode_match_per_cell_referee(tmp_path_factory, case)
     else:
         assert ds.labels.dtype == want_ds.labels.dtype
         np.testing.assert_array_equal(ds.labels, want_ds.labels)
+
+
+@pytest.mark.parametrize("text,schema,has_header,parser", [
+    ("a,cls\n1_000,0\n2,1\n", {"cls": "label"}, None, "csv"),
+    ("a,cls\n\u0661\u0662,0\n2,1\n", {"cls": "label"}, None, "csv"),
+    ("a,p,cls\r1,tcp,0\r\r2,udp,1\r", {"p": "categorical", "cls": "label"},
+     None, "numpy"),
+    ("1,tcp\n2, udp \n", {1: "categorical"}, False, "numpy"),
+])
+def test_spellings_numpy_rejects_or_reads_give_the_per_cell_table(
+        tmp_path, text, schema, has_header, parser):
+    # 1_000 and Arabic-Indic digits are read by float() alone; bare \r line
+    # ends and padded categories read alike on either path
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = data.load_csv(path, schema, has_header)
+    assert table.parser == parser
+    _assert_same_table(table, _referee_load_csv(path, schema, has_header))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a,b\n", "no rows"),
+    ("a,b\n\n\r\n", "no rows"),
+    ("a,c\n1,x\n2,y,z\n", "line 3: expected 2 fields, got 3"),
+    ("a,c\n1,x\n\n2\n", "line 4: expected 2 fields, got 1"),
+    ("a,c\n1,x\n1\x1c,y\n", "line 3: column 'a': cannot parse '1\\x1c' as a number"),
+])
+def test_files_without_a_table_give_the_per_cell_error_and_no_warning(
+        tmp_path, text, message):
+    # numpy warns on a file without data rows and would skip the
+    # separator after "1" as whitespace; both go to the csv path
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    schema = {"c": "categorical"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as error:
+            data.load_csv(path, schema)
+    assert str(error.value).endswith(message)
+    assert _outcome(_referee_load_csv, path, schema, None) == (None, str(error.value))
+
+
+def test_dataset_names_each_non_binary_label_once_in_order():
+    labels = np.array([3, 0, -1, 3, 1])
+    with pytest.raises(ValueError) as error:
+        data.Dataset(np.zeros((5, 1)), ["x"], labels)
+    # the message of the sorted-set check it replaced, word for word
+    assert str(error.value) == (
+        f"labels must be 0/1, found {sorted(set(np.unique(labels)) - {0, 1})}")
