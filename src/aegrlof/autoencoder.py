@@ -125,6 +125,10 @@ class TrainConfig:
             raise ValueError(
                 f"min_improvement must be finite, got {self.min_improvement}"
             )
+        if self.min_improvement < 0:
+            raise ValueError(
+                f"min_improvement must be >= 0, got {self.min_improvement}"
+            )
         if self.gr_start_epoch < 0:
             raise ValueError(f"gr_start_epoch must be >= 0, got {self.gr_start_epoch}")
 

@@ -28,7 +28,7 @@ import math
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -226,8 +226,10 @@ def load_csv(
     with open(path, newline="", encoding="utf-8-sig") as fh:
         text = fh.read()
     reader = csv.reader(io.StringIO(text, newline=""))
-    # blank lines come back as empty lists and are skipped
-    rows = filter(None, reader)
+    # blank lines come back as empty lists and are skipped; ends[i] is
+    # the number of the line that row i ends on, for error messages
+    ends: list[int] = []
+    rows = (row for row in reader if row and not ends.append(reader.line_num))
     header = [c.strip() for c in next(rows, [])] if has_header else None
     header_lines = reader.line_num
     first = next(rows, None)
@@ -270,8 +272,9 @@ def load_csv(
         return RawTable(columns=columns, values=values, parser="numpy")
 
     rows = [first, *rows]
+    numbered = zip(ends[-len(rows):], rows)
     if set(map(len, rows)) != {width}:
-        raise _first_bad_cell(path, has_header, columns)
+        raise _first_bad_cell(path, numbered, columns)
     n = len(rows)
     values = []
     for kind, cells in zip(kinds, zip(*rows)):
@@ -283,7 +286,7 @@ def load_csv(
         except ValueError:
             col = None
         if col is None:
-            raise _first_bad_cell(path, has_header, columns)
+            raise _first_bad_cell(path, numbered, columns)
         values.append(col)
     return RawTable(columns=columns, values=values, parser="csv")
 
@@ -338,20 +341,18 @@ def _loadtxt_columns(text: str, skiprows: int,
 
 
 def _first_bad_cell(
-    path: Path, has_header: bool, columns: list[tuple[str, str]]
+    path: Path, rows: Iterable[tuple[int, list[str]]], columns: list[tuple[str, str]]
 ) -> ValueError:
     """The error for the first bad row or cell of ``path`` in file order.
 
-    Reads the file again, one row and cell at a time, to recover each
-    row's line number. Blank lines are skipped but still counted, so
-    errors name the line as an editor shows it. Only called once the
-    whole-column parse in :func:`load_csv` has found a bad row or cell.
+    ``rows`` holds each data row with the number of the line it ends on;
+    blank lines are skipped but still counted, so errors name the line as
+    an editor shows it. Only called once the whole-column parse in
+    :func:`load_csv` has found a bad row or cell, and it checks each cell
+    the same way, so it always finds one.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        data_rows = [(reader.line_num, row) for row in reader if row]
     width = len(columns)
-    for line, row in data_rows[1 if has_header else 0:]:
+    for line, row in rows:
         if len(row) != width:
             return ValueError(
                 f"{path} line {line}: expected {width} fields, got {len(row)}"
@@ -372,7 +373,6 @@ def _first_bad_cell(
                 return ValueError(
                     f"{path} line {line}: label must be 0 or 1, got {value!r}"
                 )
-    return ValueError(f"{path}: file changed while it was read")
 
 
 def one_hot_encode(table: RawTable) -> Dataset:

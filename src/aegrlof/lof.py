@@ -71,15 +71,16 @@ and ``score`` (each query against the references) share one routine,
    add more. LRDs, neighbor-LRD sums and scores are ``np.bincount`` sums
    over them, so both paths give bit-identical scores.
 
-Rows are screened in batches of about ``_ELEMENT_BUDGET`` (row,
-reference) entries, and candidate differences are gathered in chunks of
-that budget; only the neighbor lists grow with the number of ties. A
-batch still holds at least one block of rows: on the dense path one row
-against every reference (n entries once n exceeds the budget), on the
-leaf path one leaf of up to ``_LEAF_SIZE`` rows against every column it
-kept, up to n. The leaf plan also holds (leaves x leaves) arrays of box
-distances, about three float64 entries per pair of leaves: some 100 MB
-at 100k reference rows, whose leaves hold about 48 rows each.
+Each screen is one group of rows. On the dense path it is a block of
+rows against every reference, about ``_ELEMENT_BUDGET`` (row, reference)
+entries, or one row (n entries) once n exceeds the budget. On the leaf
+path it is one leaf of up to ``_LEAF_SIZE`` rows against the columns of
+the leaves it kept, up to ``_LEAF_SIZE`` * n entries. Candidate
+differences are gathered in chunks of that budget; only the neighbor
+lists grow with the number of ties. The leaf plan also holds (leaves x
+leaves) arrays of box distances, about three float64 entries per pair of
+leaves: some 100 MB at 100k reference rows, whose leaves hold about 48
+rows each.
 """
 
 from __future__ import annotations
@@ -100,9 +101,10 @@ _EPS = np.finfo(np.float64).eps
 # Largest k-d leaf, in reference rows.
 _LEAF_SIZE = 64
 # Largest share of the fit's (row, reference) pairs the leaves may keep;
-# above it, fit screens every pair. Padding and per-batch cost make the
-# leaves no faster than the dense path at about 0.6 (the raw 16-D
-# pendigits reference).
+# above it, fit screens every pair. With one BLAS thread, leaves that keep
+# every pair fit 1.1-1.3x slower than the dense path (2000 normal rows in 3
+# or 8 dimensions, 1200 uniform rows in 122), and leaves that keep 0.62 of
+# them (the raw 16-D pendigits reference) twice as fast.
 _LEAF_SHARE = 0.5
 
 
@@ -204,65 +206,42 @@ def _plan(leaves: Leaves, min_pts: int) -> np.ndarray:
     return near <= bound[:, None]
 
 
-def _ranges(index: np.ndarray, owner: np.ndarray, starts: np.ndarray,
-            lens: np.ndarray, n_owners: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lay ranges of ``index`` out as the rows of a padded matrix.
-
-    Range j is ``index[starts[j]:starts[j] + lens[j]]``; row o of the
-    result concatenates the ranges of owner o in order (``owner`` is
-    sorted) and pads with -1. Also returns each range's first slot.
-    """
-    first = np.cumsum(lens) - lens
-    slot = first - first[np.searchsorted(owner, owner)]
-    of = np.repeat(np.arange(lens.size), lens)
-    within = np.arange(first[-1] + lens[-1]) - first[of]
-    width = np.bincount(owner, weights=lens, minlength=n_owners).max()
-    out = np.full((n_owners, int(width)), -1)
-    out[owner[of], slot[of] + within] = index[starts[of] + within]
-    return out, slot
-
-
 def _screen(points: np.ndarray, points_sq: np.ndarray, reference: np.ndarray,
             reference_sq: np.ndarray, rows: np.ndarray, cols: np.ndarray | None,
             self_slots: np.ndarray | None, min_pts: int,
             ) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate (row, column) pairs of a batch of row groups (step 1).
+    """Candidate (row, column) pairs of one group of rows (step 1).
 
-    Group b holds the rows ``rows[b]`` and is screened against the
-    references ``cols[b]``, or all of them when ``cols`` is None; -1 pads
-    both. ``self_slots[b, i]`` is the slot of row ``rows[b, i]``'s own
-    column, which never counts. Every row has at least min_pts other
-    columns.
+    The rows ``rows`` are screened against the references ``cols``, or
+    all of them when ``cols`` is None. ``self_slots[i]`` is the slot of
+    row ``rows[i]``'s own column, which never counts. Every row has at
+    least min_pts other columns.
     """
     margin_scale = (4 * points.shape[1] + 16) * _EPS
     # sq +- margin = (1 +- margin_scale) * (|a|^2 + |b|^2) - 2 a.b
     hi, lo = 1.0 + margin_scale, 1.0 - margin_scale
     if cols is None:
-        columns, columns_sq = reference[None], reference_sq[None]
+        columns, columns_sq = reference, reference_sq
     else:
-        columns = _rows(reference, cols)
-        columns_sq = np.where(cols >= 0, reference_sq[cols], np.inf)
+        columns, columns_sq = _rows(reference, cols), reference_sq[cols]
     rows_sq = points_sq[rows]
-    bounds = np.matmul(-2.0 * _rows(points, rows), columns.transpose(0, 2, 1))
+    bounds = (-2.0 * _rows(points, rows)) @ columns.T
     if self_slots is not None:
-        group, at = np.nonzero(rows >= 0)
-        bounds[group, at, self_slots[group, at]] = np.inf
+        bounds[np.arange(rows.size), self_slots] = np.inf
     # adding a per-row term keeps each row's order, so it is added after
     # the partition and, for the lower bound, to the limit
-    upper = bounds + (hi * columns_sq)[:, None, :]
-    upper.partition(min_pts - 1, axis=2)
+    upper = bounds + hi * columns_sq
+    upper.partition(min_pts - 1, axis=1)
     # a neighbor's distance can round to the k-distance after the square
     # root although its square is a little larger
-    limit = upper[:, :, min_pts - 1] + hi * rows_sq
+    limit = upper[:, min_pts - 1] + hi * rows_sq
     limit *= 1.0 + 4.0 * _EPS
-    limit[rows < 0] = -np.inf
     del upper
-    bounds += (lo * columns_sq)[:, None, :]
-    # one flat nonzero and a divmod are faster than a 3-D nonzero
-    row, slot = np.divmod(np.flatnonzero(bounds <= (limit - lo * rows_sq)[:, :, None]),
-                          bounds.shape[2])
-    return (rows.ravel()[row],
-            slot if cols is None else cols[row // rows.shape[1], slot])
+    bounds += lo * columns_sq
+    # one flat nonzero and a divmod are faster than a 2-D nonzero
+    row, slot = np.divmod(np.flatnonzero(bounds <= (limit - lo * rows_sq)[:, None]),
+                          bounds.shape[1])
+    return rows[row], slot if cols is None else cols[slot]
 
 
 def _select(points: np.ndarray, reference: np.ndarray, r: np.ndarray,
@@ -314,46 +293,30 @@ def _neighborhoods(
 
     ``points_sq``/``reference_sq`` are the squared row norms. With
     ``exclude_self``, ``points`` is ``reference`` and row i never counts
-    itself. Only that case takes ``leaves``, the reference's k-d leaves:
-    then each leaf's rows are screened against the leaves ``keep`` marks
-    (``_plan`` when not given); without, every pair is. Returns (rows,
-    columns, distances) of every neighbor, sorted by row and then column,
-    and the k-distance of each row.
+    itself. Only that case takes ``leaves``, the reference's k-d leaves,
+    and ``keep``, their ``_plan``: then each leaf's rows are screened
+    against the leaves ``keep`` marks; without, every pair is. Returns
+    (rows, columns, distances) of every neighbor, sorted by row and then
+    column, and the k-distance of each row.
     """
     n_points = points.shape[0]
     found = [(np.empty(0, np.intp), np.empty(0, np.intp))]
     if leaves is None:
         block = max(1, _ELEMENT_BUDGET // reference.shape[0])
         for start in range(0, n_points, block):
-            rows = np.arange(start, min(start + block, n_points))[None]
+            rows = np.arange(start, min(start + block, n_points))
             found.append(_screen(points, points_sq, reference, reference_sq, rows,
                                  None, rows if exclude_self else None, min_pts))
     else:
-        if keep is None:
-            keep = _plan(leaves, min_pts)
         sizes = leaves.sizes
-        group_cols = keep @ sizes
-        n_groups = sizes.size
-        group_members, _ = _ranges(leaves.order, np.arange(n_groups),
-                                   leaves.offsets[:-1], sizes, n_groups)
-        # leaves with similar column counts share a batch, so padding
-        # wastes little; a batch takes as many as its budget holds
-        by_cols = np.argsort(-group_cols, kind="stable")
-        at = 0
-        while at < n_groups:
-            shapes = (np.maximum.accumulate(sizes[by_cols[at:]])
-                      * group_cols[by_cols[at]] * np.arange(1, n_groups - at + 1))
-            batch = by_cols[at:at + max(1, np.count_nonzero(shapes <= _ELEMENT_BUDGET))]
-            at += batch.size
-            rows = group_members[batch, :sizes[batch].max()]
-            owner, leaf = np.nonzero(keep[batch])
-            cols, slots = _ranges(leaves.order, owner, leaves.offsets[leaf],
-                                  sizes[leaf], batch.size)
-            # group b is leaf batch[b], so its rows sit in its own columns
-            # in the same order
-            self_slots = slots[leaf == batch[owner]][:, None] + np.arange(rows.shape[1])
+        for leaf, start in enumerate(leaves.offsets[:-1]):
+            # the kept leaves' columns in leaf order: the leaf's own rows
+            # follow the earlier kept leaves' rows, in their own order
+            cols = leaves.order[np.repeat(keep[leaf], sizes)]
+            own = keep[leaf, :leaf] @ sizes[:leaf]
+            rows = leaves.order[start:start + sizes[leaf]]
             found.append(_screen(points, points_sq, reference, reference_sq, rows,
-                                 cols, self_slots, min_pts))
+                                 cols, own + np.arange(rows.size), min_pts))
     k_distances = np.empty(n_points)
     rows, cols, dists = _select(points, reference, *map(np.concatenate, zip(*found)),
                                 min_pts, k_distances)

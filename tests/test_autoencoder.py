@@ -587,6 +587,13 @@ def test_train_config_rejects_non_finite(field, value, message):
         ae.TrainConfig(**{field: value})
 
 
+def test_train_config_rejects_negative_min_improvement():
+    # a negative threshold counts every worse epoch as an improvement, so
+    # early stopping never fires and the best network is not kept
+    with pytest.raises(ValueError, match=r"min_improvement must be >= 0, got -1.0"):
+        ae.TrainConfig(min_improvement=-1.0)
+
+
 def test_default_batch_size_rule():
     assert ae.default_batch_size(2001) == 64
     assert ae.default_batch_size(2000) == 16

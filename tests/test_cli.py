@@ -124,6 +124,8 @@ class TestConfig:
          "variant reads"),
         ({"variants": [5]}, "bad.json: cannot parse variant entry 5"),
         ({"variants": ["lof_rawx"]}, "bad.json: unknown detector 'lof_rawx'"),
+        ({"train": {"min_improvement": -1.0}},
+         "min_improvement must be >= 0, got -1.0"),
     ], ids=["top_level_key", "dataset_key", "lof_key", "variant_key",
             "duplicate_seeds", "duplicate_variants", "variant_without_detector",
             "seeds_not_list", "wilcoxon_pair_of_one", "wilcoxon_unconfigured",
@@ -134,7 +136,8 @@ class TestConfig:
             "schema_unknown_kind", "path_number", "output_dir_number",
             "has_header_string", "variants_number", "two_labels",
             "seed_negative", "split_seed_negative", "aug_without_prune_da",
-            "variant_number", "variant_unknown_detector"])
+            "variant_number", "variant_unknown_detector",
+            "train_negative_min_improvement"])
     def test_invalid_config_fails_before_loading_data(self, experiment, tmp_path,
                                                       capsys, change, offender):
         _, out_dir, config = experiment

@@ -198,8 +198,8 @@ class TestScore:
 
     def test_blocks_and_chunks_do_not_change_results(self):
         # all-tie rows (duplicates) make every pair a candidate; a tiny
-        # budget splits rows into many blocks, or leaf groups into many
-        # batches, and gathers in many chunks
+        # budget splits the dense path's rows into many blocks, and both
+        # paths' gathers into many chunks
         rng = np.random.default_rng(16)
         ref = np.vstack([np.zeros((40, 3)), rng.integers(-2, 3, size=(60, 3))])
         queries = np.vstack([np.zeros((5, 3)), rng.normal(size=(20, 3))])
@@ -244,6 +244,64 @@ def _assert_paths_agree(reference, min_pts, queries, monkeypatch, leaf_size=4):
     np.testing.assert_array_equal(lof.score(leaves, queries), lof.score(dense, queries))
 
 
+def _clustered_latents(rng, n=1500):
+    """5-D latents in 25 tight clusters, like pruned pendigits latents:
+    at the default leaf size the leaves keep just under half the pairs."""
+    centers = rng.uniform(size=(25, 5))
+    return centers[rng.integers(0, 25, size=n)] + rng.normal(scale=0.005, size=(n, 5))
+
+
+def _record_screens(monkeypatch):
+    """Wrap ``lof._screen``; the returned list gets each call's
+    (rows, columns screened, leaf path?)."""
+    calls = []
+    screen = lof._screen
+
+    def record(points, points_sq, reference, reference_sq, rows, cols, *rest):
+        n_cols = reference.shape[0] if cols is None else cols.size
+        calls.append((rows.size, n_cols, cols is not None))
+        return screen(points, points_sq, reference, reference_sq, rows, cols, *rest)
+
+    monkeypatch.setattr(lof, "_screen", record)
+    return calls
+
+
+class TestScreenSize:
+    @pytest.mark.parametrize("budget", [lof._ELEMENT_BUDGET, 50])
+    def test_dense_screens_stay_within_the_budget(self, monkeypatch, budget):
+        # the default budget holds 54 rows of the 1200-row reference; 50
+        # holds less than one, so each screen holds one row
+        monkeypatch.setattr(lof, "_ELEMENT_BUDGET", budget)
+        calls = _record_screens(monkeypatch)
+        rng = np.random.default_rng(3)
+        reference = rng.uniform(size=(1200, 8))
+        model = lof.fit(reference, 20)
+        assert model.path == "dense"
+        lof.score(model, rng.uniform(size=(300, 8)))
+        n = reference.shape[0]
+        assert sum(rows for rows, _, _ in calls) == n + 300
+        assert all(n_cols == n and not leaf for _, n_cols, leaf in calls)
+        assert all(rows * n_cols <= max(budget, n) for rows, n_cols, _ in calls)
+
+    def test_leaf_path_screens_one_leaf_per_call(self, monkeypatch):
+        # the benchmark-like case: clustered latents at the default leaf
+        # size, bit-equal to the dense path
+        share = lof._LEAF_SHARE
+        calls = _record_screens(monkeypatch)
+        rng = np.random.default_rng(11)
+        reference = _clustered_latents(rng)
+        queries = np.vstack([_clustered_latents(rng, 200), rng.uniform(size=(50, 5))])
+        _assert_paths_agree(reference, 20, queries, monkeypatch,
+                            leaf_size=lof._LEAF_SIZE)
+        n = reference.shape[0]
+        sizes = lof._build_leaves(reference).sizes
+        leaf_calls = [(rows, n_cols) for rows, n_cols, leaf in calls if leaf]
+        assert sorted(rows for rows, _ in leaf_calls) == sorted(sizes)
+        assert all(rows * n_cols <= lof._LEAF_SIZE * n for rows, n_cols in leaf_calls)
+        # few enough pairs that the dense rule would keep the leaves too
+        assert sum(rows * n_cols for rows, n_cols in leaf_calls) <= share * n * n
+
+
 class TestLeafPath:
     def test_no_finite_queries(self, monkeypatch):
         _take_leaves(monkeypatch, leaf_size=4)
@@ -273,11 +331,7 @@ class TestLeafPath:
 
     def test_dense_rule(self):
         rng = np.random.default_rng(5)
-        # 5-D latents in tight clusters: the leaves prune most pairs
-        centers = rng.uniform(size=(25, 5))
-        clustered = (centers[rng.integers(0, 25, size=1500)]
-                     + rng.normal(scale=0.005, size=(1500, 5)))
-        assert lof.fit(clustered, 20).path == "leaves"
+        assert lof.fit(_clustered_latents(rng), 20).path == "leaves"
         # wide uniform rows: every box reaches every other
         assert lof.fit(rng.uniform(size=(1200, 122)), 20).path == "dense"
 
@@ -364,7 +418,8 @@ class TestProperties:
             leaves = lof._build_leaves(reference)
         args = (reference, reference_sq, reference, reference_sq, min_pts, True)
         dense = lof._neighborhoods(*args)
-        for got, want in zip(lof._neighborhoods(*args, leaves=leaves), dense):
+        keep = lof._plan(leaves, min_pts)
+        for got, want in zip(lof._neighborhoods(*args, leaves=leaves, keep=keep), dense):
             np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=150)
