@@ -25,13 +25,19 @@ each has its own (seed, reversal) key, so plain and reversal networks
 share a stack.
 
 Early stopping reads each network's validation loss after every epoch,
-one pass per network, which may run on a thread pool; a pass writes into
-activation and smooth-L1 work arrays allocated once per thread, and its
-loss is bit-identical to ``smooth_l1_loss(forward(net.params, x)[-1], x)``.
+one pass per network. A pass runs the forward pass and smooth-L1 over
+row blocks of at least 512 rows that stay in cache, writes each block's
+element losses into one full-size array and takes one mean over it, so
+its loss is bit-identical to ``smooth_l1_loss(forward(net.params, x)[-1],
+x)``. Passes of large blocks may run on a thread pool; small ones run on
+the calling thread, where the pool would cost more than it spreads.
+:func:`encode` runs the same blocked pass, writing latents and per-row
+errors block by block.
 """
 
 from __future__ import annotations
 
+import builtins
 import math
 import threading
 from dataclasses import dataclass
@@ -204,21 +210,22 @@ def _smooth_l1(
     output: np.ndarray,
     target: np.ndarray,
     err: np.ndarray | None = None,
-    quad: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
+    clip: np.ndarray | None = None,
+    half: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Element-wise smooth-L1: 0.5*e^2 where |e| < 1, |e| - 0.5 elsewhere.
+    """Element-wise smooth-L1 of e = |output - target|: 0.5*e^2 where
+    e < 1, e - 0.5 elsewhere.
 
-    ``err``, ``quad`` (float64) and ``mask`` (bool), each of the output's
-    shape, are optional work arrays; the result is returned in ``err``.
+    It is computed branch-free as c * (e - 0.5*c) with c = min(e, 1),
+    which equals the piecewise form bit for bit, NaN included. ``err``,
+    ``clip`` and ``half`` (float64), each of the output's shape, are
+    optional work arrays; the result is returned in ``err``.
     """
     err = np.subtract(output, target, out=err)
     np.abs(err, out=err)
-    mask = np.less(err, 1.0, out=mask)
-    quad = np.multiply(0.5, err, out=quad)
-    quad *= err
-    err -= 0.5
-    np.copyto(err, quad, where=mask)
+    clip = np.minimum(err, 1.0, out=clip)
+    err -= np.multiply(clip, 0.5, out=half)
+    err *= clip
     return err
 
 
@@ -229,6 +236,77 @@ def smooth_l1_loss(output: np.ndarray, target: np.ndarray) -> float:
     if output.shape != target.shape:
         raise ValueError(f"shape mismatch: {output.shape} vs {target.shape}")
     return float(_smooth_l1(output, target).mean())
+
+
+# Rows per block of a blocked pass (a validation loss or an encode). A
+# block's activations and loss work arrays stay in cache. OpenBLAS 0.3.31
+# computes a product of 1-100 rows at width 122 (1 row at width 16) with
+# other kernels, whose output bits differ from a whole-split product's, so
+# no block is shorter than this unless the whole split is: the remainder
+# joins the last block.
+_BLOCK_ROWS = 512
+
+
+# A validation pass whose largest block holds fewer elements (block rows
+# x width) than this runs on the calling thread whatever ``map`` is. On 2
+# vCPUs with one BLAS thread, a 2-thread pool lost or tied on every shape
+# measured whose block held under 26 000 elements (up to 3x slower) and
+# won or tied on every one from 32 000 up. A small block's numpy calls end
+# so soon that the threads contend for the GIL, so the block's size, not
+# the pass's, sets the crossover.
+_POOL_MIN_ELEMENTS = 32_000
+
+
+def _row_blocks(n_rows: int) -> list[slice]:
+    """Consecutive row slices of ``_BLOCK_ROWS`` rows covering ``n_rows``,
+    the last one holding the remainder as well."""
+    bounds = [i * _BLOCK_ROWS for i in range(max(n_rows // _BLOCK_ROWS, 1))]
+    bounds.append(n_rows)
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+def _block_rows(n_rows: int) -> int:
+    """Rows of the largest of :func:`_row_blocks`, the last."""
+    return n_rows - _row_blocks(n_rows)[-1].start
+
+
+def _pass_work(widths: Sequence[int], n_rows: int
+               ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Work arrays for :func:`_blocked_pass` over ``n_rows`` rows of a
+    network of node widths ``widths``: one activation array per weight
+    layer and three smooth-L1 arrays, each as tall as the largest block."""
+    rows = _block_rows(n_rows)
+    return ([np.empty((rows, width)) for width in widths[1:]],
+            [np.empty((rows, widths[0])) for _ in range(3)])
+
+
+def _blocked_pass(
+    params: Params,
+    x: np.ndarray,
+    work: tuple[list[np.ndarray], list[np.ndarray]],
+    losses: np.ndarray,
+    latents: np.ndarray | None = None,
+) -> None:
+    """One network's forward pass and smooth-L1 over ``x``, block by block
+    of :func:`_row_blocks`, in the work arrays of :func:`_pass_work`.
+
+    ``losses`` of ``x``'s shape receives every element's loss, and a 1-D
+    ``losses`` each row's mean loss; ``latents``, one row per row of
+    ``x``, optionally receives the bottleneck activations. Every value is
+    bit-identical to one unblocked pass over ``x``, so ``losses.mean()``
+    of element losses equals ``smooth_l1_loss(forward(params, x)[-1], x)``.
+    """
+    acts, (err, clip, half) = work
+    for block in _row_blocks(x.shape[0]):
+        rows = block.stop - block.start
+        out = [act[:rows] for act in acts]
+        if latents is not None:
+            out[BOTTLENECK_LAYER] = latents[block]
+        recon = forward(params, x[block], out)[-1]
+        block_err = losses[block] if losses.ndim == 2 else err[:rows]
+        _smooth_l1(recon, x[block], block_err, clip[:rows], half[:rows])
+        if losses.ndim == 1:
+            block_err.mean(axis=1, out=losses[block])
 
 
 def backward(
@@ -332,11 +410,17 @@ def train_stack(
     Networks leave the stack only at the end of an epoch, and the others
     go on.
 
-    The batch steps run on the calling thread. At each epoch's end the
-    validation passes of the networks still training go through ``map``
-    (say, a thread pool's ``map``); they only read the stack, and each
-    thread that runs one keeps its own work arrays. A pool must not be
-    the one running this call, or it waits on its own workers.
+    The batch steps run on the calling thread. At each epoch's end each
+    network still training gets one validation pass: forward and
+    smooth-L1 over row blocks of the validation split, each block's
+    element losses written into one full-size array whose mean is the
+    loss, bit-identical to an unblocked pass. The passes go through
+    ``map`` (say, a thread pool's ``map``) when the largest block holds
+    at least ``_POOL_MIN_ELEMENTS`` (32 000) elements, and through the
+    builtin ``map`` otherwise; they only read the stack, and each thread that runs one
+    keeps its own block-sized work arrays and full-size loss array. A
+    pool must not be the one running this call, or it waits on its own
+    workers.
 
     The input networks are not modified, so repeated calls with the same
     config and keys produce bitwise-identical results.
@@ -360,20 +444,22 @@ def train_stack(
     orders = np.tile(np.arange(n), (n_nets, 1))
     reverses = np.array([reversal for _, reversal in keys], dtype=bool)
     rngs = [np.random.default_rng(seed) for seed, _ in keys]
-    # a validation pass reads the same rows every epoch, so each thread
-    # that runs passes allocates its activation and smooth-L1 work arrays
-    # once and reuses them
+    # each thread that runs validation passes allocates its block-sized
+    # work arrays and one full-size array of element losses once: a pass
+    # fills the latter block by block and takes one mean over it, so the
+    # loss sums in the order of an unblocked pass
     val_local = threading.local()
 
     def val_loss_of(k: int) -> float:
-        if not hasattr(val_local, "work"):
-            val_local.acts = [np.empty((x_val.shape[0], width))
-                              for width in nets[0].widths[1:]]
-            val_local.work = (np.empty(x_val.shape), np.empty(x_val.shape),
-                              np.empty(x_val.shape, dtype=bool))
-        val_out = forward([(w[k], b[k]) for w, b in params], x_val,
-                          val_local.acts)[-1]
-        return float(_smooth_l1(val_out, x_val, *val_local.work).mean())
+        if not hasattr(val_local, "losses"):
+            val_local.work = _pass_work(nets[0].widths, x_val.shape[0])
+            val_local.losses = np.empty(x_val.shape)
+        _blocked_pass([(w[k], b[k]) for w, b in params], x_val, val_local.work,
+                      val_local.losses)
+        return float(val_local.losses.mean())
+
+    val_map = (map if _block_rows(x_val.shape[0]) * x_val.shape[1]
+               >= _POOL_MIN_ELEMENTS else builtins.map)
 
     results: list = [None] * n_nets
     histories: list[list[EpochStats]] = [[] for _ in nets]
@@ -435,7 +521,7 @@ def train_stack(
 
         leaving = np.array([results[i] is not None for i in ids.tolist()])
         validated = np.flatnonzero(~leaving).tolist()
-        for k, val_loss in zip(validated, map(val_loss_of, validated)):
+        for k, val_loss in zip(validated, val_map(val_loss_of, validated)):
             i = int(ids[k])
             if not math.isfinite(val_loss):
                 results[i] = RuntimeError(
@@ -494,10 +580,14 @@ def train(
 
 def encode(net: Network, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the bottleneck activations (the latent representation)
-    and the reconstruction error, from one forward pass."""
-    activations = forward(net.params, data.features)
-    errors = _smooth_l1(activations[-1], data.features).mean(axis=1)
-    return activations[BOTTLENECK_LAYER + 1], errors
+    and the reconstruction error, from one forward pass run block by
+    block; each value equals the unblocked pass's bit for bit."""
+    x = data.features
+    latents = np.empty((x.shape[0], net.bottleneck_width))
+    errors = np.empty(x.shape[0])
+    _blocked_pass(net.params, x, _pass_work(net.widths, x.shape[0]), errors,
+                  latents)
+    return latents, errors
 
 
 def reconstruction_error(net: Network, data: Dataset) -> np.ndarray:

@@ -412,11 +412,12 @@ def cmd_run(
     trains in one lockstep stack on the calling thread. Each head (its
     LOF fit and score, metrics and score file) is then one unit of work.
     ``lof_raw`` does not depend on the seed, so one unit, started before
-    training, fills every seed's row. With ``jobs`` above 1 the units and
-    each epoch's validation passes run on a pool of ``jobs`` threads;
-    with 1, everything runs in order on the calling thread. Each trained
-    network writes ``history_<ae|aegr>_<seed>.csv`` and
-    ``latents_<ae|aegr>_<seed>.npz``, and ``timings.json`` records when
+    training, fills every seed's row. With ``jobs`` above 1 the units,
+    and each epoch's validation passes if their blocks are large enough
+    to pay (see :func:`autoencoder.train_stack`), run on a pool of
+    ``jobs`` threads; with 1, everything runs in order on the calling
+    thread. Each trained network writes ``history_<ae|aegr>_<seed>.csv``
+    and ``latents_<ae|aegr>_<seed>.npz``, and ``timings.json`` records when
     and on which thread each unit ran. A cache prepared with other
     ``dataset`` or ``split`` settings, or from a CSV that has changed
     since, fails before anything runs.
@@ -767,9 +768,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="experiment config JSON")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--jobs", type=partial(_int_at_least, 1), default=1,
-                       help="worker threads for the LOF heads and each "
-                       "epoch's validation passes; every network trains in "
-                       "one stack on the main thread (default 1)")
+                       help="worker threads for the LOF heads and for "
+                       "validation passes of large blocks; every network "
+                       "trains in one stack on the main thread (default 1)")
     p_run.add_argument("--seed-override", type=partial(_int_at_least, 0),
                        default=None,
                        help="run only this seed instead of the configured list")

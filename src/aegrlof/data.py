@@ -565,7 +565,7 @@ def load_cache(path: str | Path) -> PreparedData:
     naming the file.
     """
     try:
-        with np.load(path, allow_pickle=False) as npz:
+        with open(path, "rb") as file, np.load(file, allow_pickle=False) as npz:
             version = int(npz["cache_version"])
             if version == CACHE_VERSION:
                 names = [str(s) for s in npz["feature_names"]]

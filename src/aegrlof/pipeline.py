@@ -189,7 +189,8 @@ def train_networks(
     """Train one autoencoder per (seed, reversal) key, all in one
     :func:`autoencoder.train_stack` stack, encode the training and test
     splits with each, one forward pass per split, and prune its training
-    rows once. ``map`` runs the stack's validation passes.
+    rows once. ``map`` runs the stack's validation passes when their
+    blocks are large enough to pay.
 
     A key's seed drives initialization and batch shuffling; a key without
     reversal trains by plain SGD. A network whose training diverged gets

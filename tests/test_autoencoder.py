@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aegrlof import autoencoder as ae
@@ -153,6 +153,9 @@ class TestForward:
             np.testing.assert_array_equal(a, b)
 
 
+_loss_floats = st.one_of(st.floats(), st.floats(-2e-154, 2e-154))
+
+
 class TestSmoothL1:
     def test_perfect_reconstruction(self):
         x = np.random.default_rng(0).normal(size=(3, 4))
@@ -167,6 +170,25 @@ class TestSmoothL1:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             ae.smooth_l1_loss(np.ones((2, 2)), np.ones((2, 3)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(_loss_floats, _loss_floats), min_size=1,
+                          max_size=40))
+    # an error whose square rounds differently from 0.5*e*e
+    @example(pairs=[(1.653747025217381e-160, 0.0)])
+    def test_matches_the_piecewise_form_bit_for_bit(self, pairs):
+        # the reference runs on Python floats: 0.5*e*e below 1, e - 0.5
+        # otherwise; st.floats() draws NaN, infinities, signed zeros and
+        # subnormals, and errors below 1.5e-154 square into the subnormals
+        output, target = (np.array(column) for column in zip(*pairs))
+        want = []
+        for out, tgt in pairs:
+            e = abs(out - tgt)
+            want.append(0.5 * e * e if e < 1.0 else e - 0.5)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = ae._smooth_l1(output, target)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      np.array(want).view(np.uint64))
 
 
 class TestBackward:
@@ -426,14 +448,25 @@ def _assert_same_results(got, want):
 
 def _train_alone_and_stacked(nets, train, val, cfg, keys):
     """Train each network alone and all of them as one stack, with the
-    validation passes run in order and on a 2-thread pool; assert the
-    results are identical bit for bit and return the stacked ones."""
+    validation passes run in order and offered to a 2-thread pool; assert
+    the results are identical bit for bit, and that the pool ran passes
+    only if the validation blocks are large, and return the stacked
+    ones."""
     # the stack trains first, so a stack that changed its input networks
     # would show here
     stacked = ae.train_stack(nets, train, val, cfg, keys)
+    pooled = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        def pool_map(fn, items):
+            pooled.append(items)
+            return pool.map(fn, items)
+
         _assert_same_results(
-            ae.train_stack(nets, train, val, cfg, keys, map=pool.map), stacked)
+            ae.train_stack(nets, train, val, cfg, keys, map=pool_map), stacked)
+    # only passes whose largest block holds _POOL_MIN_ELEMENTS elements
+    # reach the pool
+    assert bool(pooled) == (
+        ae._block_rows(val.n_rows) * val.n_features >= ae._POOL_MIN_ELEMENTS)
     alone = []
     for net, (seed, reversal) in zip(nets, keys):
         # alone, a plain network is one whose reversal starts after training
@@ -482,6 +515,17 @@ class TestTrainStack:
         epochs = [len(history) for _, history in stacked]
         assert len(set(epochs)) > 2 and max(epochs) < 60
 
+    def test_validation_of_large_blocks_runs_on_the_pool(self):
+        # 1100 rows make a 512-row and a 588-row block; 588 x 64 elements
+        # are above _POOL_MIN_ELEMENTS, so the passes go to the pool
+        train = _random_dataset(48, 64, seed=0)
+        val = _random_dataset(1100, 64, seed=1)
+        keys = [(0, False), (0, True), (1, True)]
+        cfg = ae.TrainConfig(max_epochs=4, batch_size=16, learning_rate=0.05,
+                             gr_start_epoch=1, patience=2)
+        nets = [ae.build_architecture(64, seed=seed) for seed, _ in keys]
+        _train_alone_and_stacked(nets, train, val, cfg, keys)
+
     @pytest.mark.parametrize("gr_start_epoch,reversals",
                              [(2, (True, False, True)), (0, (True, True, True))],
                              ids=["mixed", "all_reversing"])
@@ -518,6 +562,38 @@ class TestTrainStack:
             ae.train_stack([ae.build_architecture(n, seed=0) for n in nets],
                            train, train, ae.TrainConfig(), keys)
         assert steps == []
+
+
+class TestBlockedPass:
+    @settings(max_examples=200, deadline=None)
+    @given(n_rows=st.integers(0, 5000))
+    def test_blocks_cover_the_rows_and_none_is_short(self, n_rows):
+        blocks = ae._row_blocks(n_rows)
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == n_rows
+        sizes = [b.stop - b.start for b in blocks]
+        assert min(sizes) >= min(n_rows, ae._BLOCK_ROWS)
+        assert max(sizes) == sizes[-1] == ae._block_rows(n_rows)
+        assert sizes[-1] < 2 * ae._BLOCK_ROWS
+
+    @pytest.mark.parametrize("width", [122, 16])
+    @pytest.mark.parametrize("n_val", [8000, 1100, 312])
+    def test_matches_one_unblocked_pass(self, width, n_val):
+        # the shapes of the kdd-tall (8000 x 122) and pendigits (312 x 16)
+        # validation splits; 1100 rows end on a 588-row block, and 312
+        # rows are one block below _BLOCK_ROWS
+        rng = np.random.default_rng(width + n_val)
+        val = _dataset(rng.uniform(-1.0, 1.0, size=(n_val, width)))
+        train = _dataset(rng.uniform(-1.0, 1.0, size=(64, width)))
+        net, history = ae.train(ae.build_architecture(width, seed=1), train,
+                                val, ae.TrainConfig(max_epochs=1, batch_size=16))
+        acts = ae.forward(net.params, val.features)
+        assert history[0].val_loss == ae.smooth_l1_loss(acts[-1], val.features)
+        latents, errors = ae.encode(net, val)
+        e = np.abs(acts[-1] - val.features)
+        want_errors = np.where(e < 1.0, 0.5 * e * e, e - 0.5).mean(axis=1)
+        np.testing.assert_array_equal(latents, acts[ae.BOTTLENECK_LAYER + 1])
+        np.testing.assert_array_equal(errors, want_errors)
 
 
 class TestEncodeAndErrors:

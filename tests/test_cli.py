@@ -447,8 +447,9 @@ class TestRun:
         assert {"report.md", "scores_aegr_lof_prune_1.csv",
                 "latents_aegr_1.npz",
                 "history_aegr_1.csv"} <= serial.keys()
-        # at 2 and 3 jobs the heads and the validation passes run on a
-        # pool, in another order than the serial run's
+        # at 2 and 3 jobs the heads run on a pool, in another order than
+        # the serial run's; this validation split is too small for its
+        # passes to go there
         for jobs in ("2", "3"):
             assert run_outputs("--jobs", jobs) == serial
 

@@ -235,23 +235,23 @@ class TestTrainNetworks:
         train, val, test = _prepared_splits(seed=9, n_normal=120, n_anom=6)
         passes, prunes = [], []
 
-        def forward(params, batch, *args):
-            if batch is train.features or batch is test.features:
-                passes.append(batch.shape[0])
-            return real_forward(params, batch, *args)
+        def blocked_pass(params, x, *args):
+            if x is train.features or x is test.features:
+                passes.append(x.shape[0])
+            return real_pass(params, x, *args)
 
         def prune(latents, res):
             prunes.append(latents.shape[0])
             return real_prune(latents, res)
 
-        real_forward, real_prune = ae.forward, pipeline.prune
-        monkeypatch.setattr(ae, "forward", forward)
+        real_pass, real_prune = ae._blocked_pass, pipeline.prune
+        monkeypatch.setattr(ae, "_blocked_pass", blocked_pass)
         monkeypatch.setattr(pipeline, "prune", prune)
         networks = pipeline.train_networks([(0, False), (0, True)], train, val,
                                            test, _FAST_CFG)
-        # training's passes run over its batches and the validation split,
-        # so only whole-split passes count: each network makes one over the
-        # training split and one over the test split
+        # validation passes run over the validation split, so only passes
+        # over the other splits count: each network makes one blocked pass
+        # over the training split and one over the test split
         assert passes == [train.n_rows, test.n_rows] * 2
         assert prunes == [train.n_rows] * 2
         for network in networks:
