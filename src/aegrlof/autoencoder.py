@@ -26,20 +26,19 @@ share a stack.
 
 Early stopping reads each network's validation loss after every epoch,
 one pass per network. A pass runs the forward pass and smooth-L1 over
-row blocks of at least 512 rows that stay in cache, writes each block's
-element losses into one full-size array and takes one mean over it, so
-its loss is bit-identical to ``smooth_l1_loss(forward(net.params, x)[-1],
-x)``. Passes of large blocks may run on a thread pool; small ones run on
-the calling thread, where the pool would cost more than it spreads.
-:func:`encode` runs the same blocked pass, writing latents and per-row
-errors block by block.
+row blocks of at least 512 rows, whose arrays stay in cache, writes each
+block's element losses into one full-size array and takes one mean over
+it, so its loss is bit-identical to ``smooth_l1_loss(forward(net.params,
+x)[-1], x)``. Passes of large blocks may run on a thread pool; small ones
+run on the calling thread, where the pool would cost more than it
+spreads. :func:`encode` runs the same blocked pass, writing latents and
+per-row errors block by block.
 """
 
 from __future__ import annotations
 
 import builtins
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -180,15 +179,10 @@ def build_architecture(n_features: int, seed: int = 0) -> Network:
     return Network(params)
 
 
-def forward(
-    params: Params, batch: np.ndarray, out: Sequence[np.ndarray] | None = None
-) -> list[np.ndarray]:
+def forward(params: Params, batch: np.ndarray) -> list[np.ndarray]:
     """Node-layer activations, input first and output last, of one network
     or a stack; a stack's ``batch`` is (S, rows, n), one batch per network.
-    Every intermediate activation is retained for :func:`backward`.
-    ``out``, one (rows, layer width) float64 array per weight layer,
-    optionally receives the same values, so a repeated pass allocates
-    nothing."""
+    Every intermediate activation is retained for :func:`backward`."""
     batch = np.asarray(batch, dtype=np.float64)
     first = params[0][0]
     if batch.ndim != first.ndim or batch.shape[-1] != first.shape[-1]:
@@ -197,8 +191,7 @@ def forward(
         )
     activations = [batch]
     for i, (weights, bias) in enumerate(params):
-        buf = None if out is None else out[i]
-        act = np.matmul(activations[-1], weights.swapaxes(-1, -2), out=buf)
+        act = activations[-1] @ weights.swapaxes(-1, -2)
         act += bias[..., None, :]
         if i < len(params) - 1:
             np.tanh(act, out=act)
@@ -206,25 +199,19 @@ def forward(
     return activations
 
 
-def _smooth_l1(
-    output: np.ndarray,
-    target: np.ndarray,
-    err: np.ndarray | None = None,
-    clip: np.ndarray | None = None,
-    half: np.ndarray | None = None,
-) -> np.ndarray:
+def _smooth_l1(output: np.ndarray, target: np.ndarray,
+               err: np.ndarray | None = None) -> np.ndarray:
     """Element-wise smooth-L1 of e = |output - target|: 0.5*e^2 where
     e < 1, e - 0.5 elsewhere.
 
     It is computed branch-free as c * (e - 0.5*c) with c = min(e, 1),
-    which equals the piecewise form bit for bit, NaN included. ``err``,
-    ``clip`` and ``half`` (float64), each of the output's shape, are
-    optional work arrays; the result is returned in ``err``.
+    which equals the piecewise form bit for bit, NaN included. ``err``, a
+    float64 array of the output's shape, optionally receives the result.
     """
     err = np.subtract(output, target, out=err)
     np.abs(err, out=err)
-    clip = np.minimum(err, 1.0, out=clip)
-    err -= np.multiply(clip, 0.5, out=half)
+    clip = np.minimum(err, 1.0)
+    err -= 0.5 * clip
     err *= clip
     return err
 
@@ -238,12 +225,12 @@ def smooth_l1_loss(output: np.ndarray, target: np.ndarray) -> float:
     return float(_smooth_l1(output, target).mean())
 
 
-# Rows per block of a blocked pass (a validation loss or an encode). A
-# block's activations and loss work arrays stay in cache. OpenBLAS 0.3.31
-# computes a product of 1-100 rows at width 122 (1 row at width 16) with
-# other kernels, whose output bits differ from a whole-split product's, so
-# no block is shorter than this unless the whole split is: the remainder
-# joins the last block.
+# Rows per block of a blocked pass (a validation loss or an encode). The
+# arrays a block allocates, its activations and loss terms, stay in cache.
+# OpenBLAS 0.3.31 computes a product of 1-100 rows at width 122 (1 row at
+# width 16) with other kernels, whose output bits differ from a
+# whole-split product's, so no block is shorter than this unless the whole
+# split is: the remainder joins the last block.
 _BLOCK_ROWS = 512
 
 
@@ -270,25 +257,10 @@ def _block_rows(n_rows: int) -> int:
     return n_rows - _row_blocks(n_rows)[-1].start
 
 
-def _pass_work(widths: Sequence[int], n_rows: int
-               ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Work arrays for :func:`_blocked_pass` over ``n_rows`` rows of a
-    network of node widths ``widths``: one activation array per weight
-    layer and three smooth-L1 arrays, each as tall as the largest block."""
-    rows = _block_rows(n_rows)
-    return ([np.empty((rows, width)) for width in widths[1:]],
-            [np.empty((rows, widths[0])) for _ in range(3)])
-
-
-def _blocked_pass(
-    params: Params,
-    x: np.ndarray,
-    work: tuple[list[np.ndarray], list[np.ndarray]],
-    losses: np.ndarray,
-    latents: np.ndarray | None = None,
-) -> None:
+def _blocked_pass(params: Params, x: np.ndarray, losses: np.ndarray,
+                  latents: np.ndarray | None = None) -> None:
     """One network's forward pass and smooth-L1 over ``x``, block by block
-    of :func:`_row_blocks`, in the work arrays of :func:`_pass_work`.
+    of :func:`_row_blocks`; each block allocates its own arrays.
 
     ``losses`` of ``x``'s shape receives every element's loss, and a 1-D
     ``losses`` each row's mean loss; ``latents``, one row per row of
@@ -296,17 +268,14 @@ def _blocked_pass(
     bit-identical to one unblocked pass over ``x``, so ``losses.mean()``
     of element losses equals ``smooth_l1_loss(forward(params, x)[-1], x)``.
     """
-    acts, (err, clip, half) = work
     for block in _row_blocks(x.shape[0]):
-        rows = block.stop - block.start
-        out = [act[:rows] for act in acts]
+        acts = forward(params, x[block])
         if latents is not None:
-            out[BOTTLENECK_LAYER] = latents[block]
-        recon = forward(params, x[block], out)[-1]
-        block_err = losses[block] if losses.ndim == 2 else err[:rows]
-        _smooth_l1(recon, x[block], block_err, clip[:rows], half[:rows])
-        if losses.ndim == 1:
-            block_err.mean(axis=1, out=losses[block])
+            latents[block] = acts[BOTTLENECK_LAYER + 1]
+        if losses.ndim == 2:
+            _smooth_l1(acts[-1], x[block], losses[block])
+        else:
+            _smooth_l1(acts[-1], x[block]).mean(axis=1, out=losses[block])
 
 
 def backward(
@@ -417,10 +386,9 @@ def train_stack(
     loss, bit-identical to an unblocked pass. The passes go through
     ``map`` (say, a thread pool's ``map``) when the largest block holds
     at least ``_POOL_MIN_ELEMENTS`` (32 000) elements, and through the
-    builtin ``map`` otherwise; they only read the stack, and each thread that runs one
-    keeps its own block-sized work arrays and full-size loss array. A
-    pool must not be the one running this call, or it waits on its own
-    workers.
+    builtin ``map`` otherwise; they only read the stack, and each pass
+    allocates its own arrays. A pool must not be the one running this
+    call, or it waits on its own workers.
 
     The input networks are not modified, so repeated calls with the same
     config and keys produce bitwise-identical results.
@@ -444,19 +412,13 @@ def train_stack(
     orders = np.tile(np.arange(n), (n_nets, 1))
     reverses = np.array([reversal for _, reversal in keys], dtype=bool)
     rngs = [np.random.default_rng(seed) for seed, _ in keys]
-    # each thread that runs validation passes allocates its block-sized
-    # work arrays and one full-size array of element losses once: a pass
-    # fills the latter block by block and takes one mean over it, so the
-    # loss sums in the order of an unblocked pass
-    val_local = threading.local()
 
     def val_loss_of(k: int) -> float:
-        if not hasattr(val_local, "losses"):
-            val_local.work = _pass_work(nets[0].widths, x_val.shape[0])
-            val_local.losses = np.empty(x_val.shape)
-        _blocked_pass([(w[k], b[k]) for w, b in params], x_val, val_local.work,
-                      val_local.losses)
-        return float(val_local.losses.mean())
+        # one mean over every element's loss sums in the order of an
+        # unblocked pass
+        losses = np.empty(x_val.shape)
+        _blocked_pass([(w[k], b[k]) for w, b in params], x_val, losses)
+        return float(losses.mean())
 
     val_map = (map if _block_rows(x_val.shape[0]) * x_val.shape[1]
                >= _POOL_MIN_ELEMENTS else builtins.map)
@@ -585,8 +547,7 @@ def encode(net: Network, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     x = data.features
     latents = np.empty((x.shape[0], net.bottleneck_width))
     errors = np.empty(x.shape[0])
-    _blocked_pass(net.params, x, _pass_work(net.widths, x.shape[0]), errors,
-                  latents)
+    _blocked_pass(net.params, x, errors, latents)
     return latents, errors
 
 

@@ -26,6 +26,7 @@ import platform
 import sys
 import threading
 import time
+import zipfile
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -684,7 +685,10 @@ def cmd_plotdata(
     out_dir: Path, network: str | None = None, seed: int | None = None
 ) -> int:
     """Export latent scatter + per-axis KDE curves from the stored latents
-    of one trained network, preferring the reversal network."""
+    of one trained network, preferring the reversal network.
+
+    A latents file that cannot be read (cut short, overwritten, or missing
+    an array) raises ``ValueError`` naming the file."""
     # latents_<ae|aegr>_<seed>.npz, one per trained network
     candidates = sorted(out_dir.glob("latents_*.npz"))
     if network is not None:
@@ -700,10 +704,16 @@ def cmd_plotdata(
     chosen = (preferred or candidates)[0]
     logger.info("plot data source: %s", chosen.name)
 
-    with np.load(chosen, allow_pickle=False) as npz:
-        latents = npz["latents"]
-        pruned = npz["pruned_mask"].astype(bool)
-        labels = npz["labels"] if "labels" in npz.files else None
+    try:
+        with open(chosen, "rb") as file, np.load(file, allow_pickle=False) as npz:
+            latents = npz["latents"]
+            pruned = npz["pruned_mask"].astype(bool)
+            labels = npz["labels"] if "labels" in npz.files else None
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(
+            f"{chosen}: damaged latents file ({type(exc).__name__}: {exc}); "
+            "run the experiment again"
+        ) from exc
 
     if latents.shape[1] < 2:
         raise ValueError(
@@ -780,7 +790,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--network", choices=("ae", "aegr"), default=None,
                         help="plain (ae) or reversal (aegr) network whose "
                         "latents to export (default: aegr when stored)")
-    p_plot.add_argument("--seed", type=int, default=None)
+    p_plot.add_argument("--seed", type=partial(_int_at_least, 0), default=None)
     return parser
 
 

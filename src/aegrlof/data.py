@@ -9,10 +9,10 @@ training code, only by evaluation.
 
 Tables are held by column (:class:`RawTable`). One ``np.loadtxt`` call
 parses a CSV's data rows; a file it cannot read, or one with a bad
-value, goes to a csv path that parses each column whole with Python's
-``float()`` and, for a bad row or cell, scans the file once more, cell
-by cell, only to name the first bad one. Encoding writes every column
-straight into one preallocated feature matrix.
+value, goes to a csv path that parses each cell once with Python's
+``float()``, row by row, and stops at the first bad row or cell.
+Encoding writes every column straight into one preallocated feature
+matrix.
 
 All operations are pure functions of their inputs plus an explicit seed,
 so they are safe to call concurrently.
@@ -26,9 +26,10 @@ import io
 import json
 import math
 import zipfile
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -195,12 +196,10 @@ def load_csv(
     ``np.loadtxt`` call then parses every data row, with one field per
     column: a row of another width, or a cell numpy cannot read as a
     number, ends it. Such a file, and one with a non-finite number or a
-    label other than 0 or 1, is parsed again by the csv path: each column
-    whole with Python's ``float()``, which also reads ``1_000`` and
-    Unicode digits. When a row or cell is bad there too, the data rows are
-    scanned one cell at a time in file order, so the error names the first
-    bad row or cell, exactly as a row-by-row parse would. The table's
-    ``parser`` says which path read it.
+    label other than 0 or 1, is parsed again by the csv path: one cell at
+    a time in file order with Python's ``float()``, which also reads
+    ``1_000`` and Unicode digits, so the error names the first bad row or
+    cell. The table's ``parser`` says which path read it.
 
     Args:
         path: CSV file, comma separated, UTF-8 (a leading byte-order mark
@@ -272,23 +271,32 @@ def load_csv(
         return RawTable(columns=columns, values=values, parser="numpy")
 
     rows = [first, *rows]
-    numbered = zip(ends[-len(rows):], rows)
-    if set(map(len, rows)) != {width}:
-        raise _first_bad_cell(path, numbered, columns)
-    n = len(rows)
-    values = []
-    for kind, cells in zip(kinds, zip(*rows)):
-        if kind == "categorical":
-            values.append(list(map(str.strip, cells)))
-            continue
-        try:
-            col = _checked(np.fromiter(map(float, cells), np.float64, count=n), kind)
-        except ValueError:
-            col = None
-        if col is None:
-            raise _first_bad_cell(path, numbered, columns)
-        values.append(col)
-    return RawTable(columns=columns, values=values, parser="csv")
+    # numbers go into flat float64 arrays, so none is kept as an object
+    cells: list = [[] if kind == "categorical" else array("d") for kind in kinds]
+    for line, row in zip(ends[-len(rows):], rows):
+        if len(row) != width:
+            raise ValueError(
+                f"{path} line {line}: expected {width} fields, got {len(row)}"
+            )
+        for (name, kind), col, value in zip(columns, cells, row):
+            if kind == "categorical":
+                col.append(value.strip())
+                continue
+            try:
+                num = float(value)
+            except ValueError:
+                raise ValueError(
+                    f"{path} line {line}: column {name!r}: "
+                    f"cannot parse {value!r} as a number"
+                ) from None
+            if not math.isfinite(num):
+                raise ValueError(f"{path} line {line}: column {name!r}: non-finite value")
+            if kind == "label" and num not in (0.0, 1.0):
+                raise ValueError(
+                    f"{path} line {line}: label must be 0 or 1, got {value!r}"
+                )
+            col.append(num)
+    return RawTable(columns=columns, values=cells, parser="csv")
 
 
 def _checked(col: np.ndarray, kind: str) -> np.ndarray | None:
@@ -338,41 +346,6 @@ def _loadtxt_columns(text: str, skiprows: int,
             return None
         values.append(col)
     return values
-
-
-def _first_bad_cell(
-    path: Path, rows: Iterable[tuple[int, list[str]]], columns: list[tuple[str, str]]
-) -> ValueError:
-    """The error for the first bad row or cell of ``path`` in file order.
-
-    ``rows`` holds each data row with the number of the line it ends on;
-    blank lines are skipped but still counted, so errors name the line as
-    an editor shows it. Only called once the whole-column parse in
-    :func:`load_csv` has found a bad row or cell, and it checks each cell
-    the same way, so it always finds one.
-    """
-    width = len(columns)
-    for line, row in rows:
-        if len(row) != width:
-            return ValueError(
-                f"{path} line {line}: expected {width} fields, got {len(row)}"
-            )
-        for (name, kind), value in zip(columns, row):
-            if kind == "categorical":
-                continue
-            try:
-                num = float(value)
-            except ValueError:
-                return ValueError(
-                    f"{path} line {line}: column {name!r}: "
-                    f"cannot parse {value!r} as a number"
-                )
-            if not math.isfinite(num):
-                return ValueError(f"{path} line {line}: column {name!r}: non-finite value")
-            if kind == "label" and num not in (0.0, 1.0):
-                return ValueError(
-                    f"{path} line {line}: label must be 0 or 1, got {value!r}"
-                )
 
 
 def one_hot_encode(table: RawTable) -> Dataset:

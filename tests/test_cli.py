@@ -718,6 +718,30 @@ class TestPlotdata:
         assert cli.main(["plotdata", "--out", str(out_dir), "--network",
                          "aegr", "--seed", "1"]) == 0
 
+    @pytest.mark.parametrize("damage", ["truncated", "no_pruned_mask"])
+    def test_damaged_latents_is_an_input_error(self, tmp_path, capsys, damage):
+        path = tmp_path / "latents_aegr_0.npz"
+        arrays = {"latents": np.zeros((4, 2)),
+                  "pruned_mask": np.zeros(4, dtype=np.int8)}
+        if damage == "no_pruned_mask":
+            del arrays["pruned_mask"]
+        write_npz(path, arrays)
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        assert cli.main(["plotdata", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        [line] = [line for line in err.splitlines() if line.startswith("error:")]
+        assert line.startswith(f"error: {path}: damaged latents file (")
+        assert "Traceback" not in err
+        assert not (tmp_path / "latent_scatter.csv").exists()
+
+    def test_negative_seed_rejected_at_parsing(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["plotdata", "--out", str(tmp_path), "--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert ("error: argument --seed: must be at least 0, got -1"
+                in capsys.readouterr().err)
+
     def test_empty_anomaly_class_emits_normal_only(self, tmp_path, caplog):
         from aegrlof.storage import write_npz
 

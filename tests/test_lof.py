@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
-from aegrlof import lof
+from aegrlof import data, lof
 
-from conftest import naive_lof_scores
+from conftest import make_pendigits_like, naive_lof_scores
 
 
 def _lattice_1d(n=10):
@@ -251,6 +251,13 @@ def _clustered_latents(rng, n=1500):
     return centers[rng.integers(0, 25, size=n)] + rng.normal(scale=0.005, size=(n, 5))
 
 
+def _pendigits_raw_reference():
+    """The normalized 1247-row training split of the criterion-8 data."""
+    spec = data.SplitSpec(1247 / 2286, 312 / 2286, 727 / 2286, seed=0)
+    train, _, _ = data.split(make_pendigits_like(), spec)
+    return data.normalize_apply(data.normalize_fit(train), train).features
+
+
 def _record_screens(monkeypatch):
     """Wrap ``lof._screen``; the returned list gets each call's
     (rows, columns screened, leaf path?)."""
@@ -332,6 +339,8 @@ class TestLeafPath:
     def test_dense_rule(self):
         rng = np.random.default_rng(5)
         assert lof.fit(_clustered_latents(rng), 20).path == "leaves"
+        # the criterion-8 lof_raw reference: its leaves keep 0.62 of the pairs
+        assert lof.fit(_pendigits_raw_reference(), 20).path == "leaves"
         # wide uniform rows: every box reaches every other
         assert lof.fit(rng.uniform(size=(1200, 122)), 20).path == "dense"
 
