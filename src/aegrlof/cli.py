@@ -116,7 +116,7 @@ class ExperimentConfig:
     split: SplitSpec
     train: ae.TrainConfig
     min_pts: int
-    variants: list[dict[str, Any]]
+    variants: list[VariantSpec]
     seeds: list[int]
     wilcoxon_pairs: list[list[str]]
     output_dir: str
@@ -234,9 +234,10 @@ def _resolve_config(raw: Any) -> ExperimentConfig:
     if not variants:
         raise ValueError("at least one variant required")
     resolved["variants"] = variants
+    specs = [VariantSpec(**v) for v in variants]
     # report rows, score files and shared networks are keyed by
     # (detector/modifier, seed), so each may appear only once
-    keys = [VariantSpec(**v).key for v in variants]
+    keys = [spec.key for spec in specs]
     duplicate_variants = _duplicates(keys)
     if duplicate_variants:
         raise ValueError(f"duplicate variants {duplicate_variants}")
@@ -247,6 +248,10 @@ def _resolve_config(raw: Any) -> ExperimentConfig:
                 f"wilcoxon pair {pair!r} must name two distinct "
                 f"configured variants from {sorted(keys)}"
             )
+
+    min_pts = resolved["lof"]["min_pts"]
+    if min_pts < 1:
+        raise ValueError(f"lof.min_pts must be >= 1, got {min_pts}")
 
     seeds = resolved["seeds"]
     for i, seed in enumerate(seeds):
@@ -265,8 +270,8 @@ def _resolve_config(raw: Any) -> ExperimentConfig:
         has_header=dataset["has_header"],
         split=SplitSpec(**resolved["split"]),
         train=ae.TrainConfig(**resolved["train"]),
-        min_pts=resolved["lof"]["min_pts"],
-        variants=variants,
+        min_pts=min_pts,
+        variants=specs,
         seeds=seeds,
         wilcoxon_pairs=resolved["wilcoxon_pairs"],
         output_dir=output_dir,
@@ -443,17 +448,16 @@ def cmd_run(
     # lof_raw and the unmodified latent heads fit LOF on exactly the
     # training rows, so a min_pts they cannot hold fails before training
     n_train = prepared.train.n_rows
-    if not 1 <= config.min_pts < n_train:
+    if config.min_pts >= n_train:
         raise ValueError(
-            f"lof.min_pts must be at least 1 and below the {n_train} training "
-            f"rows, got {config.min_pts}"
+            f"lof.min_pts must be below the {n_train} training rows, "
+            f"got {config.min_pts}"
         )
     for pattern in _RUN_FILES:
         for path in out_dir.glob(pattern):
             path.unlink()
 
     seeds = [seed_override] if seed_override is not None else config.seeds
-    specs = [VariantSpec(**variant) for variant in config.variants]
 
     started = time.time()
     timeline = _Timeline()
@@ -492,7 +496,7 @@ def cmd_run(
     network_heads: dict[tuple[int, bool], list[VariantSpec]] = {}
     for seed in seeds:
         for reversal in (False, True):
-            heads = [replace(spec, seed=seed) for spec in specs
+            heads = [replace(spec, seed=seed) for spec in config.variants
                      if spec.reversal == reversal]
             if heads:
                 network_heads[(seed, reversal)] = heads
@@ -511,7 +515,7 @@ def cmd_run(
 
         pending += [submit(_evaluate, "lof_raw", {"variant": spec.key, "seeds": seeds},
                            [replace(spec, seed=seed) for seed in seeds])
-                    for spec in specs if spec.detector == "lof_raw"]
+                    for spec in config.variants if spec.detector == "lof_raw"]
 
         networks: list = []
         if keys:
@@ -687,8 +691,9 @@ def cmd_plotdata(
     """Export latent scatter + per-axis KDE curves from the stored latents
     of one trained network, preferring the reversal network.
 
-    A latents file that cannot be read (cut short, overwritten, or missing
-    an array) raises ``ValueError`` naming the file."""
+    A latents file that cannot be read (cut short, overwritten, missing
+    an array, or holding arrays whose shapes disagree) raises
+    ``ValueError`` naming the file."""
     # latents_<ae|aegr>_<seed>.npz, one per trained network
     candidates = sorted(out_dir.glob("latents_*.npz"))
     if network is not None:
@@ -709,6 +714,10 @@ def cmd_plotdata(
             latents = npz["latents"]
             pruned = npz["pruned_mask"].astype(bool)
             labels = npz["labels"] if "labels" in npz.files else None
+        per_row = [a.shape for a in (pruned, labels) if a is not None]
+        if latents.ndim != 2 or per_row != [latents.shape[:1]] * len(per_row):
+            raise ValueError(f"latents of shape {latents.shape} with per-row "
+                             f"arrays of shapes {per_row}")
     except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(
             f"{chosen}: damaged latents file ({type(exc).__name__}: {exc}); "

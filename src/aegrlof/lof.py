@@ -46,11 +46,10 @@ and ``score`` (each query against the references) share one routine,
    costs 2 eps more. The test keeps a leaf while its smallest squared box
    distance is at most the squared bound times 1 + (4d + 16) * eps, more
    than all of these, so rounding never drops a neighbor.
-   Dense rule: where the leaves keep more than ``_LEAF_SHARE`` of the
-   fit's (row, reference) pairs, as on wide or uniform data, they save
-   too little to pay for themselves, and ``fit`` screens every pair, in
-   blocks of rows. ``score`` always screens every pair: grouping queries
-   by leaf measured no faster on the benchmark workloads.
+   A leaf that keeps every leaf, as on wide or uniform data, gathers
+   nothing: its rows are screened in place, in blocks as ``score``
+   screens queries. ``score`` screens every pair: grouping queries by
+   leaf measured no faster on the benchmark workloads.
 1. Screen. Squared distances for a group of rows come from one BLAS
    product, |a|^2 + |b|^2 - 2 a.b. That form rounds, and loses the exact
    zero of coincident points. It and the explicit-difference form are
@@ -69,18 +68,16 @@ and ``score`` (each query against the references) share one routine,
 3. Aggregate. Neighbors come back as (row, column, distance) lists sorted
    by row and then column, with O(n * min_pts) entries; only exact ties
    add more. LRDs, neighbor-LRD sums and scores are ``np.bincount`` sums
-   over them, so both paths give bit-identical scores.
+   over them, so any grouping of the rows gives bit-identical results.
 
-Each screen is one group of rows. On the dense path it is a block of
-rows against every reference, about ``_ELEMENT_BUDGET`` (row, reference)
-entries, or one row (n entries) once n exceeds the budget. On the leaf
-path it is one leaf of up to ``_LEAF_SIZE`` rows against the columns of
-the leaves it kept, up to ``_LEAF_SIZE`` * n entries. Candidate
-differences are gathered in chunks of that budget; only the neighbor
-lists grow with the number of ties. The leaf plan also holds (leaves x
-leaves) arrays of box distances, about three float64 entries per pair of
-leaves: some 100 MB at 100k reference rows, whose leaves hold about 48
-rows each.
+Each screen is one group of rows. A block of rows against every
+reference in place holds about ``_ELEMENT_BUDGET`` (row, reference)
+entries, or one row (n entries) once n exceeds the budget; a leaf
+against the gathered columns of the leaves it kept, up to ``_LEAF_SIZE``
+* n. Candidate differences are gathered in chunks of the budget; only
+the neighbor lists grow with the number of ties. The leaf plan also
+holds three float64 (leaves x leaves) arrays of box distances: some
+100 MB at 100k reference rows, whose leaves hold about 48 rows each.
 """
 
 from __future__ import annotations
@@ -100,13 +97,6 @@ _ELEMENT_BUDGET = 1 << 16
 _EPS = np.finfo(np.float64).eps
 # Largest k-d leaf, in reference rows.
 _LEAF_SIZE = 64
-# Largest share of the fit's (row, reference) pairs the leaves may keep;
-# above it, fit screens every pair. With one BLAS thread, leaves that keep
-# every pair fit 1.1-1.3x slower than the dense path (2000 normal rows in 3
-# or 8 dimensions, 1200 uniform rows in 122), and leaves that keep 0.62 of
-# them (the raw 16-D pendigits reference) 1.6x as fast. The kdd-tall
-# references, raw and latent, keep 0.99-1.0 and stay dense.
-_LEAF_SHARE = 0.8
 
 
 @dataclass
@@ -136,8 +126,6 @@ class LofModel:
     sq_norms: np.ndarray
     # largest coordinate range of the reference, 1.0 if it has none
     scale: float
-    # how fit screened pairs: "leaves" or "dense"
-    path: str = "dense"
 
     @property
     def n_reference(self) -> int:
@@ -156,8 +144,10 @@ def _rows(matrix: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 def _boxes(points: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounding box of each run ``points[offsets[i]:offsets[i + 1]]``."""
-    return (np.minimum.reduceat(points, offsets[:-1]),
-            np.maximum.reduceat(points, offsets[:-1]))
+    # runs of the contiguous transpose reduce 1.4x as fast, copy included
+    columns = np.ascontiguousarray(points.T)
+    return (np.minimum.reduceat(columns, offsets[:-1], axis=1).T,
+            np.maximum.reduceat(columns, offsets[:-1], axis=1).T)
 
 
 def _build_leaves(reference: np.ndarray) -> Leaves:
@@ -295,29 +285,34 @@ def _neighborhoods(
     ``points_sq``/``reference_sq`` are the squared row norms. With
     ``exclude_self``, ``points`` is ``reference`` and row i never counts
     itself. Only that case takes ``leaves``, the reference's k-d leaves,
-    and ``keep``, their ``_plan``: then each leaf's rows are screened
-    against the leaves ``keep`` marks; without, every pair is. Returns
-    (rows, columns, distances) of every neighbor, sorted by row and then
-    column, and the k-distance of each row.
+    and ``keep``, their ``_plan``: then each leaf that keeps only some
+    leaves screens its rows against their gathered columns. Every other
+    row is screened against every reference, in place, in blocks of
+    rows. Returns (rows, columns, distances) of every neighbor, sorted by
+    row and then column, and the k-distance of each row.
     """
     n_points = points.shape[0]
     found = [(np.empty(0, np.intp), np.empty(0, np.intp))]
-    if leaves is None:
-        block = max(1, _ELEMENT_BUDGET // reference.shape[0])
-        for start in range(0, n_points, block):
-            rows = np.arange(start, min(start + block, n_points))
-            found.append(_screen(points, points_sq, reference, reference_sq, rows,
-                                 None, rows if exclude_self else None, min_pts))
-    else:
+    # the rows screened against every reference, in place
+    in_place = np.arange(n_points)
+    if leaves is not None:
         sizes = leaves.sizes
-        for leaf, start in enumerate(leaves.offsets[:-1]):
+        full = keep.all(axis=1)
+        in_place = leaves.order[np.repeat(full, sizes)]
+        for leaf in np.flatnonzero(~full):
             # the kept leaves' columns in leaf order: the leaf's own rows
             # follow the earlier kept leaves' rows, in their own order
             cols = leaves.order[np.repeat(keep[leaf], sizes)]
             own = keep[leaf, :leaf] @ sizes[:leaf]
+            start = leaves.offsets[leaf]
             rows = leaves.order[start:start + sizes[leaf]]
             found.append(_screen(points, points_sq, reference, reference_sq, rows,
                                  cols, own + np.arange(rows.size), min_pts))
+    block = max(1, _ELEMENT_BUDGET // reference.shape[0])
+    for start in range(0, in_place.size, block):
+        rows = in_place[start:start + block]
+        found.append(_screen(points, points_sq, reference, reference_sq, rows,
+                             None, rows if exclude_self else None, min_pts))
     k_distances = np.empty(n_points)
     rows, cols, dists = _select(points, reference, *map(np.concatenate, zip(*found)),
                                 min_pts, k_distances)
@@ -364,17 +359,12 @@ def fit(reference: np.ndarray, min_pts: int) -> LofModel:
 
     sq_norms = _sq_norms(reference)
     leaves = _build_leaves(reference)
-    keep = _plan(leaves, min_pts)
-    # the dense rule: the share of (row, reference) pairs the leaves keep
-    if leaves.sizes @ (keep @ leaves.sizes) > _LEAF_SHARE * n * n:
-        leaves = None
     rows, cols, dists, k_distances = _neighborhoods(
         reference, sq_norms, reference, sq_norms, min_pts, exclude_self=True,
-        leaves=leaves, keep=keep)
+        leaves=leaves, keep=_plan(leaves, min_pts))
     scale = float(np.ptp(reference, axis=0).max()) or 1.0
     _, lrds = _densities(rows, cols, dists, k_distances, n, scale)
-    return LofModel(reference, min_pts, k_distances, lrds, sq_norms, scale,
-                    "dense" if leaves is None else "leaves")
+    return LofModel(reference, min_pts, k_distances, lrds, sq_norms, scale)
 
 
 def score(model: LofModel, queries: np.ndarray) -> np.ndarray:

@@ -99,9 +99,9 @@ class VariantSpec:
 class ScoredRun:
     """Scores for one executed variant plus run metadata.
 
-    ``timings`` holds the seconds of the LOF fit and score and the path
-    the fit took (:attr:`lof.LofModel.path`), for ``timings.json``; it
-    varies from run to run, so it never enters the report.
+    ``timings`` holds the seconds of the LOF fit and score, for
+    ``timings.json``; they vary from run to run, so they never enter the
+    report.
     """
 
     scores: np.ndarray
@@ -297,5 +297,4 @@ def _lof_scores(reference: np.ndarray, queries: np.ndarray, min_pts: int,
     fitted = time.perf_counter()
     scores = lof.score(model, queries)
     return model, scores, {"lof_fit_s": fitted - start,
-                           "lof_score_s": time.perf_counter() - fitted,
-                           "lof_path": model.path}
+                           "lof_score_s": time.perf_counter() - fitted}

@@ -91,6 +91,7 @@ class TestConfig:
         ({"train": {"learning_rate": None}}, "train.learning_rate must be a number"),
         ({"train": {"max_epochs": 0}}, "max_epochs must be >= 1"),
         ({"lof": {"min_pts": 2.7}}, "lof.min_pts must be an integer, got 2.7"),
+        ({"lof": {"min_pts": 0}}, "lof.min_pts must be >= 1, got 0"),
         ({"split": [0.6]}, "split must be an object"),
         ({"train": {"min_improvement": float("nan")}},
          "train.min_improvement must be finite, got nan"),
@@ -130,7 +131,8 @@ class TestConfig:
             "duplicate_seeds", "duplicate_variants", "variant_without_detector",
             "seeds_not_list", "wilcoxon_pair_of_one", "wilcoxon_unconfigured",
             "wilcoxon_same_twice", "wilcoxon_not_list", "split_string", "train_string", "train_bool",
-            "train_null", "train_out_of_range", "lof_float", "split_not_object",
+            "train_null", "train_out_of_range", "lof_float", "lof_zero",
+            "split_not_object",
             "train_nan", "split_nan", "train_infinity", "seed_float",
             "seed_bool", "aug_factor_bool", "aug_sigma_nan", "schema_list",
             "schema_unknown_kind", "path_number", "output_dir_number",
@@ -485,13 +487,12 @@ class TestRun:
             "ae_0", "ae_1", "aegr_0", "aegr_1"]
         for unit in units:
             assert 0 <= unit["start_s"] <= unit["stop_s"] <= timings["duration_s"]
-            # every unit that fits and scores LOF says how long each took
-            # and which path it took; ae_re fits none
-            lof_keys = {"lof_fit_s", "lof_score_s", "lof_path"}
+            # every unit that fits and scores LOF says how long each took;
+            # ae_re fits none
+            lof_keys = {"lof_fit_s", "lof_score_s"}
             if unit["kind"] == "lof_raw" or (unit["kind"] == "head"
                                              and unit["variant"] != "ae_re/none"):
                 assert lof_keys <= unit.keys()
-                assert unit["lof_path"] in ("leaves", "dense")
                 assert 0 <= unit["lof_fit_s"] and 0 <= unit["lof_score_s"]
                 assert (unit["lof_fit_s"] + unit["lof_score_s"]
                         <= unit["stop_s"] - unit["start_s"])
@@ -553,14 +554,14 @@ class TestRun:
         monkeypatch.setattr(autoencoder, "train_stack",
                             lambda *args, **kwargs: trained.append(args))
         # lof_raw fits its reference on the 180 training rows
-        for min_pts in (0, 180, 10_000):
+        for min_pts in (180, 10_000):
             bad_path = tmp_path / "bad.json"
             bad_path.write_text(json.dumps({**config, "lof": {"min_pts": min_pts}}))
             assert cli.main(["prepare", "--config", str(bad_path)]) == 0
             capsys.readouterr()
             assert cli.main(["run", "--config", str(bad_path)]) == 1
-            assert (f"lof.min_pts must be at least 1 and below the 180 "
-                    f"training rows, got {min_pts}") in capsys.readouterr().err
+            assert (f"lof.min_pts must be below the 180 training rows, "
+                    f"got {min_pts}") in capsys.readouterr().err
         assert trained == []
         assert not (out_dir / "report.json").exists()
 
@@ -718,13 +719,21 @@ class TestPlotdata:
         assert cli.main(["plotdata", "--out", str(out_dir), "--network",
                          "aegr", "--seed", "1"]) == 0
 
-    @pytest.mark.parametrize("damage", ["truncated", "no_pruned_mask"])
+    @pytest.mark.parametrize("damage", ["truncated", "no_pruned_mask",
+                                        "latents_1d", "short_pruned_mask",
+                                        "long_labels"])
     def test_damaged_latents_is_an_input_error(self, tmp_path, capsys, damage):
         path = tmp_path / "latents_aegr_0.npz"
         arrays = {"latents": np.zeros((4, 2)),
                   "pruned_mask": np.zeros(4, dtype=np.int8)}
         if damage == "no_pruned_mask":
             del arrays["pruned_mask"]
+        elif damage == "latents_1d":
+            arrays["latents"] = np.zeros(4)
+        elif damage == "short_pruned_mask":
+            arrays["pruned_mask"] = np.zeros(3, dtype=np.int8)
+        elif damage == "long_labels":
+            arrays["labels"] = np.zeros(5, dtype=np.int64)
         write_npz(path, arrays)
         if damage == "truncated":
             path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])

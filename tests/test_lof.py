@@ -197,25 +197,25 @@ class TestScore:
         assert lof.score(model, np.empty((0, 2))).shape == (0,)
 
     def test_blocks_and_chunks_do_not_change_results(self):
-        # all-tie rows (duplicates) make every pair a candidate; a tiny
-        # budget splits the dense path's rows into many blocks, and both
-        # paths' gathers into many chunks
+        # all-tie rows (duplicates) make every pair a candidate; small
+        # leaves split the fit into many screens, a tiny budget splits the
+        # dense reference's rows into many blocks, and every gather into
+        # many chunks
         rng = np.random.default_rng(16)
         ref = np.vstack([np.zeros((40, 3)), rng.integers(-2, 3, size=(60, 3))])
         queries = np.vstack([np.zeros((5, 3)), rng.normal(size=(20, 3))])
-        for path in ("dense", "leaves"):
+        base = lof.fit(ref, 7)
+        base_scores = lof.score(base, queries)
+        for leaf_size, budget in ((8, lof._ELEMENT_BUDGET), (lof._LEAF_SIZE, 50),
+                                  (8, 50)):
             with pytest.MonkeyPatch.context() as patch:
-                if path == "leaves":
-                    _take_leaves(patch, leaf_size=8)
-                base = lof.fit(ref, 7)
-                assert base.path == path
-                base_scores = lof.score(base, queries)
-                patch.setattr(lof, "_ELEMENT_BUDGET", 50)
-                small = lof.fit(ref, 7)
-                assert small.path == path
-                np.testing.assert_array_equal(small.k_distances, base.k_distances)
-                np.testing.assert_array_equal(small.lrds, base.lrds)
-                np.testing.assert_array_equal(lof.score(small, queries), base_scores)
+                patch.setattr(lof, "_LEAF_SIZE", leaf_size)
+                patch.setattr(lof, "_ELEMENT_BUDGET", budget)
+                for model in (lof.fit(ref, 7), _dense_model(ref, 7)):
+                    np.testing.assert_array_equal(model.k_distances, base.k_distances)
+                    np.testing.assert_array_equal(model.lrds, base.lrds)
+                    np.testing.assert_array_equal(lof.score(model, queries),
+                                                  base_scores)
 
     def test_width_mismatch(self):
         model = lof.fit(np.random.default_rng(0).normal(size=(10, 3)), 2)
@@ -223,30 +223,32 @@ class TestScore:
             lof.score(model, np.zeros((2, 4)))
 
 
-def _take_leaves(monkeypatch, leaf_size):
-    """Make ``fit`` keep its k-d leaves, of at most ``leaf_size`` rows,
-    whatever share of pairs they prune."""
-    monkeypatch.setattr(lof, "_LEAF_SIZE", leaf_size)
-    monkeypatch.setattr(lof, "_LEAF_SHARE", 1.0)
+def _dense_model(reference, min_pts):
+    """The model of every (row, reference) pair screened in blocks of
+    rows, the dense form of ``_neighborhoods`` that ``score`` runs on: the
+    reference that ``fit``, on its k-d leaves, must match bit for bit."""
+    sq_norms = lof._sq_norms(reference)
+    rows, cols, dists, k_distances = lof._neighborhoods(
+        reference, sq_norms, reference, sq_norms, min_pts, exclude_self=True)
+    scale = float(np.ptp(reference, axis=0).max()) or 1.0
+    _, lrds = lof._densities(rows, cols, dists, k_distances, reference.shape[0], scale)
+    return lof.LofModel(reference, min_pts, k_distances, lrds, sq_norms, scale)
 
 
-def _assert_paths_agree(reference, min_pts, queries, monkeypatch, leaf_size=4):
-    """Fit on the leaf path and on the dense path; every k-distance,
-    density and score must be bit-equal."""
-    _take_leaves(monkeypatch, leaf_size)
-    leaves = lof.fit(reference, min_pts)
-    assert leaves.path == "leaves"
-    monkeypatch.setattr(lof, "_LEAF_SHARE", -1.0)
-    dense = lof.fit(reference, min_pts)
-    assert dense.path == "dense"
-    np.testing.assert_array_equal(leaves.k_distances, dense.k_distances)
-    np.testing.assert_array_equal(leaves.lrds, dense.lrds)
-    np.testing.assert_array_equal(lof.score(leaves, queries), lof.score(dense, queries))
+def _assert_fit_matches_dense(reference, min_pts, queries):
+    """Every k-distance, density and score of ``fit`` is bit-equal to
+    the dense reference's."""
+    model = lof.fit(reference, min_pts)
+    dense = _dense_model(reference, min_pts)
+    np.testing.assert_array_equal(model.k_distances, dense.k_distances)
+    np.testing.assert_array_equal(model.lrds, dense.lrds)
+    np.testing.assert_array_equal(lof.score(model, queries), lof.score(dense, queries))
 
 
 def _clustered_latents(rng, n=1500):
     """5-D latents in 25 tight clusters, like pruned pendigits latents:
-    at the default leaf size the leaves keep just under half the pairs."""
+    at the default leaf size the leaves keep just under half the pairs,
+    and a few leaves keep every leaf."""
     centers = rng.uniform(size=(25, 5))
     return centers[rng.integers(0, 25, size=n)] + rng.normal(scale=0.005, size=(n, 5))
 
@@ -260,7 +262,7 @@ def _pendigits_raw_reference():
 
 def _record_screens(monkeypatch):
     """Wrap ``lof._screen``; the returned list gets each call's
-    (rows, columns screened, leaf path?)."""
+    (rows, columns screened, columns gathered?)."""
     calls = []
     screen = lof._screen
 
@@ -273,47 +275,67 @@ def _record_screens(monkeypatch):
     return calls
 
 
+def _unclustered():
+    """Uniform 1200x122 rows, and 2000 standard-normal rows in 3 and in 8
+    dimensions: every leaf box reaches every other."""
+    rng = np.random.default_rng(0)
+    return (rng.uniform(size=(1200, 122)), rng.normal(size=(2000, 3)),
+            rng.normal(size=(2000, 8)))
+
+
 class TestScreenSize:
     @pytest.mark.parametrize("budget", [lof._ELEMENT_BUDGET, 50])
     def test_dense_screens_stay_within_the_budget(self, monkeypatch, budget):
-        # the default budget holds 54 rows of the 1200-row reference; 50
-        # holds less than one, so each screen holds one row
+        # score and the dense reference screen every pair in blocks of
+        # rows: the default budget holds 54 rows of the 1200-row
+        # reference; 50 holds less than one, so each screen holds one row
         monkeypatch.setattr(lof, "_ELEMENT_BUDGET", budget)
         calls = _record_screens(monkeypatch)
         rng = np.random.default_rng(3)
         reference = rng.uniform(size=(1200, 8))
-        model = lof.fit(reference, 20)
-        assert model.path == "dense"
-        lof.score(model, rng.uniform(size=(300, 8)))
+        lof.score(_dense_model(reference, 20), rng.uniform(size=(300, 8)))
         n = reference.shape[0]
         assert sum(rows for rows, _, _ in calls) == n + 300
-        assert all(n_cols == n and not leaf for _, n_cols, leaf in calls)
+        assert all(n_cols == n and not gathered for _, n_cols, gathered in calls)
         assert all(rows * n_cols <= max(budget, n) for rows, n_cols, _ in calls)
 
     def test_leaf_path_screens_one_leaf_per_call(self, monkeypatch):
-        # the benchmark-like case: clustered latents at the default leaf
-        # size, bit-equal to the dense path
-        share = lof._LEAF_SHARE
+        # bit-equal to the dense reference. A leaf that keeps only some
+        # leaves is one screen against their gathered columns; the rows of
+        # the leaves that keep every leaf are screened in place, in blocks
+        # within the budget. The clustered latents, like the raw pendigits
+        # rows, mix both kinds of leaf.
+        clustered = _clustered_latents(np.random.default_rng(11))
+        leaves = lof._build_leaves(clustered)
+        keep = lof._plan(leaves, 20)
+        assert leaves.sizes @ (keep @ leaves.sizes) < clustered.shape[0] ** 2 / 2
+        assert keep.all(axis=1).any()
         calls = _record_screens(monkeypatch)
-        rng = np.random.default_rng(11)
-        reference = _clustered_latents(rng)
-        queries = np.vstack([_clustered_latents(rng, 200), rng.uniform(size=(50, 5))])
-        _assert_paths_agree(reference, 20, queries, monkeypatch,
-                            leaf_size=lof._LEAF_SIZE)
-        n = reference.shape[0]
-        sizes = lof._build_leaves(reference).sizes
-        leaf_calls = [(rows, n_cols) for rows, n_cols, leaf in calls if leaf]
-        assert sorted(rows for rows, _ in leaf_calls) == sorted(sizes)
-        assert all(rows * n_cols <= lof._LEAF_SIZE * n for rows, n_cols in leaf_calls)
-        # few enough pairs that the dense rule would keep the leaves too
-        assert sum(rows * n_cols for rows, n_cols in leaf_calls) <= share * n * n
+        rng = np.random.default_rng(12)
+        for reference in (clustered, _pendigits_raw_reference(), *_unclustered()):
+            queries = reference[rng.integers(0, reference.shape[0], size=200)]
+            queries = np.vstack([queries + rng.normal(scale=0.01, size=queries.shape),
+                                 rng.uniform(size=(50, reference.shape[1]))])
+            _assert_fit_matches_dense(reference, 20, queries)
+            n = reference.shape[0]
+            leaves = lof._build_leaves(reference)
+            keep = lof._plan(leaves, 20)
+            partial = ~keep.all(axis=1)
+            calls.clear()
+            lof.fit(reference, 20)
+            gathered = [(rows, n_cols) for rows, n_cols, gathered in calls if gathered]
+            in_place = [rows for rows, n_cols, gathered in calls if not gathered]
+            assert gathered == list(zip(leaves.sizes[partial],
+                                        (keep @ leaves.sizes)[partial]))
+            assert all(rows * n_cols <= lof._LEAF_SIZE * n for rows, n_cols in gathered)
+            assert sum(in_place) == leaves.sizes[~partial].sum()
+            assert all(rows * n <= max(lof._ELEMENT_BUDGET, n) for rows in in_place)
 
 
 class TestLeafPath:
     def test_no_finite_queries(self, monkeypatch):
-        _take_leaves(monkeypatch, leaf_size=4)
+        monkeypatch.setattr(lof, "_LEAF_SIZE", 4)
         model = lof.fit(_grid_2d(6), min_pts=3)
-        assert model.path == "leaves"
         scores = lof.score(model, np.array([[np.nan, 1.0], [2.0, -np.inf]]))
         assert scores.shape == (2,) and np.all(np.isnan(scores))
         assert lof.score(model, np.empty((0, 2))).shape == (0,)
@@ -321,8 +343,9 @@ class TestLeafPath:
     @pytest.mark.parametrize("min_pts", [1, 4, 9])
     def test_reference_of_min_pts_plus_one_rows(self, monkeypatch, min_pts):
         rng = np.random.default_rng(min_pts)
-        _assert_paths_agree(rng.normal(size=(min_pts + 1, 3)), min_pts,
-                            rng.normal(size=(12, 3)), monkeypatch)
+        monkeypatch.setattr(lof, "_LEAF_SIZE", 4)
+        _assert_fit_matches_dense(rng.normal(size=(min_pts + 1, 3)), min_pts,
+                                  rng.normal(size=(12, 3)))
 
     def test_all_duplicate_leaves(self, monkeypatch):
         # 8 copies of each of 8 points: every leaf of 8 rows is one
@@ -331,18 +354,25 @@ class TestLeafPath:
         points = rng.integers(-2, 3, size=(8, 2)).astype(float)
         reference = np.repeat(points, 8, axis=0)
         queries = np.vstack([points, rng.normal(size=(10, 2))])
+        monkeypatch.setattr(lof, "_LEAF_SIZE", 8)
         for min_pts in (3, 8, 12):
-            _assert_paths_agree(reference, min_pts, queries, monkeypatch, leaf_size=8)
+            _assert_fit_matches_dense(reference, min_pts, queries)
         leaves = lof._build_leaves(reference)
         np.testing.assert_array_equal(leaves.lo, leaves.hi)
 
-    def test_dense_rule(self):
-        rng = np.random.default_rng(5)
-        assert lof.fit(_clustered_latents(rng), 20).path == "leaves"
-        # the criterion-8 lof_raw reference: its leaves keep 0.62 of the pairs
-        assert lof.fit(_pendigits_raw_reference(), 20).path == "leaves"
-        # wide uniform rows: every box reaches every other
-        assert lof.fit(rng.uniform(size=(1200, 122)), 20).path == "dense"
+    def test_full_keep_leaves_screen_in_place(self, monkeypatch):
+        # every leaf keeps every leaf, so fit gathers no columns and
+        # screens every row against the reference in place (bit-equal to
+        # the dense reference: see TestScreenSize)
+        calls = _record_screens(monkeypatch)
+        for reference in _unclustered():
+            leaves = lof._build_leaves(reference)
+            assert lof._plan(leaves, 20).all()
+            calls.clear()
+            lof.fit(reference, 20)
+            n = reference.shape[0]
+            assert sum(rows for rows, _, _ in calls) == n
+            assert all(n_cols == n and not gathered for _, n_cols, gathered in calls)
 
 
 # ---------------------------------------------------------------------------
