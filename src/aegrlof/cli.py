@@ -28,8 +28,8 @@ import threading
 import time
 import zipfile
 from collections import Counter
-from contextlib import ExitStack, contextmanager
-from dataclasses import MISSING, dataclass, field, fields, replace
+from contextlib import contextmanager
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Iterator
@@ -41,6 +41,7 @@ from . import autoencoder as ae
 from . import metrics
 from .data import (
     COLUMN_KINDS,
+    PreparedData,
     SplitSpec,
     load_cache,
     load_csv,
@@ -284,6 +285,7 @@ class _Timeline:
     the timeline's creation."""
 
     def __init__(self) -> None:
+        self.started_unix = time.time()
         self.start = time.perf_counter()
         self.units: list[dict[str, Any]] = []
         self._lock = threading.Lock()
@@ -310,6 +312,10 @@ def _stage_seconds(units: list[dict[str, Any]]) -> dict[str, float]:
     for unit in units:
         seconds[unit["kind"]] += unit["stop_s"] - unit["start_s"]
     return seconds
+
+
+def _write_json(path: Path, value: Any) -> None:
+    atomic_write_text(path, json.dumps(value, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_prepare(config: ExperimentConfig, out_dir: Path) -> int:
@@ -346,8 +352,7 @@ def cmd_prepare(config: ExperimentConfig, out_dir: Path) -> int:
         "csv_parser": table.parser,
         "stage_s": stage_s,
     }
-    atomic_write_text(out_dir / "prepare_summary.json",
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "prepare_summary.json", summary)
     print(f"prepared {config.dataset_path}")
     print(f"  encoded features: {summary['encoded_features']}")
     print(
@@ -359,9 +364,6 @@ def cmd_prepare(config: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-# One executed (variant, seed): its report row, or the error that stopped it.
-_Outcome = tuple[VariantSpec, dict[str, Any] | None, str | None]
-
 # Every file a run and its plotdata export write; a rerun deletes them
 # before training, so no file of an earlier run's seeds or networks
 # survives, even when the rerun stops early.
@@ -370,13 +372,19 @@ _RUN_FILES = ("scores_*.csv", "history_*.csv", "latents_*.npz",
               "report.md", "timings.json")
 
 
-def _check_cache_source(config: ExperimentConfig, cache_path: Path,
-                        meta: dict[str, Any]) -> None:
-    """Fail unless the cache was prepared with the config's ``dataset`` and
-    ``split`` objects and, when the CSV is still there, from its bytes."""
+def _load_run_data(config: ExperimentConfig, out_dir: Path) -> PreparedData:
+    """Load the run's cache. Fail unless it was prepared with the config's
+    ``dataset`` and ``split`` objects and, when the CSV is still there,
+    from its bytes, and unless its splits can be evaluated."""
+    cache_path = out_dir / CACHE_FILENAME
+    if not cache_path.exists():
+        raise FileNotFoundError(
+            f"prepared dataset not found at {cache_path}; run `prepare` first"
+        )
+    prepared = load_cache(cache_path)
     differ = []
     for section in PREPARE_SECTIONS:
-        cached = meta["settings"].get(section, {})
+        cached = prepared.meta["settings"].get(section, {})
         for key, value in config.resolved[section].items():
             if cached.get(key) != value:
                 differ.append(f"{section}.{key}: cache {cached.get(key)!r}, "
@@ -387,54 +395,11 @@ def _check_cache_source(config: ExperimentConfig, cache_path: Path,
             f"({'; '.join(differ)}); run `prepare` again"
         )
     csv_path = Path(config.dataset_path)
-    if csv_path.is_file() and file_sha256(csv_path) != meta["source_sha256"]:
+    if csv_path.is_file() and file_sha256(csv_path) != prepared.meta["source_sha256"]:
         raise ValueError(
             f"{csv_path} changed after `prepare` wrote {cache_path}; "
             "run `prepare` again"
         )
-
-
-def _done(value: Any) -> concurrent.futures.Future:
-    future: concurrent.futures.Future = concurrent.futures.Future()
-    future.set_result(value)
-    return future
-
-
-def _network_name(key: tuple[int, bool]) -> str:
-    seed, reversal = key
-    return f"{'aegr' if reversal else 'ae'}_{seed}"
-
-
-def cmd_run(
-    config: ExperimentConfig,
-    out_dir: Path,
-    jobs: int = 1,
-    seed_override: int | None = None,
-) -> int:
-    """Run every (variant, seed), evaluate, and write reports.
-
-    Per seed, a plain network serves ``ae_re`` and ``ae_lof/*`` and a
-    reversal network serves ``aegr_lof/*``. Every network of the run
-    trains in one lockstep stack on the calling thread. Each head (its
-    LOF fit and score, metrics and score file) is then one unit of work.
-    ``lof_raw`` does not depend on the seed, so one unit, started before
-    training, fills every seed's row. With ``jobs`` above 1 the units,
-    and each epoch's validation passes if their blocks are large enough
-    to pay (see :func:`autoencoder.train_stack`), run on a pool of
-    ``jobs`` threads; with 1, everything runs in order on the calling
-    thread. Each trained network writes ``history_<ae|aegr>_<seed>.csv``
-    and ``latents_<ae|aegr>_<seed>.npz``, and ``timings.json`` records when
-    and on which thread each unit ran. A cache prepared with other
-    ``dataset`` or ``split`` settings, or from a CSV that has changed
-    since, fails before anything runs.
-    """
-    cache_path = out_dir / CACHE_FILENAME
-    if not cache_path.exists():
-        raise FileNotFoundError(
-            f"prepared dataset not found at {cache_path}; run `prepare` first"
-        )
-    prepared = load_cache(cache_path)
-    _check_cache_source(config, cache_path, prepared.meta)
     if prepared.test.labels is None:
         raise ValueError(
             "test split has no labels; evaluation requires a label column"
@@ -453,44 +418,86 @@ def cmd_run(
             f"lof.min_pts must be below the {n_train} training rows, "
             f"got {config.min_pts}"
         )
+    return prepared
+
+
+def _failed(heads: list[VariantSpec], exc: BaseException) -> list[dict[str, Any]]:
+    """The failure outcome of each head, all with the error that stopped them."""
+    error = f"{type(exc).__name__}: {exc}"
+    return [{"variant": spec.key, "seed": spec.seed, "error": error}
+            for spec in heads]
+
+
+def _evaluate(timeline: _Timeline, prepared: PreparedData, min_pts: int,
+              out_dir: Path, kind: str, tags: dict[str, Any],
+              heads: list[VariantSpec],
+              network: TrainedNetwork | None = None) -> list[dict[str, Any]]:
+    """One unit: one run of the first head fills the report row, or the
+    failure, and the score file of every head given."""
+    with timeline.unit(kind, **tags) as record:
+        try:
+            run = run_variant(heads[0], prepared.train, prepared.test, min_pts,
+                              network)
+            record.update(run.timings)
+        except Exception as exc:  # recorded per variant, the run continues
+            logger.exception("variant %s seed %d failed", heads[0].key,
+                             heads[0].seed)
+            return _failed(heads, exc)
+        result = asdict(metrics.compute_metrics(run.scores, prepared.test.labels))
+        rows = []
+        for spec in heads:
+            write_scores_csv(out_dir / f"scores_{spec.detector}_"
+                             f"{spec.modifier}_{spec.seed}.csv", run.scores)
+            head = {"detector": spec.detector, "modifier": spec.modifier,
+                    "seed": spec.seed}
+            rows.append({**head, **result, "metadata": {**run.metadata, **head}})
+        return rows
+
+
+def _write_network(timeline: _Timeline, out_dir: Path, labels: np.ndarray | None,
+           name: str, network: TrainedNetwork) -> list[dict[str, Any]]:
+    """One unit: a trained network's history and latents files; it has no
+    outcome of its own."""
+    with timeline.unit("write", network=name):
+        ae.history_to_csv(network.history, out_dir / f"history_{name}.csv")
+        latents = {"latents": network.train_latents,
+                   "pruned_mask": (~network.kept).astype(np.int8)}
+        if labels is not None:
+            latents["labels"] = labels
+        write_npz(out_dir / f"latents_{name}.npz", latents)
+    return []
+
+
+def cmd_run(
+    config: ExperimentConfig,
+    out_dir: Path,
+    jobs: int = 1,
+    seed_override: int | None = None,
+) -> int:
+    """Run every (variant, seed), evaluate, and write reports.
+
+    Per seed, a plain network serves ``ae_re`` and ``ae_lof/*`` and a
+    reversal network serves ``aegr_lof/*``. Every network of the run
+    trains in one lockstep stack on the calling thread. After the stack,
+    each network's history and latents files are one unit of work, and
+    each head (its LOF fit and score, metrics and score file) is another.
+    ``lof_raw`` does not depend on the seed, so one unit fills every
+    seed's row. With ``jobs`` above 1 the units, and each epoch's
+    validation passes if their blocks are large enough to pay (see
+    :func:`autoencoder.train_stack`), run on a pool of ``jobs`` threads,
+    and ``lof_raw`` starts there before training. With 1, every unit runs
+    in order on the calling thread after the stack, ``lof_raw`` first.
+    ``timings.json`` records when and on which thread each unit ran. A
+    cache prepared with other ``dataset`` or ``split`` settings, or from a
+    CSV that has changed since, fails before anything runs.
+    """
+    prepared = _load_run_data(config, out_dir)
     for pattern in _RUN_FILES:
         for path in out_dir.glob(pattern):
             path.unlink()
-
     seeds = [seed_override] if seed_override is not None else config.seeds
-
-    started = time.time()
     timeline = _Timeline()
-
-    def _evaluate(kind: str, tags: dict[str, Any], heads: list[VariantSpec],
-                  network: TrainedNetwork | None = None) -> list[_Outcome]:
-        # one unit: one run of the first head fills the row and the score
-        # file of every head given
-        with timeline.unit(kind, **tags) as record:
-            try:
-                run = run_variant(heads[0], prepared.train, prepared.test,
-                                  config.min_pts, network)
-                record.update(run.timings)
-            except Exception as exc:  # recorded per-variant, run continues
-                logger.exception("variant %s seed %d failed", heads[0].key,
-                                 heads[0].seed)
-                return [(spec, None, f"{type(exc).__name__}: {exc}")
-                        for spec in heads]
-            result = metrics.compute_metrics(run.scores, prepared.test.labels)
-            for spec in heads:
-                write_scores_csv(out_dir / f"scores_{spec.detector}_"
-                                 f"{spec.modifier}_{spec.seed}.csv", run.scores)
-            return [(spec, {
-                "detector": spec.detector,
-                "modifier": spec.modifier,
-                "seed": spec.seed,
-                "roc_auc": result.roc_auc,
-                "pr_auc": result.pr_auc,
-                "n_pos": result.n_pos,
-                "n_neg": result.n_neg,
-                "metadata": {**run.metadata, "detector": spec.detector,
-                             "modifier": spec.modifier, "seed": spec.seed},
-            }, None) for spec in heads]
+    evaluate = partial(_evaluate, timeline, prepared, config.min_pts, out_dir)
 
     # the heads each (seed, reversal) network serves
     network_heads: dict[tuple[int, bool], list[VariantSpec]] = {}
@@ -501,25 +508,22 @@ def cmd_run(
             if heads:
                 network_heads[(seed, reversal)] = heads
     keys = list(network_heads)
+    names = [f"{'aegr' if reversal else 'ae'}_{seed}" for seed, reversal in keys]
 
-    # each unit's outcomes, in submission order: lof_raw, then every
-    # network's heads in key order
-    pending: list[concurrent.futures.Future] = []
-    with ExitStack() as cleanup:
-        if jobs > 1:
-            pool = cleanup.enter_context(concurrent.futures.ThreadPoolExecutor(
-                max_workers=jobs, thread_name_prefix="aegrlof"))
-            submit, pool_map = pool.submit, pool.map
-        else:
-            submit, pool_map = (lambda fn, *args: _done(fn(*args))), map
-
-        pending += [submit(_evaluate, "lof_raw", {"variant": spec.key, "seeds": seeds},
-                           [replace(spec, seed=seed) for seed in seeds])
-                    for spec in config.variants if spec.detector == "lof_raw"]
+    with concurrent.futures.ThreadPoolExecutor(
+            max_workers=jobs, thread_name_prefix="aegrlof") as pool:
+        # submit(fn, *args) returns a call that gives fn's outcomes: above
+        # 1 job the pool starts fn at once; at 1 the call itself runs it
+        submit, pool_map = (((lambda *call: pool.submit(*call).result), pool.map)
+                            if jobs > 1 else (partial, map))
+        # each unit's outcomes, in submission order: lof_raw, then every
+        # network's write and heads in key order
+        pending = [submit(evaluate, "lof_raw", {"variant": spec.key, "seeds": seeds},
+                          [replace(spec, seed=seed) for seed in seeds])
+                   for spec in config.variants if spec.detector == "lof_raw"]
 
         networks: list = []
         if keys:
-            names = [_network_name(k) for k in keys]
             with timeline.unit("train", networks=names) as record:
                 try:
                     networks = train_networks(keys, prepared.train, prepared.val,
@@ -534,37 +538,43 @@ def cmd_run(
                     for name, n in zip(names, networks)}
             logger.info("trained stack: epochs %s", record["epochs"])
 
-        for key, network in zip(keys, networks):
+        for key, name, network in zip(keys, names, networks):
             heads = network_heads[key]
             if not isinstance(network, TrainedNetwork):
-                logger.error("network seed %d reversal=%s failed: %s",
-                             *key, network)
-                error = f"{type(network).__name__}: {network}"
-                pending.append(_done([(spec, None, error) for spec in heads]))
+                logger.error("network %s failed: %s", name, network)
+                pending.append(partial(_failed, heads, network))
                 continue
-            name = _network_name(key)
-            with timeline.unit("write", network=name):
-                ae.history_to_csv(network.history, out_dir / f"history_{name}.csv")
-                latents = {"latents": network.train_latents,
-                           "pruned_mask": (~network.kept).astype(np.int8)}
-                if prepared.train.labels is not None:
-                    latents["labels"] = prepared.train.labels
-                write_npz(out_dir / f"latents_{name}.npz", latents)
-            pending += [submit(_evaluate, "head", {"variant": spec.key, "seed": spec.seed},
+            pending.append(submit(_write_network, timeline, out_dir,
+                                  prepared.train.labels, name, network))
+            pending += [submit(evaluate, "head", {"variant": spec.key, "seed": spec.seed},
                                [spec], network) for spec in heads]
-        outcomes = [outcome for future in pending for outcome in future.result()]
+        outcomes = [outcome for result in pending for outcome in result()]
 
+    failures = _write_report(config, seeds, outcomes, timeline, jobs, out_dir)
+    print(f"completed {len(outcomes) - len(failures)}/{len(outcomes)} runs -> "
+          f"{out_dir / 'report.json'}")
+    for failure in failures:
+        print(f"  FAILED {failure['variant']} seed {failure['seed']}: "
+              f"{failure['error']}", file=sys.stderr)
+    return 0 if not failures else 1
+
+
+def _write_report(config: ExperimentConfig, seeds: list[int],
+                  outcomes: list[dict[str, Any]], timeline: _Timeline, jobs: int,
+                  out_dir: Path) -> list[dict[str, Any]]:
+    """Write report.json, with the run's versions and stage seconds in its
+    ``environment`` block, report.md and timings.json; return the report's
+    failures."""
     with timeline.unit("report"):
-        rows = sorted((row for _, row, _ in outcomes if row is not None),
+        rows = sorted((o for o in outcomes if "error" not in o),
                       key=lambda r: (r["detector"], r["modifier"], r["seed"]))
-        failures = [{"variant": spec.key, "seed": spec.seed, "error": error}
-                    for spec, row, error in outcomes if row is None]
         report = {
             "config": {**config.resolved, "seeds": seeds},
-            "dataset_sha256": file_sha256(cache_path),
+            "dataset_sha256": file_sha256(out_dir / CACHE_FILENAME),
             "rows": rows,
             "wilcoxon": _wilcoxon_comparisons(config.wilcoxon_pairs, rows, seeds),
-            "failures": sorted(failures, key=lambda f: (f["variant"], f["seed"])),
+            "failures": sorted((o for o in outcomes if "error" in o),
+                               key=lambda f: (f["variant"], f["seed"])),
         }
     duration_s = timeline.elapsed()
     units = sorted(timeline.units, key=lambda unit: unit["start_s"])
@@ -572,28 +582,15 @@ def cmd_run(
         "package_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "started_unix": started,
+        "started_unix": timeline.started_unix,
         "duration_s": duration_s,
         "stage_s": _stage_seconds(units),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(
-        out_dir / "report.json",
-        json.dumps({"report": report, "environment": environment},
-                   indent=2, sort_keys=True) + "\n",
-    )
-    atomic_write_text(out_dir / "report.md", _render_markdown(report, seeds))
-    atomic_write_text(
-        out_dir / "timings.json",
-        json.dumps({"jobs": jobs, "duration_s": duration_s, "units": units},
-                   indent=2, sort_keys=True) + "\n",
-    )
-
-    print(f"completed {len(rows)}/{len(outcomes)} runs -> {out_dir / 'report.json'}")
-    for failure in failures:
-        print(f"  FAILED {failure['variant']} seed {failure['seed']}: "
-              f"{failure['error']}", file=sys.stderr)
-    return 0 if not failures else 1
+    _write_json(out_dir / "report.json", {"report": report, "environment": environment})
+    atomic_write_text(out_dir / "report.md", _render_markdown(report))
+    _write_json(out_dir / "timings.json",
+                {"jobs": jobs, "duration_s": duration_s, "units": units})
+    return report["failures"]
 
 
 def _wilcoxon_comparisons(
@@ -617,12 +614,7 @@ def _wilcoxon_comparisons(
             a = np.array([a_by_seed[s] for s in common])
             b = np.array([b_by_seed[s] for s in common])
             try:
-                result = metrics.wilcoxon_signed_rank(a, b)
-                entry.update(
-                    w_statistic=result.w_statistic,
-                    p_value=result.p_value,
-                    n_effective=result.n_effective,
-                )
+                entry.update(asdict(metrics.wilcoxon_signed_rank(a, b)))
             except ValueError as exc:
                 entry["error"] = str(exc)
         out.append(entry)
@@ -638,7 +630,7 @@ _DETECTOR_TITLES = {
 _MODIFIER_TITLES = {"none": "None", "prune": "Pruning", "prune_da": "Pruning+DA"}
 
 
-def _render_markdown(report: dict[str, Any], seeds: list[int]) -> str:
+def _render_markdown(report: dict[str, Any]) -> str:
     grouped: dict[tuple[str, str], list[dict[str, Any]]] = {}
     for row in report["rows"]:
         grouped.setdefault((row["detector"], row["modifier"]), []).append(row)
@@ -646,7 +638,7 @@ def _render_markdown(report: dict[str, Any], seeds: list[int]) -> str:
     lines = [
         "# Detection benchmark",
         "",
-        f"Seeds: {seeds}",
+        f"Seeds: {report['config']['seeds']}",
         f"Dataset sha256: `{report['dataset_sha256']}`",
         "",
         "| Detection approach | Modification method | PR AUC | ROC AUC |",

@@ -416,6 +416,12 @@ def normalize_apply(params: NormParams, data: Dataset) -> Dataset:
     return Dataset(scaled, list(data.feature_names), data.labels)
 
 
+def fraction_rows(fraction: float, n: int) -> int:
+    """floor(fraction * n) rows; the 1e-9 absorbs float representation error
+    in fractions like 312/2286."""
+    return int(fraction * n + 1e-9)
+
+
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     """Disjoint covering train/val/test partition via a seeded shuffle.
 
@@ -425,9 +431,8 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     n = data.n_rows
     if n < 3:
         raise ValueError(f"need at least 3 rows to split, got {n}")
-    # +1e-9 absorbs float representation error in fractions like 312/2286
-    n_val = int(spec.val_fraction * n + 1e-9)
-    n_test = int(spec.test_fraction * n + 1e-9)
+    n_val = fraction_rows(spec.val_fraction, n)
+    n_test = fraction_rows(spec.test_fraction, n)
     n_train = n - n_val - n_test
     if min(n_train, n_val, n_test) <= 0:
         raise ValueError(
@@ -446,7 +451,7 @@ def subsample(train: Dataset, fraction: float, seed: int) -> Dataset:
     """Seeded uniform sample without replacement of floor(fraction * n) rows."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    count = int(fraction * train.n_rows + 1e-9)
+    count = fraction_rows(fraction, train.n_rows)
     if count < 1:
         raise ValueError(
             f"subsampling {train.n_rows} rows at fraction {fraction} is empty"

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autoencoder as ae
 from . import lof
-from .data import Dataset
+from .data import Dataset, fraction_rows
 
 logger = logging.getLogger(__name__)
 
@@ -152,7 +152,7 @@ def augment(
         raise ValueError(f"factor must be >= 1, got {factor}")
     latents = np.asarray(latents, dtype=np.float64)
     n = latents.shape[0]
-    n_extra = int((factor - 1.0) * n + 1e-9)
+    n_extra = fraction_rows(factor - 1.0, n)
     if n_extra == 0:
         return latents.copy()
     base = latents[np.arange(n_extra) % n]

@@ -477,6 +477,18 @@ class TestRun:
             for name in train["networks"]}
         # the stack trains on the calling thread, never in a pool worker
         assert train["thread"] == "MainThread"
+        if jobs == "1":
+            # every unit runs in order on the calling thread, none overlapping
+            assert {u["thread"] for u in units} == {"MainThread"}
+            for before, after in zip(units, units[1:]):
+                assert before["stop_s"] <= after["start_s"]
+        else:
+            # lof_raw starts on the pool before training; every write and
+            # head waits for the stack
+            [lof_raw] = [u for u in units if u["kind"] == "lof_raw"]
+            assert lof_raw["thread"].startswith("aegrlof_")
+            assert all(train["stop_s"] <= u["start_s"] for u in units
+                       if u["kind"] in ("write", "head"))
         assert sorted((u["variant"], u["seed"]) for u in units
                       if u["kind"] == "head") == sorted(
             (f"{d}/{m}", seed) for d, m in cli.VARIANT_MATRIX if d != "lof_raw"
@@ -647,10 +659,19 @@ class TestRun:
                     row["metadata"]["rows_after_prune"])
                 np.testing.assert_array_equal(npz["labels"], train_labels)
 
-    def test_failed_network_fails_each_of_its_heads(self, experiment, tmp_path):
+    @pytest.mark.parametrize("failure", ["diverged", "stack_raised"])
+    def test_failed_network_fails_each_of_its_heads(self, experiment, tmp_path,
+                                                    monkeypatch, failure):
         _, out_dir, config = experiment
-        config = {**config, "variants": "matrix",
-                  "train": {**config["train"], "learning_rate": 1e307}}
+        config = {**config, "variants": "matrix"}
+        if failure == "diverged":
+            config["train"] = {**config["train"], "learning_rate": 1e307}
+            error = re.compile(r"RuntimeError: training diverged: ")
+        else:
+            def raise_memory_error(*args, **kwargs):
+                raise MemoryError("boom")
+            monkeypatch.setattr(cli, "train_networks", raise_memory_error)
+            error = re.compile(r"MemoryError: boom\Z")
         path = tmp_path / "diverge.json"
         path.write_text(json.dumps(config))
         cli.main(["prepare", "--config", str(path)])
@@ -659,7 +680,7 @@ class TestRun:
         heads = [f"{d}/{m}" for d, m in cli.VARIANT_MATRIX if d != "lof_raw"]
         assert [(f["variant"], f["seed"]) for f in report["failures"]] == sorted(
             (head, seed) for head in heads for seed in (0, 1))
-        assert all("training diverged" in f["error"] for f in report["failures"])
+        assert all(error.match(f["error"]) for f in report["failures"])
         for seed in (0, 1):
             for reversal in (False, True):
                 errors = {f["error"] for f in report["failures"] if f["seed"] == seed
@@ -673,6 +694,8 @@ class TestRun:
             "lof_raw": 1, "train": 1, "report": 1}
         [train] = [u for u in timings["units"] if u["kind"] == "train"]
         assert train["epochs"] == dict.fromkeys(train["networks"])
+        # no failed network writes its history or latents
+        assert not [*out_dir.glob("history_*"), *out_dir.glob("latents_*")]
 
     def test_wilcoxon_needs_five_seeds(self, experiment, tmp_path):
         config_path, out_dir, config = experiment
