@@ -49,6 +49,8 @@ from .data import (
     save_cache,
 )
 from .pipeline import (
+    DETECTORS,
+    MODIFIERS,
     VARIANT_MATRIX,
     TrainedNetwork,
     VariantSpec,
@@ -83,7 +85,8 @@ def _table(cls) -> dict[str, tuple[str, Any]]:
 
 # Each config object's keys, as key -> (kind, default); a MISSING default
 # makes the key required, and null passes only where the default is null.
-# `variants` has no kind here: it is "matrix" or a list, parsed by hand.
+# `variants` has no kind here: it is "matrix" or a list, each entry of
+# which is read through VARIANT_TABLE.
 CONFIG_TABLE = {
     "dataset": ("object", {}),
     "split": ("object", {}),
@@ -104,7 +107,11 @@ SECTION_TABLES = {
 # The config objects `prepare` reads; the cache records them, and `run`
 # reads only a cache prepared with the config's.
 PREPARE_SECTIONS = ("dataset", "split")
-VARIANT_KEYS = ("detector", "modifier", "aug_factor", "aug_sigma")
+# A variant object's keys: VariantSpec's fields but the seed, which `seeds`
+# gives; only a prune_da variant reads the augmentation keys.
+VARIANT_TABLE = {key: entry for key, entry in _table(VariantSpec).items()
+                 if key != "seed"}
+_AUG_KEYS = ("aug_factor", "aug_sigma")
 
 
 @dataclass
@@ -124,15 +131,6 @@ class ExperimentConfig:
     resolved: dict = field(default_factory=dict)
 
 
-def _check_keys(where: str, section: dict, known) -> None:
-    unknown = set(section) - set(known)
-    if unknown:
-        raise ValueError(
-            f"unknown {where} keys {sorted(unknown)} "
-            f"(expected from {sorted(known)})"
-        )
-
-
 def _check_value(name: str, value: Any, kind: str) -> None:
     types, phrase = _KINDS[kind]
     if (isinstance(value, bool) and bool not in types) or not isinstance(value, types):
@@ -143,13 +141,18 @@ def _check_value(name: str, value: Any, kind: str) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _read_object(where: str, values: dict, table: dict) -> dict[str, Any]:
+def _read_object(where: str, values: dict, table: dict,
+                 sep: str = ".") -> dict[str, Any]:
     """Check one config object's keys and kinds against its table, and
-    return it with every default filled in."""
-    _check_keys(where or "top-level", values, table)
+    return it with every default filled in. Errors name a key as
+    ``where``, ``sep`` and the key."""
+    unknown = set(values) - set(table)
+    if unknown:
+        raise ValueError(f"unknown {where or 'top-level'} keys {sorted(unknown)} "
+                         f"(expected from {sorted(table)})")
     out = {}
     for key, (kind, default) in table.items():
-        name = f"{where}.{key}" if where else key
+        name = f"{where}{sep}{key}" if where else key
         value = values.get(key, default)
         if value is MISSING:
             raise ValueError(f"config needs {name}")
@@ -164,26 +167,23 @@ def _duplicates(values: list) -> list:
     return sorted({v for v in values if values.count(v) > 1})
 
 
-def _parse_variant_entry(entry: Any) -> dict[str, Any]:
+def _read_variant(entry: Any) -> dict[str, Any]:
+    """Read one variant entry, a "detector/modifier" string or an object,
+    through VARIANT_TABLE. The result echoes an augmentation key only
+    where the entry sets it."""
     if isinstance(entry, str):
-        detector, _, modifier = entry.partition("/")
-        return {"detector": detector, "modifier": modifier or "none"}
-    if isinstance(entry, dict):
-        _check_keys("variant", entry, VARIANT_KEYS)
-        if "detector" not in entry:
-            raise ValueError(f"variant {entry!r} needs a detector")
-        out = {"detector": entry["detector"], "modifier": entry.get("modifier", "none")}
-        aug_keys = [key for key in ("aug_factor", "aug_sigma") if key in entry]
-        for key in aug_keys:
-            _check_value(f"variant {key}", entry[key], "float")
-            out[key] = float(entry[key])
-        if aug_keys and out["modifier"] != "prune_da":
-            raise ValueError(
-                f"variant {out['detector']}/{out['modifier']} sets "
-                f"{aug_keys}, which only a prune_da variant reads"
-            )
-        return out
-    raise ValueError(f"cannot parse variant entry {entry!r}")
+        entry = dict(zip(("detector", "modifier"), entry.split("/", 1)))
+    if not isinstance(entry, dict):
+        raise ValueError(f"cannot parse variant entry {entry!r}")
+    variant = _read_object("variant", entry, VARIANT_TABLE, sep=" ")
+    aug_keys = [key for key in _AUG_KEYS if key in entry]
+    if aug_keys and variant["modifier"] != "prune_da":
+        raise ValueError(
+            f"variant {variant['detector']}/{variant['modifier']} sets "
+            f"{aug_keys}, which only a prune_da variant reads"
+        )
+    return {key: value for key, value in variant.items()
+            if key in entry or key not in _AUG_KEYS}
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -223,19 +223,15 @@ def _resolve_config(raw: Any) -> ExperimentConfig:
         else:
             schema[key] = kind
 
-    variants_raw = resolved["variants"]
-    if variants_raw == "matrix":
-        variants = [{"detector": d, "modifier": m} for d, m in VARIANT_MATRIX]
-    elif isinstance(variants_raw, list):
-        variants = [_parse_variant_entry(v) for v in variants_raw]
-    else:
-        raise ValueError(
-            f'variants must be "matrix" or a list, got {variants_raw!r}'
-        )
+    variants = resolved["variants"]
+    if variants == "matrix":
+        variants = [f"{d}/{m}" for d, m in VARIANT_MATRIX]
+    elif not isinstance(variants, list):
+        raise ValueError(f'variants must be "matrix" or a list, got {variants!r}')
     if not variants:
         raise ValueError("at least one variant required")
-    resolved["variants"] = variants
-    specs = [VariantSpec(**v) for v in variants]
+    resolved["variants"] = [_read_variant(v) for v in variants]
+    specs = [VariantSpec(**v) for v in resolved["variants"]]
     # report rows, score files and shared networks are keyed by
     # (detector/modifier, seed), so each may appear only once
     keys = [spec.key for spec in specs]
@@ -520,7 +516,7 @@ def cmd_run(
         # network's write and heads in key order
         pending = [submit(evaluate, "lof_raw", {"variant": spec.key, "seeds": seeds},
                           [replace(spec, seed=seed) for seed in seeds])
-                   for spec in config.variants if spec.detector == "lof_raw"]
+                   for spec in config.variants if spec.reversal is None]
 
         networks: list = []
         if keys:
@@ -621,15 +617,6 @@ def _wilcoxon_comparisons(
     return out
 
 
-_DETECTOR_TITLES = {
-    "lof_raw": "Stand-alone LOF",
-    "ae_re": "AE-RE",
-    "ae_lof": "AE-LOF",
-    "aegr_lof": "AEGR-LOF",
-}
-_MODIFIER_TITLES = {"none": "None", "prune": "Pruning", "prune_da": "Pruning+DA"}
-
-
 def _render_markdown(report: dict[str, Any]) -> str:
     grouped: dict[tuple[str, str], list[dict[str, Any]]] = {}
     for row in report["rows"]:
@@ -644,16 +631,13 @@ def _render_markdown(report: dict[str, Any]) -> str:
         "| Detection approach | Modification method | PR AUC | ROC AUC |",
         "|---|---|---|---|",
     ]
-    ordered = [key for key in VARIANT_MATRIX if key in grouped]
-    ordered += [key for key in grouped if key not in ordered]
-    for key in ordered:
-        entries = grouped[key]
+    for detector, modifier in (key for key in VARIANT_MATRIX if key in grouped):
+        entries = grouped[detector, modifier]
         pr = np.array([e["pr_auc"] for e in entries])
         roc = np.array([e["roc_auc"] for e in entries])
         lines.append(
             "| {} | {} | {:.3f} ± {:.3f} | {:.3f} ± {:.3f} |".format(
-                _DETECTOR_TITLES.get(key[0], key[0]),
-                _MODIFIER_TITLES.get(key[1], key[1]),
+                DETECTORS[detector][0], MODIFIERS[modifier],
                 pr.mean(), pr.std(), roc.mean(), roc.std(),
             )
         )

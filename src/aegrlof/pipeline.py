@@ -38,11 +38,19 @@ from .data import Dataset, fraction_rows
 
 logger = logging.getLogger(__name__)
 
-DETECTORS = ("lof_raw", "ae_re", "ae_lof", "aegr_lof")
-MODIFIERS = ("none", "prune", "prune_da")
+# Each detector's report title and the network its heads read: None for
+# no network, False for the plain one, True for the gradient-reversal one.
+DETECTORS = {
+    "lof_raw": ("Stand-alone LOF", None),
+    "ae_re": ("AE-RE", False),
+    "ae_lof": ("AE-LOF", False),
+    "aegr_lof": ("AEGR-LOF", True),
+}
+# Each modifier's report title.
+MODIFIERS = {"none": "None", "prune": "Pruning", "prune_da": "Pruning+DA"}
 
-# Rows of the benchmark comparison matrix: modifiers apply only to the
-# latent-LOF detectors.
+# Rows of the benchmark comparison matrix, and the only valid (detector,
+# modifier) pairs: modifiers apply only to the latent-LOF detectors.
 VARIANT_MATRIX = (
     ("lof_raw", "none"),
     ("ae_re", "none"),
@@ -66,13 +74,15 @@ class VariantSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.detector not in DETECTORS:
-            raise ValueError(f"unknown detector {self.detector!r}")
-        if self.modifier not in MODIFIERS:
-            raise ValueError(f"unknown modifier {self.modifier!r}")
-        if self.modifier != "none" and self.detector not in ("ae_lof", "aegr_lof"):
+        for name, value, table in (("detector", self.detector, DETECTORS),
+                                   ("modifier", self.modifier, MODIFIERS)):
+            # only a string names one; a list would not even hash
+            if not (isinstance(value, str) and value in table):
+                raise ValueError(f"unknown {name} {value!r}")
+        if (self.detector, self.modifier) not in VARIANT_MATRIX:
+            takers = "/".join(d for d, m in VARIANT_MATRIX if m == self.modifier)
             raise ValueError(
-                f"modifier {self.modifier!r} applies only to ae_lof/aegr_lof, "
+                f"modifier {self.modifier!r} applies only to {takers}, "
                 f"not {self.detector!r}"
             )
         if not (math.isfinite(self.aug_factor) and self.aug_factor >= 1.0):
@@ -92,7 +102,7 @@ class VariantSpec:
     def reversal(self) -> bool | None:
         """Whether the head reads the gradient-reversal network; None for
         ``lof_raw``, which reads no network."""
-        return None if self.detector == "lof_raw" else self.detector == "aegr_lof"
+        return DETECTORS[self.detector][1]
 
 
 @dataclass

@@ -36,10 +36,12 @@ def experiment(tmp_path):
     return config_path, tmp_path / "out", config
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_config() -> dict:
     """The README's example `experiment.json`."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-        encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     return json.loads(readme.split("`experiment.json`:\n\n```json\n", 1)[1]
                       .split("```", 1)[0])
 
@@ -76,7 +78,7 @@ class TestConfig:
         ({"seeds": [0, 0, 0, 1, 2]}, "duplicate seeds [0]"),
         ({"variants": ["lof_raw", "lof_raw/none", "ae_re"]},
          "duplicate variants ['lof_raw/none']"),
-        ({"variants": [{"modifier": "prune"}]}, "needs a detector"),
+        ({"variants": [{"modifier": "prune"}]}, "config needs variant detector"),
         ({"seeds": 3}, "seeds must be a list"),
         ({"wilcoxon_pairs": [["lof_raw"]]}, "wilcoxon pair ['lof_raw']"),
         ({"wilcoxon_pairs": [["aegr_lof/prune", "ae_lof/none"]]},
@@ -127,6 +129,11 @@ class TestConfig:
         ({"variants": ["lof_rawx"]}, "bad.json: unknown detector 'lof_rawx'"),
         ({"train": {"min_improvement": -1.0}},
          "min_improvement must be >= 0, got -1.0"),
+        ({"variants": []}, "at least one variant required"),
+        ({"train": {"batch_size": 0}}, "batch_size must be >= 1, got 0"),
+        ({"train": {"gr_start_epoch": -1}}, "gr_start_epoch must be >= 0, got -1"),
+        ({"variants": [{"detector": ["ae_lof"]}]},
+         "variant detector must be a string, got ['ae_lof']"),
     ], ids=["top_level_key", "dataset_key", "lof_key", "variant_key",
             "duplicate_seeds", "duplicate_variants", "variant_without_detector",
             "seeds_not_list", "wilcoxon_pair_of_one", "wilcoxon_unconfigured",
@@ -139,7 +146,8 @@ class TestConfig:
             "has_header_string", "variants_number", "two_labels",
             "seed_negative", "split_seed_negative", "aug_without_prune_da",
             "variant_number", "variant_unknown_detector",
-            "train_negative_min_improvement"])
+            "train_negative_min_improvement", "variants_empty",
+            "batch_size_zero", "gr_start_epoch_negative", "detector_list"])
     def test_invalid_config_fails_before_loading_data(self, experiment, tmp_path,
                                                       capsys, change, offender):
         _, out_dir, config = experiment
@@ -179,6 +187,10 @@ class TestConfig:
         assert raw.keys() == cli.CONFIG_TABLE.keys()
         for section, table in cli.SECTION_TABLES.items():
             assert raw[section].keys() == table.keys(), section
+        # the config notes list a variant object's keys
+        notes = README.read_text(encoding="utf-8").split(
+            "A variant\n  object's keys are ", 1)[1].split("`.\n", 1)[0]
+        assert re.findall(r'"(\w+)": \.\.\.', notes) == list(cli.VARIANT_TABLE)
 
     @pytest.mark.parametrize("source", ["readme", "experiment"])
     def test_resolved_config_loads_to_itself(self, experiment, tmp_path, source):
@@ -696,6 +708,79 @@ class TestRun:
         assert train["epochs"] == dict.fromkeys(train["networks"])
         # no failed network writes its history or latents
         assert not [*out_dir.glob("history_*"), *out_dir.glob("latents_*")]
+
+    def test_failed_head_leaves_the_other_heads_complete(self, experiment,
+                                                         tmp_path, capsys):
+        # pruning leaves ae_lof/prune no more than min_pts reference rows;
+        # augmentation refills aegr_lof/prune_da's
+        _, out_dir, config = experiment
+        path = tmp_path / "prune.json"
+        path.write_text(json.dumps({
+            **config, "lof": {"min_pts": 170},
+            "variants": ["ae_lof/none", "ae_lof/prune", "aegr_lof/prune_da"]}))
+        assert cli.main(["prepare", "--config", str(path)]) == 0
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert "completed 4/6 runs" in capsys.readouterr().out
+        report = json.loads((out_dir / "report.json").read_text())["report"]
+        assert [(f["variant"], f["seed"]) for f in report["failures"]] == [
+            ("ae_lof/prune", 0), ("ae_lof/prune", 1)]
+        kept = []
+        for failure in report["failures"]:
+            assert failure["error"].startswith(
+                "ValueError: ae_lof/prune: pruning kept ")
+            kept.append(re.search(r"kept (\d+) of 180 ", failure["error"])[1])
+        assert kept == ["150", "144"]
+        assert sorted((r["detector"], r["modifier"], r["seed"])
+                      for r in report["rows"]) == [
+            ("ae_lof", "none", 0), ("ae_lof", "none", 1),
+            ("aegr_lof", "prune_da", 0), ("aegr_lof", "prune_da", 1)]
+        assert not list(out_dir.glob("scores_ae_lof_prune_*.csv"))
+        assert len(list(out_dir.glob("scores_*.csv"))) == 4
+
+    def test_headerless_csv_runs_with_an_index_schema(self, experiment):
+        config_path, out_dir, config = experiment
+        csv_path = Path(config["dataset"]["path"])
+        # the fixture's 8 feature columns, then the label at index 8
+        csv_path.write_text(csv_path.read_text().split("\n", 1)[1])
+        config["dataset"] = {**config["dataset"], "has_header": False,
+                             "schema": {"8": "label"}}
+        config_path.write_text(json.dumps(config))
+        assert cli.main(["prepare", "--config", str(config_path)]) == 0
+        assert cli.main(["run", "--config", str(config_path)]) == 0
+        report = json.loads((out_dir / "report.json").read_text())["report"]
+        assert len(report["rows"]) == 4 and report["failures"] == []
+
+    def test_unlabeled_csv_prepares_but_does_not_run(self, experiment, capsys,
+                                                     monkeypatch):
+        config_path, out_dir, config = experiment
+        csv_path = Path(config["dataset"]["path"])
+        csv_path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in
+                                    csv_path.read_text().splitlines()))
+        config["dataset"] = {**config["dataset"], "schema": {}}
+        config_path.write_text(json.dumps(config))
+        trained = []
+        monkeypatch.setattr(autoencoder, "train_stack",
+                            lambda *args, **kwargs: trained.append(args))
+        assert cli.main(["prepare", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(config_path)]) == 1
+        assert "test split has no labels" in capsys.readouterr().err
+        assert trained == []
+        assert not (out_dir / "report.json").exists()
+
+    def test_report_md_rows_follow_the_matrix_with_titles(self, experiment,
+                                                          tmp_path):
+        _, out_dir, config = experiment
+        path = tmp_path / "titles.json"
+        path.write_text(json.dumps(
+            {**config, "variants": ["aegr_lof/prune", "ae_re", "lof_raw"]}))
+        cli.main(["prepare", "--config", str(path)])
+        assert cli.main(["run", "--config", str(path)]) == 0
+        rows = [line.split(" | ")[:2] for line in
+                (out_dir / "report.md").read_text().splitlines()
+                if line.startswith("| ") and "±" in line]
+        assert rows == [["| Stand-alone LOF", "None"], ["| AE-RE", "None"],
+                        ["| AEGR-LOF", "Pruning"]]
 
     def test_wilcoxon_needs_five_seeds(self, experiment, tmp_path):
         config_path, out_dir, config = experiment

@@ -102,6 +102,11 @@ class TestVariantSpec:
             pipeline.VariantSpec("isolation_forest")
         with pytest.raises(ValueError, match="modifier"):
             pipeline.VariantSpec("ae_lof", "trim")
+        # names that are not strings, hashable or not
+        with pytest.raises(ValueError, match="unknown detector"):
+            pipeline.VariantSpec(["ae_lof"])
+        with pytest.raises(ValueError, match="unknown modifier"):
+            pipeline.VariantSpec("ae_lof", ["prune"])
 
     def test_key(self):
         assert pipeline.VariantSpec("aegr_lof", "prune").key == "aegr_lof/prune"
