@@ -51,6 +51,7 @@ from .data import (
 from .pipeline import (
     DETECTORS,
     MODIFIERS,
+    NETWORKS,
     VARIANT_MATRIX,
     TrainedNetwork,
     VariantSpec,
@@ -63,6 +64,10 @@ from .storage import atomic_write_text, file_sha256, write_npz, write_scores_csv
 logger = logging.getLogger(__name__)
 
 CACHE_FILENAME = "dataset_cache.npz"
+# A head and its outcome: its report row's metrics and run metadata, or the
+# error that stopped it; a failure's line in stderr and report.md.
+Outcome = tuple[VariantSpec, dict[str, Any] | str]
+FAILURE_LINE = "{variant} seed {seed}: {error}"
 
 # Each kind of config value: the JSON types it takes, and how an error
 # names it. A float field takes any JSON number; booleans, which Python
@@ -178,10 +183,8 @@ def _read_variant(entry: Any) -> dict[str, Any]:
     variant = _read_object("variant", entry, VARIANT_TABLE, sep=" ")
     aug_keys = [key for key in _AUG_KEYS if key in entry]
     if aug_keys and variant["modifier"] != "prune_da":
-        raise ValueError(
-            f"variant {variant['detector']}/{variant['modifier']} sets "
-            f"{aug_keys}, which only a prune_da variant reads"
-        )
+        raise ValueError(f"variant {VariantSpec(**variant).key} sets "
+                         f"{aug_keys}, which only a prune_da variant reads")
     return {key: value for key, value in variant.items()
             if key in entry or key not in _AUG_KEYS}
 
@@ -216,16 +219,17 @@ def _resolve_config(raw: Any) -> ExperimentConfig:
             f"dataset.schema names {n_labels} label columns; "
             f"at most one is allowed"
         )
-    schema: dict[str | int, str] = {}
-    for key, kind in dataset["schema"].items():
-        if dataset["has_header"] is False and key.isdigit():
-            schema[int(key)] = kind
-        else:
-            schema[key] = kind
+    schema: dict[str | int, str] = dict(dataset["schema"])
+    if dataset["has_header"] is False:
+        for key in schema:
+            if not key.isdecimal():
+                raise ValueError(f"dataset.schema key {key!r} is not a column "
+                                 "index, which a has_header false schema needs")
+        schema = {int(key): kind for key, kind in schema.items()}
 
     variants = resolved["variants"]
     if variants == "matrix":
-        variants = [f"{d}/{m}" for d, m in VARIANT_MATRIX]
+        variants = [VariantSpec(*pair).key for pair in VARIANT_MATRIX]
     elif not isinstance(variants, list):
         raise ValueError(f'variants must be "matrix" or a list, got {variants!r}')
     if not variants:
@@ -368,16 +372,17 @@ _RUN_FILES = ("scores_*.csv", "history_*.csv", "latents_*.npz",
               "report.md", "timings.json")
 
 
-def _load_run_data(config: ExperimentConfig, out_dir: Path) -> PreparedData:
-    """Load the run's cache. Fail unless it was prepared with the config's
-    ``dataset`` and ``split`` objects and, when the CSV is still there,
-    from its bytes, and unless its splits can be evaluated."""
+def _load_run_data(config: ExperimentConfig, out_dir: Path) -> tuple[PreparedData, str]:
+    """Load the run's cache and hash its bytes. Fail unless it was prepared
+    with the config's ``dataset`` and ``split`` objects and, when the CSV
+    is still there, from its bytes, and unless its splits can be evaluated."""
     cache_path = out_dir / CACHE_FILENAME
     if not cache_path.exists():
         raise FileNotFoundError(
             f"prepared dataset not found at {cache_path}; run `prepare` first"
         )
     prepared = load_cache(cache_path)
+    digest = file_sha256(cache_path)
     differ = []
     for section in PREPARE_SECTIONS:
         cached = prepared.meta["settings"].get(section, {})
@@ -414,22 +419,20 @@ def _load_run_data(config: ExperimentConfig, out_dir: Path) -> PreparedData:
             f"lof.min_pts must be below the {n_train} training rows, "
             f"got {config.min_pts}"
         )
-    return prepared
+    return prepared, digest
 
 
-def _failed(heads: list[VariantSpec], exc: BaseException) -> list[dict[str, Any]]:
-    """The failure outcome of each head, all with the error that stopped them."""
-    error = f"{type(exc).__name__}: {exc}"
-    return [{"variant": spec.key, "seed": spec.seed, "error": error}
-            for spec in heads]
+def _failed(heads: list[VariantSpec], exc: BaseException) -> list[Outcome]:
+    """Each head with the error that stopped them all."""
+    return [(spec, f"{type(exc).__name__}: {exc}") for spec in heads]
 
 
 def _evaluate(timeline: _Timeline, prepared: PreparedData, min_pts: int,
               out_dir: Path, kind: str, tags: dict[str, Any],
               heads: list[VariantSpec],
-              network: TrainedNetwork | None = None) -> list[dict[str, Any]]:
-    """One unit: one run of the first head fills the report row, or the
-    failure, and the score file of every head given."""
+              network: TrainedNetwork | None = None) -> list[Outcome]:
+    """One unit: one run of the first head gives each head given its
+    outcome and its score file."""
     with timeline.unit(kind, **tags) as record:
         try:
             run = run_variant(heads[0], prepared.train, prepared.test, min_pts,
@@ -439,19 +442,16 @@ def _evaluate(timeline: _Timeline, prepared: PreparedData, min_pts: int,
             logger.exception("variant %s seed %d failed", heads[0].key,
                              heads[0].seed)
             return _failed(heads, exc)
-        result = asdict(metrics.compute_metrics(run.scores, prepared.test.labels))
-        rows = []
+        outcome = {**asdict(metrics.compute_metrics(run.scores, prepared.test.labels)),
+                   "metadata": run.metadata}
         for spec in heads:
             write_scores_csv(out_dir / f"scores_{spec.detector}_"
                              f"{spec.modifier}_{spec.seed}.csv", run.scores)
-            head = {"detector": spec.detector, "modifier": spec.modifier,
-                    "seed": spec.seed}
-            rows.append({**head, **result, "metadata": {**run.metadata, **head}})
-        return rows
+        return [(spec, outcome) for spec in heads]
 
 
 def _write_network(timeline: _Timeline, out_dir: Path, labels: np.ndarray | None,
-           name: str, network: TrainedNetwork) -> list[dict[str, Any]]:
+           name: str, network: TrainedNetwork) -> list[Outcome]:
     """One unit: a trained network's history and latents files; it has no
     outcome of its own."""
     with timeline.unit("write", network=name):
@@ -487,7 +487,7 @@ def cmd_run(
     cache prepared with other ``dataset`` or ``split`` settings, or from a
     CSV that has changed since, fails before anything runs.
     """
-    prepared = _load_run_data(config, out_dir)
+    prepared, digest = _load_run_data(config, out_dir)
     for pattern in _RUN_FILES:
         for path in out_dir.glob(pattern):
             path.unlink()
@@ -498,13 +498,13 @@ def cmd_run(
     # the heads each (seed, reversal) network serves
     network_heads: dict[tuple[int, bool], list[VariantSpec]] = {}
     for seed in seeds:
-        for reversal in (False, True):
+        for reversal in NETWORKS:
             heads = [replace(spec, seed=seed) for spec in config.variants
                      if spec.reversal == reversal]
             if heads:
                 network_heads[(seed, reversal)] = heads
     keys = list(network_heads)
-    names = [f"{'aegr' if reversal else 'ae'}_{seed}" for seed, reversal in keys]
+    names = [f"{NETWORKS[reversal]}_{seed}" for seed, reversal in keys]
 
     with concurrent.futures.ThreadPoolExecutor(
             max_workers=jobs, thread_name_prefix="aegrlof") as pool:
@@ -546,31 +546,35 @@ def cmd_run(
                                [spec], network) for spec in heads]
         outcomes = [outcome for result in pending for outcome in result()]
 
-    failures = _write_report(config, seeds, outcomes, timeline, jobs, out_dir)
+    failures = _write_report(config, seeds, digest, outcomes, timeline, jobs, out_dir)
     print(f"completed {len(outcomes) - len(failures)}/{len(outcomes)} runs -> "
           f"{out_dir / 'report.json'}")
     for failure in failures:
-        print(f"  FAILED {failure['variant']} seed {failure['seed']}: "
-              f"{failure['error']}", file=sys.stderr)
+        print(f"  FAILED {FAILURE_LINE.format(**failure)}", file=sys.stderr)
     return 0 if not failures else 1
 
 
-def _write_report(config: ExperimentConfig, seeds: list[int],
-                  outcomes: list[dict[str, Any]], timeline: _Timeline, jobs: int,
+def _write_report(config: ExperimentConfig, seeds: list[int], dataset_sha256: str,
+                  outcomes: list[Outcome], timeline: _Timeline, jobs: int,
                   out_dir: Path) -> list[dict[str, Any]]:
-    """Write report.json, with the run's versions and stage seconds in its
-    ``environment`` block, report.md and timings.json; return the report's
-    failures."""
+    """Write report.json, with a row or a failure per head in spec order and
+    the run's versions and stage seconds in its ``environment`` block,
+    report.md and timings.json; return the report's failures."""
     with timeline.unit("report"):
-        rows = sorted((o for o in outcomes if "error" not in o),
-                      key=lambda r: (r["detector"], r["modifier"], r["seed"]))
+        rows, failures = [], []
+        for spec, outcome in sorted(outcomes, key=lambda pair: pair[0]):
+            head = dict(detector=spec.detector, modifier=spec.modifier, seed=spec.seed)
+            if isinstance(outcome, str):
+                failures.append(dict(variant=spec.key, seed=spec.seed, error=outcome))
+            else:
+                rows.append({**head, **outcome,
+                             "metadata": {**outcome["metadata"], **head}})
         report = {
             "config": {**config.resolved, "seeds": seeds},
-            "dataset_sha256": file_sha256(out_dir / CACHE_FILENAME),
+            "dataset_sha256": dataset_sha256,
             "rows": rows,
-            "wilcoxon": _wilcoxon_comparisons(config.wilcoxon_pairs, rows, seeds),
-            "failures": sorted((o for o in outcomes if "error" in o),
-                               key=lambda f: (f["variant"], f["seed"])),
+            "wilcoxon": _wilcoxon_comparisons(config.wilcoxon_pairs, outcomes, seeds),
+            "failures": failures,
         }
     duration_s = timeline.elapsed()
     units = sorted(timeline.units, key=lambda unit: unit["start_s"])
@@ -586,29 +590,24 @@ def _write_report(config: ExperimentConfig, seeds: list[int],
     atomic_write_text(out_dir / "report.md", _render_markdown(report))
     _write_json(out_dir / "timings.json",
                 {"jobs": jobs, "duration_s": duration_s, "units": units})
-    return report["failures"]
+    return failures
 
 
 def _wilcoxon_comparisons(
-    pairs: list[list[str]], rows: list[dict[str, Any]], seeds: list[int]
+    pairs: list[list[str]], outcomes: list[Outcome], seeds: list[int]
 ) -> list[dict[str, Any]]:
-    by_key: dict[str, dict[int, float]] = {}
-    for row in rows:
-        key = f"{row['detector']}/{row['modifier']}"
-        by_key.setdefault(key, {})[row["seed"]] = row["pr_auc"]
+    pr_auc = {(spec.key, spec.seed): outcome["pr_auc"]
+              for spec, outcome in outcomes if not isinstance(outcome, str)}
     out = []
     for pair in pairs:
         entry: dict[str, Any] = {"pair": list(pair), "metric": "pr_auc"}
-        a_by_seed = by_key.get(pair[0], {})
-        b_by_seed = by_key.get(pair[1], {})
-        common = [s for s in seeds if s in a_by_seed and s in b_by_seed]
+        common = [s for s in seeds if all((key, s) in pr_auc for key in pair)]
         if len(common) < 5:
             entry["error"] = (
                 f"needs >= 5 completed seeds for both variants, got {len(common)}"
             )
         else:
-            a = np.array([a_by_seed[s] for s in common])
-            b = np.array([b_by_seed[s] for s in common])
+            a, b = (np.array([pr_auc[key, s] for s in common]) for key in pair)
             try:
                 entry.update(asdict(metrics.wilcoxon_signed_rank(a, b)))
             except ValueError as exc:
@@ -655,9 +654,7 @@ def _render_markdown(report: dict[str, Any]) -> str:
                 )
     if report["failures"]:
         lines += ["", "## Failures", ""]
-        for failure in report["failures"]:
-            lines.append(f"- {failure['variant']} seed {failure['seed']}: "
-                         f"{failure['error']}")
+        lines += ["- " + FAILURE_LINE.format(**f) for f in report["failures"]]
     return "\n".join(lines) + "\n"
 
 
@@ -670,7 +667,7 @@ def cmd_plotdata(
     A latents file that cannot be read (cut short, overwritten, missing
     an array, or holding arrays whose shapes disagree) raises
     ``ValueError`` naming the file."""
-    # latents_<ae|aegr>_<seed>.npz, one per trained network
+    # latents_<network>_<seed>.npz, one per trained network
     candidates = sorted(out_dir.glob("latents_*.npz"))
     if network is not None:
         candidates = [c for c in candidates if c.stem.split("_")[1] == network]
@@ -681,7 +678,7 @@ def cmd_plotdata(
             f"no stored latents matching the request under {out_dir}; "
             "run a variant that trains a network first"
         )
-    preferred = [c for c in candidates if c.stem.split("_")[1] == "aegr"]
+    preferred = [c for c in candidates if c.stem.split("_")[1] == NETWORKS[True]]
     chosen = (preferred or candidates)[0]
     logger.info("plot data source: %s", chosen.name)
 
@@ -772,9 +769,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plotdata", help="export latent scatter/KDE CSVs")
     p_plot.add_argument("--out", default="out", help="run output directory")
-    p_plot.add_argument("--network", choices=("ae", "aegr"), default=None,
-                        help="plain (ae) or reversal (aegr) network whose "
-                        "latents to export (default: aegr when stored)")
+    p_plot.add_argument("--network", choices=NETWORKS.values(), default=None,
+                        help="plain or reversal network whose latents to "
+                        "export (default: the reversal one when stored)")
     p_plot.add_argument("--seed", type=partial(_int_at_least, 0), default=None)
     return parser
 

@@ -46,6 +46,8 @@ DETECTORS = {
     "ae_lof": ("AE-LOF", False),
     "aegr_lof": ("AEGR-LOF", True),
 }
+# Each network's name in its history_* and latents_* files, by reversal.
+NETWORKS = {False: "ae", True: "aegr"}
 # Each modifier's report title.
 MODIFIERS = {"none": "None", "prune": "Pruning", "prune_da": "Pruning+DA"}
 
@@ -63,9 +65,10 @@ VARIANT_MATRIX = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class VariantSpec:
-    """One detection variant: detector, latent modifier, and seed."""
+    """One detection variant: detector, latent modifier, and seed. A run
+    holds each detector/modifier once, so its specs order on those, then seed."""
 
     detector: str
     modifier: str = "none"

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aegrlof import autoencoder, cli, data, lof
+from aegrlof import autoencoder, cli, data, lof, pipeline
 from aegrlof.storage import write_npz
 
 from conftest import make_embedded_blob, write_dataset_csv
@@ -134,6 +134,12 @@ class TestConfig:
         ({"train": {"gr_start_epoch": -1}}, "gr_start_epoch must be >= 0, got -1"),
         ({"variants": [{"detector": ["ae_lof"]}]},
          "variant detector must be a string, got ['ae_lof']"),
+        ({"dataset": {"path": "x.csv", "has_header": False,
+                      "schema": {"²": "label"}}},
+         "dataset.schema key '²' is not a column index"),
+        ({"dataset": {"path": "x.csv", "has_header": False,
+                      "schema": {"label": "label"}}},
+         "dataset.schema key 'label' is not a column index"),
     ], ids=["top_level_key", "dataset_key", "lof_key", "variant_key",
             "duplicate_seeds", "duplicate_variants", "variant_without_detector",
             "seeds_not_list", "wilcoxon_pair_of_one", "wilcoxon_unconfigured",
@@ -147,7 +153,8 @@ class TestConfig:
             "seed_negative", "split_seed_negative", "aug_without_prune_da",
             "variant_number", "variant_unknown_detector",
             "train_negative_min_improvement", "variants_empty",
-            "batch_size_zero", "gr_start_epoch_negative", "detector_list"])
+            "batch_size_zero", "gr_start_epoch_negative", "detector_list",
+            "headerless_superscript_key", "headerless_name_key"])
     def test_invalid_config_fails_before_loading_data(self, experiment, tmp_path,
                                                       capsys, change, offender):
         _, out_dir, config = experiment
@@ -377,6 +384,25 @@ class TestRun:
             f"error: {csv_path} changed after `prepare` wrote "
             f"{out_dir / cli.CACHE_FILENAME}; run `prepare` again\n")
         assert not (out_dir / "report.json").exists()
+
+    def test_report_names_the_digest_of_the_cache_it_loaded(self, experiment,
+                                                             monkeypatch):
+        config_path, out_dir, _ = experiment
+        cli.main(["prepare", "--config", str(config_path)])
+        cache = out_dir / cli.CACHE_FILENAME
+        loaded = cli.file_sha256(cache)
+
+        def rewrite_cache_then_train(*args, **kwargs):
+            # as a concurrent `prepare` into the same directory would
+            cache.write_bytes(cache.read_bytes() + b"\0")
+            return train_networks(*args, **kwargs)
+
+        train_networks = cli.train_networks
+        monkeypatch.setattr(cli, "train_networks", rewrite_cache_then_train)
+        assert cli.main(["run", "--config", str(config_path)]) == 0
+        report = json.loads((out_dir / "report.json").read_text())["report"]
+        assert report["dataset_sha256"] == loaded != cli.file_sha256(cache)
+        assert f"Dataset sha256: `{loaded}`" in (out_dir / "report.md").read_text()
 
     def test_cache_whose_csv_is_gone_is_used(self, experiment):
         config_path, out_dir, config = experiment
@@ -720,10 +746,18 @@ class TestRun:
             "variants": ["ae_lof/none", "ae_lof/prune", "aegr_lof/prune_da"]}))
         assert cli.main(["prepare", "--config", str(path)]) == 0
         assert cli.main(["run", "--config", str(path)]) == 1
-        assert "completed 4/6 runs" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "completed 4/6 runs" in captured.out
         report = json.loads((out_dir / "report.json").read_text())["report"]
         assert [(f["variant"], f["seed"]) for f in report["failures"]] == [
             ("ae_lof/prune", 0), ("ae_lof/prune", 1)]
+        # stderr and report.md give each failure the same line
+        lines = [f"{f['variant']} seed {f['seed']}: {f['error']}"
+                 for f in report["failures"]]
+        assert [line for line in captured.err.splitlines()
+                if line.startswith("  FAILED ")] == [f"  FAILED {l}" for l in lines]
+        assert (out_dir / "report.md").read_text().endswith(
+            "\n## Failures\n\n" + "".join(f"- {l}\n" for l in lines))
         kept = []
         for failure in report["failures"]:
             assert failure["error"].startswith(
@@ -781,6 +815,46 @@ class TestRun:
                 if line.startswith("| ") and "±" in line]
         assert rows == [["| Stand-alone LOF", "None"], ["| AE-RE", "None"],
                         ["| AEGR-LOF", "Pruning"]]
+
+    def test_report_rows_follow_the_spec_order(self, experiment, tmp_path):
+        _, out_dir, config = experiment
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps({**config, "variants": [
+            "aegr_lof/prune", "ae_re", "lof_raw", "ae_lof/none"]}))
+        cli.main(["prepare", "--config", str(path)])
+        assert cli.main(["run", "--config", str(path), "--jobs", "2"]) == 0
+        rows = json.loads((out_dir / "report.json").read_text())["report"]["rows"]
+        assert [(r["detector"], r["modifier"], r["seed"]) for r in rows] == [
+            ("ae_lof", "none", 0), ("ae_lof", "none", 1),
+            ("ae_re", "none", 0), ("ae_re", "none", 1),
+            ("aegr_lof", "prune", 0), ("aegr_lof", "prune", 1),
+            ("lof_raw", "none", 0), ("lof_raw", "none", 1)]
+        for row in rows:
+            assert {key: row["metadata"][key] for key in
+                    ("detector", "modifier", "seed")} == {
+                key: row[key] for key in ("detector", "modifier", "seed")}
+
+    def test_network_table_names_the_files_and_the_plotdata_choices(
+            self, experiment, tmp_path, capsys):
+        _, out_dir, config = experiment
+        path = tmp_path / "networks.json"
+        path.write_text(json.dumps({**config, "variants": ["ae_re", "aegr_lof/none"]}))
+        cli.main(["prepare", "--config", str(path)])
+        assert cli.main(["run", "--config", str(path)]) == 0
+        names = sorted(f"{network}_{seed}" for network in pipeline.NETWORKS.values()
+                       for seed in (0, 1))
+        for kind, suffix in (("history", "csv"), ("latents", "npz")):
+            assert sorted(p.name for p in out_dir.glob(f"{kind}_*")) == [
+                f"{kind}_{name}.{suffix}" for name in names]
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli.main(["plotdata", "--help"])
+        choices = ",".join(pipeline.NETWORKS.values())
+        assert f"--network {{{choices}}}" in capsys.readouterr().out
+        for network in pipeline.NETWORKS.values():
+            assert cli.main(["plotdata", "--out", str(out_dir), "--network",
+                             network, "--seed", "1"]) == 0
+            assert capsys.readouterr().out.endswith(f"from latents_{network}_1.npz\n")
 
     def test_wilcoxon_needs_five_seeds(self, experiment, tmp_path):
         config_path, out_dir, config = experiment
