@@ -11,6 +11,8 @@ Library layout:
                  latent LOF with pruning/augmentation).
     metrics      ROC AUC, PR AUC, Wilcoxon signed-rank.
     plots        Latent scatter and KDE curve data generation.
+    storage      Writes and reads every artifact file: atomic writes, CSV,
+                 deterministic .npz archives, hashing.
     cli          `aegrlof prepare|run|plotdata` command line.
 """
 

@@ -40,13 +40,11 @@ from __future__ import annotations
 import builtins
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .storage import atomic_write_text
 
 # Index of the weight layer whose output is the bottleneck, in the fixed
 # [n, h, m, h, n] architecture.
@@ -554,14 +552,3 @@ def encode(net: Network, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
 def reconstruction_error(net: Network, data: Dataset) -> np.ndarray:
     """Per-row mean smooth-L1 between the reconstruction and the input."""
     return encode(net, data)[1]
-
-
-def history_to_csv(history: Sequence[EpochStats], path: str | Path) -> None:
-    """Export training history as CSV."""
-    lines = ["epoch,train_loss,val_loss,max_gs,reversal_applied,reversed_batch"]
-    for s in history:
-        lines.append(
-            f"{s.epoch},{s.train_loss!r},{s.val_loss!r},{s.max_gs!r},"
-            f"{int(s.reversal_applied)},{s.reversed_batch}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -26,10 +26,9 @@ import platform
 import sys
 import threading
 import time
-import zipfile
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Iterator
@@ -40,9 +39,9 @@ from . import __version__
 from . import autoencoder as ae
 from . import metrics
 from .data import (
-    COLUMN_KINDS,
     PreparedData,
     SplitSpec,
+    check_column_kinds,
     load_cache,
     load_csv,
     prepare,
@@ -59,7 +58,8 @@ from .pipeline import (
     train_networks,
 )
 from .plots import kde_curve
-from .storage import atomic_write_text, file_sha256, write_npz, write_scores_csv
+from .storage import (atomic_write_text, file_sha256, read_npz, write_csv,
+                      write_npz, write_scores_csv)
 
 logger = logging.getLogger(__name__)
 
@@ -194,7 +194,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     error it raises names the file."""
     path = Path(path)
     try:
-        return _resolve_config(json.loads(path.read_text(encoding="utf-8")))
+        return _resolve_config(json.loads(path.read_text(encoding="utf-8-sig")))
     except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -208,18 +208,11 @@ def _resolve_config(raw: Any) -> ExperimentConfig:
     output_dir = resolved.pop("output_dir")
 
     dataset = resolved["dataset"]
-    if not all(kind in COLUMN_KINDS for kind in dataset["schema"].values()):
-        raise ValueError(
-            f"dataset.schema must be an object mapping columns to "
-            f"one of {list(COLUMN_KINDS)}, got {dataset['schema']!r}"
-        )
-    n_labels = list(dataset["schema"].values()).count("label")
-    if n_labels > 1:
-        raise ValueError(
-            f"dataset.schema names {n_labels} label columns; "
-            f"at most one is allowed"
-        )
     schema: dict[str | int, str] = dict(dataset["schema"])
+    try:
+        check_column_kinds(schema.items())
+    except ValueError as exc:
+        raise ValueError(f"dataset.schema: {exc}") from exc
     if dataset["has_header"] is False:
         for key in schema:
             if not key.isdecimal():
@@ -339,14 +332,14 @@ def cmd_prepare(config: ExperimentConfig, out_dir: Path) -> int:
 
     summary = {
         "raw_columns": len(table.columns),
-        "encoded_features": prepared.meta["n_features"],
-        "rows": prepared.meta["n_rows"],
+        "encoded_features": prepared.train.n_features,
+        "rows": table.n_rows,
         "split_sizes": {
             "train": prepared.train.n_rows,
             "val": prepared.val.n_rows,
             "test": prepared.test.n_rows,
         },
-        "has_labels": prepared.meta["has_labels"],
+        "has_labels": prepared.train.labels is not None,
         "cache": str(cache_path),
         "cache_sha256": cache_sha256,
         "csv_parser": table.parser,
@@ -455,7 +448,11 @@ def _write_network(timeline: _Timeline, out_dir: Path, labels: np.ndarray | None
     """One unit: a trained network's history and latents files; it has no
     outcome of its own."""
     with timeline.unit("write", network=name):
-        ae.history_to_csv(network.history, out_dir / f"history_{name}.csv")
+        # a column per EpochStats field, reversal_applied as 0 or 1
+        write_csv(out_dir / f"history_{name}.csv",
+                  [f.name for f in fields(ae.EpochStats)],
+                  ([int(v) if isinstance(v, bool) else v for v in astuple(s)]
+                   for s in network.history))
         latents = {"latents": network.train_latents,
                    "pruned_mask": (~network.kept).astype(np.int8)}
         if labels is not None:
@@ -682,33 +679,24 @@ def cmd_plotdata(
     chosen = (preferred or candidates)[0]
     logger.info("plot data source: %s", chosen.name)
 
-    try:
-        with open(chosen, "rb") as file, np.load(file, allow_pickle=False) as npz:
-            latents = npz["latents"]
-            pruned = npz["pruned_mask"].astype(bool)
-            labels = npz["labels"] if "labels" in npz.files else None
+    with read_npz(chosen, "latents file", "run the experiment again") as npz:
+        latents = npz["latents"]
+        pruned = npz["pruned_mask"].astype(bool)
+        labels = npz["labels"] if "labels" in npz.files else None
         per_row = [a.shape for a in (pruned, labels) if a is not None]
         if latents.ndim != 2 or per_row != [latents.shape[:1]] * len(per_row):
             raise ValueError(f"latents of shape {latents.shape} with per-row "
                              f"arrays of shapes {per_row}")
-    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValueError(
-            f"{chosen}: damaged latents file ({type(exc).__name__}: {exc}); "
-            "run the experiment again"
-        ) from exc
 
     if latents.shape[1] < 2:
         raise ValueError(
             f"{chosen.name}: need at least 2 latent dimensions for a scatter"
         )
     label_col = labels if labels is not None else np.full(latents.shape[0], -1)
-    lines = ["latent_dim_1,latent_dim_2,label,pruned_flag"]
-    for i in range(latents.shape[0]):
-        lines.append(
-            f"{float(latents[i, 0])!r},{float(latents[i, 1])!r},"
-            f"{int(label_col[i])},{int(pruned[i])}"
-        )
-    atomic_write_text(out_dir / "latent_scatter.csv", "\n".join(lines) + "\n")
+    x, y = latents[:, :2].astype(float).T.tolist()
+    write_csv(out_dir / "latent_scatter.csv",
+              ("latent_dim_1", "latent_dim_2", "label", "pruned_flag"),
+              zip(x, y, label_col.astype(int).tolist(), pruned.astype(int).tolist()))
 
     if labels is None:
         logger.warning("no labels stored; emitting a single unlabeled KDE class")
@@ -716,18 +704,17 @@ def cmd_plotdata(
     else:
         classes = [(int(c), labels == c) for c in (0, 1)]
 
-    curve_lines = ["axis,class_label,x,density"]
+    curves: list[tuple[int, int, float, float]] = []
     for axis in (0, 1):
         for class_label, mask in classes:
             if not mask.any():
                 logger.warning("class %d empty; skipping its KDE", class_label)
                 continue
             grid, density = kde_curve(latents[mask, axis])
-            for x, d in zip(grid, density):
-                curve_lines.append(
-                    f"{axis + 1},{class_label},{float(x)!r},{float(d)!r}"
-                )
-    atomic_write_text(out_dir / "kde_curves.csv", "\n".join(curve_lines) + "\n")
+            curves += ((axis + 1, class_label, x, d)
+                       for x, d in zip(grid.tolist(), density.tolist()))
+    write_csv(out_dir / "kde_curves.csv", ("axis", "class_label", "x", "density"),
+              curves)
 
     print(f"wrote {out_dir / 'latent_scatter.csv'} and {out_dir / 'kde_curves.csv'} "
           f"from {chosen.name}")

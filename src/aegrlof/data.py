@@ -25,19 +25,31 @@ import csv
 import io
 import json
 import math
-import zipfile
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from .storage import write_npz
+from .storage import read_npz, write_npz
 
 COLUMN_KINDS = ("numeric", "categorical", "label")
 
 CACHE_VERSION = 2
+
+
+def check_column_kinds(columns: Iterable[tuple[str | int, Any]]) -> None:
+    """Raise ``ValueError`` unless each (column, kind) pair names one of
+    :data:`COLUMN_KINDS` and at most one names ``"label"``."""
+    n_labels = 0
+    for column, kind in columns:
+        if kind not in COLUMN_KINDS:
+            raise ValueError(f"column {column!r}: unknown kind {kind!r}, "
+                             f"expected one of {list(COLUMN_KINDS)}")
+        n_labels += kind == "label"
+    if n_labels > 1:
+        raise ValueError(f"at most one label column allowed, got {n_labels}")
 
 
 @dataclass
@@ -60,12 +72,7 @@ class RawTable:
     parser: str | None = None
 
     def __post_init__(self) -> None:
-        n_label = sum(1 for _, kind in self.columns if kind == "label")
-        if n_label > 1:
-            raise ValueError(f"at most one label column allowed, got {n_label}")
-        for name, kind in self.columns:
-            if kind not in COLUMN_KINDS:
-                raise ValueError(f"column {name!r}: unknown kind {kind!r}")
+        check_column_kinds(self.columns)
         if len(self.values) != len(self.columns):
             raise ValueError(
                 f"{len(self.columns)} columns but {len(self.values)} value columns"
@@ -212,10 +219,12 @@ def load_csv(
 
     Raises:
         FileNotFoundError: Missing file.
-        ValueError: Empty file, repeated header name, row arity mismatch
-            (named by line number), unparsable or non-finite numeric value,
-            non-binary label value, or a schema key that matches no column.
+        ValueError: Schema kinds :func:`check_column_kinds` rejects, empty
+            file, repeated header name, row arity mismatch (named by line
+            number), unparsable or non-finite numeric value, non-binary
+            label value, or a schema key that matches no column.
     """
+    check_column_kinds(schema.items())
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
@@ -249,8 +258,6 @@ def load_csv(
 
     kinds = ["numeric"] * width
     for key, kind in schema.items():
-        if kind not in COLUMN_KINDS:
-            raise ValueError(f"schema key {key!r}: unknown kind {kind!r}")
         if isinstance(key, int):
             if not 0 <= key < width:
                 raise ValueError(f"schema index {key} out of range for {width} columns")
@@ -462,7 +469,8 @@ def subsample(train: Dataset, fraction: float, seed: int) -> Dataset:
 
 @dataclass
 class PreparedData:
-    """Preprocessed splits plus the normalization fitted on train."""
+    """Preprocessed splits plus the normalization fitted on train; ``meta``
+    holds the ``source_sha256`` and ``settings`` :func:`load_cache` read."""
 
     train: Dataset
     val: Dataset
@@ -487,18 +495,11 @@ def prepare(table: RawTable, spec: SplitSpec,
         if spec.subsample_fraction is not None and spec.subsample_fraction < 1.0:
             train = subsample(train, spec.subsample_fraction, spec.seed)
         norm = normalize_fit(train)
-        meta = {
-            "n_features": encoded.n_features,
-            "n_rows": encoded.n_rows,
-            "split_sizes": [train.n_rows, val.n_rows, test.n_rows],
-            "has_labels": encoded.labels is not None,
-        }
         return PreparedData(
             train=normalize_apply(norm, train),
             val=normalize_apply(norm, val),
             test=normalize_apply(norm, test),
             norm=norm,
-            meta=meta,
         )
 
 
@@ -542,22 +543,16 @@ def load_cache(path: str | Path) -> PreparedData:
     (cut short, overwritten, or missing an array), raise ``ValueError``
     naming the file.
     """
-    try:
-        with open(path, "rb") as file, np.load(file, allow_pickle=False) as npz:
-            version = int(npz["cache_version"])
-            if version == CACHE_VERSION:
-                names = [str(s) for s in npz["feature_names"]]
-                parts = [Dataset(npz[f"{part}_features"], list(names),
-                                 npz.get(f"{part}_labels"))
-                         for part in ("train", "val", "test")]
-                norm = NormParams(npz["norm_min"], npz["norm_max"])
-                meta = {"source_sha256": str(npz["source_sha256"]),
-                        "settings": json.loads(str(npz["settings"]))}
-    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValueError(
-            f"{path}: damaged dataset cache ({type(exc).__name__}: {exc}); "
-            "run `prepare` again"
-        ) from exc
+    with read_npz(path, "dataset cache", "run `prepare` again") as npz:
+        version = int(npz["cache_version"])
+        if version == CACHE_VERSION:
+            names = [str(s) for s in npz["feature_names"]]
+            parts = [Dataset(npz[f"{part}_features"], list(names),
+                             npz.get(f"{part}_labels"))
+                     for part in ("train", "val", "test")]
+            norm = NormParams(npz["norm_min"], npz["norm_max"])
+            meta = {"source_sha256": str(npz["source_sha256"]),
+                    "settings": json.loads(str(npz["settings"]))}
     if version != CACHE_VERSION:
         raise ValueError(
             f"{path}: cache version {version} unsupported "

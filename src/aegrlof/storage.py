@@ -1,9 +1,10 @@
-"""Shared file IO: atomic writes, deterministic .npz archives, hashing.
+"""Shared file IO: atomic writes, CSV, deterministic .npz archives, hashing.
 
 All artifact files are written atomically (temp file + rename) so a crashed
 run never leaves a truncated cache or report behind. The .npz writer pins
 the zip member timestamps, which makes repeated runs of the same pipeline
-byte-identical and therefore hashable/diffable.
+byte-identical and therefore hashable/diffable. Every CSV is written by
+:func:`write_csv` and every .npz read through :func:`read_npz`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import io
 import os
 import tempfile
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -59,6 +61,21 @@ def write_npz(path: str | Path, arrays: Mapping[str, np.ndarray]) -> None:
     atomic_write_bytes(path, buf.getvalue())
 
 
+@contextmanager
+def read_npz(path: str | Path, what: str,
+             remedy: str) -> Iterator[np.lib.npyio.NpzFile]:
+    """Open an .npz without unpickling. An archive cut short, overwritten or
+    missing an array, and a ``ValueError`` from the block, raise
+    ``ValueError`` naming ``path`` as a damaged ``what``, then ``remedy``."""
+    try:
+        with open(path, "rb") as file, np.load(file, allow_pickle=False) as npz:
+            yield npz
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(
+            f"{path}: damaged {what} ({type(exc).__name__}: {exc}); {remedy}"
+        ) from exc
+
+
 def file_sha256(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -67,9 +84,18 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def write_csv(path: str | Path, header: Sequence[str],
+              rows: Iterable[Sequence[int | float]]) -> None:
+    """Write a header line and one line per row, each the comma-joined
+    ``repr`` of its Python ints and floats, so a float reads back to the
+    same bits. Every row has one value per header name."""
+    fmt = ",".join(["%r"] * len(header))
+    lines = [",".join(header)]
+    lines += [fmt % tuple(row) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 def write_scores_csv(path: str | Path, scores: np.ndarray) -> None:
     """Write anomaly scores as ``row_index,score`` CSV."""
-    lines = ["row_index,score"]
-    for i, s in enumerate(np.asarray(scores, dtype=float)):
-        lines.append(f"{i},{float(s)!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, ("row_index", "score"),
+              enumerate(np.asarray(scores, dtype=float).tolist()))

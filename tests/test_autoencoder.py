@@ -629,19 +629,6 @@ class TestEncodeAndErrors:
         np.testing.assert_array_equal(res[perm], res_perm)
 
 
-class TestSerialization:
-    def test_history_csv(self, tmp_path):
-        history = [ae.EpochStats(1, 0.5, 0.6, math.nan, False),
-                   ae.EpochStats(2, 0.4, 0.5, 1.25, True, 3)]
-        path = tmp_path / "history.csv"
-        ae.history_to_csv(history, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == ("epoch,train_loss,val_loss,max_gs,reversal_applied,"
-                            "reversed_batch")
-        assert lines[1] == "1,0.5,0.6,nan,0,-1"
-        assert lines[2] == "2,0.4,0.5,1.25,1,3"
-
-
 @pytest.mark.parametrize("field,value,message", [
     ("learning_rate", math.nan, "learning_rate must be finite and > 0"),
     ("learning_rate", math.inf, "learning_rate must be finite and > 0"),

@@ -1,14 +1,16 @@
 import json
 import logging
+import math
 import re
 import threading
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from aegrlof import autoencoder, cli, data, lof, pipeline
+from aegrlof import autoencoder, cli, data, lof, pipeline, plots
 from aegrlof.storage import write_npz
 
 from conftest import make_embedded_blob, write_dataset_csv
@@ -110,7 +112,8 @@ class TestConfig:
         ({"dataset": {"path": "x.csv", "schema": []}},
          "dataset.schema must be an object"),
         ({"dataset": {"path": "x.csv", "schema": {"proto": "text"}}},
-         "dataset.schema must be an object mapping columns to one of"),
+         "dataset.schema: column 'proto': unknown kind 'text', expected one of "
+         "['numeric', 'categorical', 'label']"),
         ({"dataset": {"path": 5}}, "dataset.path must be a string, got 5"),
         ({"output_dir": 7}, "output_dir must be a string, got 7"),
         ({"dataset": {"path": "x.csv", "has_header": "no"}},
@@ -118,7 +121,7 @@ class TestConfig:
         ({"variants": 5}, 'variants must be "matrix" or a list, got 5'),
         ({"dataset": {"path": "x.csv", "schema": {"label": "label",
                                                   "f0": "label"}}},
-         "dataset.schema names 2 label columns"),
+         "dataset.schema: at most one label column allowed, got 2"),
         ({"seeds": [0, -1]}, "seeds[1] must be >= 0, got -1"),
         ({"split": {"seed": -2}}, "split seed must be >= 0, got -2"),
         ({"variants": [{"detector": "aegr_lof", "modifier": "prune",
@@ -175,6 +178,14 @@ class TestConfig:
         path.write_bytes(content)
         assert cli.main(["prepare", "--config", str(path)]) == 1
         assert f"error: {path}: {offender}" in capsys.readouterr().err
+
+    def test_config_may_start_with_a_byte_order_mark(self, experiment, tmp_path):
+        # editors on Windows save JSON with a UTF-8 byte-order mark
+        config_path, _, _ = experiment
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + config_path.read_bytes())
+        assert (cli.load_experiment_config(path).resolved
+                == cli.load_experiment_config(config_path).resolved)
 
     def test_directory_in_place_of_a_file_fails_without_traceback(
             self, experiment, tmp_path, capsys):
@@ -865,6 +876,47 @@ class TestRun:
         cli.main(["run", "--config", str(path)])
         report = json.loads((out_dir / "report.json").read_text())["report"]
         assert "error" in report["wilcoxon"][0]  # only 2 seeds configured
+
+
+class TestSerialization:
+    def test_history_csv(self, tmp_path):
+        history = [autoencoder.EpochStats(1, 0.5, 0.6, math.nan, False),
+                   autoencoder.EpochStats(2, 0.4, 0.5, 1.25, True, 3)]
+        network = SimpleNamespace(history=history, train_latents=np.zeros((1, 2)),
+                                  kept=np.ones(1, dtype=bool))
+        cli._write_network(cli._Timeline(), tmp_path, None, "aegr_0", network)
+        lines = (tmp_path / "history_aegr_0.csv").read_text().strip().splitlines()
+        assert lines[0] == ("epoch,train_loss,val_loss,max_gs,reversal_applied,"
+                            "reversed_batch")
+        assert lines[1] == "1,0.5,0.6,nan,0,-1"
+        assert lines[2] == "2,0.4,0.5,1.25,1,3"
+
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+    def test_plotdata_csv_exact_text(self, tmp_path, labeled):
+        # ints print as ints, floats as their repr, an unlabeled row as -1
+        latents = np.array([[0.1, -2.5, 9.0], [1e-05, 3.0, 0.0],
+                            [-0.0, 0.1 + 0.2, 1.0]])
+        arrays = {"latents": latents,
+                  "pruned_mask": np.array([0, 1, 0], dtype=np.int8)}
+        if labeled:
+            arrays["labels"] = np.array([0, 1, 0], dtype=np.int64)
+        write_npz(tmp_path / "latents_aegr_0.npz", arrays)
+        assert cli.main(["plotdata", "--out", str(tmp_path)]) == 0
+
+        labels = ["0", "1", "0"] if labeled else ["-1"] * 3
+        assert (tmp_path / "latent_scatter.csv").read_text() == (
+            "latent_dim_1,latent_dim_2,label,pruned_flag\n"
+            f"0.1,-2.5,{labels[0]},0\n"
+            f"1e-05,3.0,{labels[1]},1\n"
+            f"-0.0,0.30000000000000004,{labels[2]},0\n")
+        classes = ([(0, [0, 2]), (1, [1])] if labeled else [(-1, [0, 1, 2])])
+        want = ["axis,class_label,x,density"]
+        for axis in (1, 2):
+            for label, rows in classes:
+                grid, density = plots.kde_curve(latents[rows, axis - 1])
+                want += [f"{axis},{label},{x!r},{d!r}"
+                         for x, d in zip(grid.tolist(), density.tolist())]
+        assert (tmp_path / "kde_curves.csv").read_text() == "\n".join(want) + "\n"
 
 
 class TestPlotdata:

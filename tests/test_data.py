@@ -397,6 +397,13 @@ def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
 
 
 def _referee_load_csv(path, schema, has_header):
+    for key, kind in schema.items():
+        if kind not in data.COLUMN_KINDS:
+            raise ValueError(f"column {key!r}: unknown kind {kind!r}, "
+                             f"expected one of {list(data.COLUMN_KINDS)}")
+    n_label = list(schema.values()).count("label")
+    if n_label > 1:
+        raise ValueError(f"at most one label column allowed, got {n_label}")
     if has_header is None:
         has_header = any(isinstance(k, str) for k in schema)
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -420,8 +427,6 @@ def _referee_load_csv(path, schema, has_header):
         seen.add(name)
     kinds = ["numeric"] * width
     for key, kind in schema.items():
-        if kind not in data.COLUMN_KINDS:
-            raise ValueError(f"schema key {key!r}: unknown kind {kind!r}")
         if isinstance(key, int):
             if not 0 <= key < width:
                 raise ValueError(f"schema index {key} out of range for {width} columns")
@@ -467,9 +472,6 @@ def _referee_load_csv(path, schema, has_header):
             else:
                 parsed.append(num)
         rows.append(tuple(parsed))
-    n_label = kinds.count("label")
-    if n_label > 1:
-        raise ValueError(f"at most one label column allowed, got {n_label}")
     return list(zip(names, kinds)), rows
 
 
