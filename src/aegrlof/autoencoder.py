@@ -90,9 +90,6 @@ class Network:
     def bottleneck_width(self) -> int:
         return self.params[BOTTLENECK_LAYER][0].shape[0]
 
-    def copy(self) -> "Network":
-        return Network([(w.copy(), b.copy()) for w, b in self.params])
-
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -320,11 +320,9 @@ def cmd_prepare(config: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = out_dir / CACHE_FILENAME
     with timeline.unit("write"):
-        save_cache(cache_path, prepared,
-                   source_sha256=file_sha256(config.dataset_path),
-                   settings={section: config.resolved[section]
-                             for section in PREPARE_SECTIONS})
-        cache_sha256 = file_sha256(cache_path)
+        cache_sha256 = save_cache(cache_path, prepared,
+                                  source_sha256=file_sha256(config.dataset_path),
+                                  settings=_prepare_settings(config))
     stage_s = _stage_seconds(timeline.units)
     logger.info("prepare stages: %s; csv parser %s", ", ".join(
         f"{stage} {seconds:.3f} s" for stage, seconds in stage_s.items()),
@@ -365,35 +363,17 @@ _RUN_FILES = ("scores_*.csv", "history_*.csv", "latents_*.npz",
               "report.md", "timings.json")
 
 
+def _prepare_settings(config: ExperimentConfig) -> dict[str, Any]:
+    return {section: config.resolved[section] for section in PREPARE_SECTIONS}
+
+
 def _load_run_data(config: ExperimentConfig, out_dir: Path) -> tuple[PreparedData, str]:
-    """Load the run's cache and hash its bytes. Fail unless it was prepared
-    with the config's ``dataset`` and ``split`` objects and, when the CSV
-    is still there, from its bytes, and unless its splits can be evaluated."""
+    """Load the run's cache, which :func:`data.load_cache` refuses when
+    stale, and hash its bytes. Fail unless its splits can be evaluated."""
     cache_path = out_dir / CACHE_FILENAME
-    if not cache_path.exists():
-        raise FileNotFoundError(
-            f"prepared dataset not found at {cache_path}; run `prepare` first"
-        )
-    prepared = load_cache(cache_path)
+    prepared = load_cache(cache_path, _prepare_settings(config),
+                          config.dataset_path)
     digest = file_sha256(cache_path)
-    differ = []
-    for section in PREPARE_SECTIONS:
-        cached = prepared.meta["settings"].get(section, {})
-        for key, value in config.resolved[section].items():
-            if cached.get(key) != value:
-                differ.append(f"{section}.{key}: cache {cached.get(key)!r}, "
-                              f"config {value!r}")
-    if differ:
-        raise ValueError(
-            f"{cache_path} was prepared with other settings "
-            f"({'; '.join(differ)}); run `prepare` again"
-        )
-    csv_path = Path(config.dataset_path)
-    if csv_path.is_file() and file_sha256(csv_path) != prepared.meta["source_sha256"]:
-        raise ValueError(
-            f"{csv_path} changed after `prepare` wrote {cache_path}; "
-            "run `prepare` again"
-        )
     if prepared.test.labels is None:
         raise ValueError(
             "test split has no labels; evaluation requires a label column"
@@ -481,8 +461,7 @@ def cmd_run(
     and ``lof_raw`` starts there before training. With 1, every unit runs
     in order on the calling thread after the stack, ``lof_raw`` first.
     ``timings.json`` records when and on which thread each unit ran. A
-    cache prepared with other ``dataset`` or ``split`` settings, or from a
-    CSV that has changed since, fails before anything runs.
+    stale cache (see :func:`data.load_cache`) fails before anything runs.
     """
     prepared, digest = _load_run_data(config, out_dir)
     for pattern in _RUN_FILES:

@@ -26,13 +26,13 @@ import io
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from .storage import read_npz, write_npz
+from .storage import file_sha256, read_npz, write_npz
 
 COLUMN_KINDS = ("numeric", "categorical", "label")
 
@@ -469,14 +469,12 @@ def subsample(train: Dataset, fraction: float, seed: int) -> Dataset:
 
 @dataclass
 class PreparedData:
-    """Preprocessed splits plus the normalization fitted on train; ``meta``
-    holds the ``source_sha256`` and ``settings`` :func:`load_cache` read."""
+    """Preprocessed splits plus the normalization fitted on train."""
 
     train: Dataset
     val: Dataset
     test: Dataset
     norm: NormParams
-    meta: dict = field(default_factory=dict)
 
 
 def prepare(table: RawTable, spec: SplitSpec,
@@ -504,12 +502,13 @@ def prepare(table: RawTable, spec: SplitSpec,
 
 
 def save_cache(path: str | Path, prepared: PreparedData, source_sha256: str = "",
-               settings: Mapping[str, Any] | None = None) -> None:
-    """Persist prepared splits to a versioned, byte-reproducible .npz.
+               settings: Mapping[str, Any] | None = None) -> str:
+    """Persist prepared splits to a versioned, byte-reproducible .npz and
+    return the SHA-256 of its bytes.
 
     ``source_sha256`` names the CSV the splits came from, and ``settings``,
-    a JSON object, the settings they were prepared with; both come back
-    in :func:`load_cache`'s ``meta``. A feature name the stored string
+    a JSON object of objects, the settings they were prepared with;
+    :func:`load_cache` checks both. A feature name the stored string
     array cannot hold (numpy drops trailing NULs) raises ``ValueError``
     before anything is written.
     """
@@ -533,16 +532,23 @@ def save_cache(path: str | Path, prepared: PreparedData, source_sha256: str = ""
         arrays[f"{part}_features"] = ds.features
         if ds.labels is not None:
             arrays[f"{part}_labels"] = ds.labels
-    write_npz(path, arrays)
+    return write_npz(path, arrays)
 
 
-def load_cache(path: str | Path) -> PreparedData:
-    """Load splits written by :func:`save_cache`.
+def load_cache(path: str | Path, settings: Mapping[str, Mapping[str, Any]],
+               source: str | Path) -> PreparedData:
+    """Load splits written by :func:`save_cache`, refusing a stale cache.
 
-    A cache of another version, and a file that cannot be read as a cache
-    (cut short, overwritten, or missing an array), raise ``ValueError``
-    naming the file.
+    No file at ``path`` raises ``FileNotFoundError``. A damaged cache, one
+    of another version, one whose recorded value differs from ``settings``
+    at any ``section.key`` (each is named), and one whose CSV ``source``
+    still exists but has changed raise ``ValueError``.
+    Each error names the file and says to run ``prepare``.
     """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"prepared dataset not found at {path}; "
+                                "run `prepare` first")
     with read_npz(path, "dataset cache", "run `prepare` again") as npz:
         version = int(npz["cache_version"])
         if version == CACHE_VERSION:
@@ -551,11 +557,22 @@ def load_cache(path: str | Path) -> PreparedData:
                              npz.get(f"{part}_labels"))
                      for part in ("train", "val", "test")]
             norm = NormParams(npz["norm_min"], npz["norm_max"])
-            meta = {"source_sha256": str(npz["source_sha256"]),
-                    "settings": json.loads(str(npz["settings"]))}
+            source_sha256 = str(npz["source_sha256"])
+            recorded = json.loads(str(npz["settings"]))
     if version != CACHE_VERSION:
         raise ValueError(
             f"{path}: cache version {version} unsupported "
             f"(expected {CACHE_VERSION})"
         )
-    return PreparedData(*parts, norm, meta)
+    differ = [f"{section}.{key}: cache {cached!r}, config {value!r}"
+              for section, values in settings.items()
+              for key, value in values.items()
+              if (cached := recorded.get(section, {}).get(key)) != value]
+    if differ:
+        raise ValueError(f"{path} was prepared with other settings "
+                         f"({'; '.join(differ)}); run `prepare` again")
+    source = Path(source)
+    if source.is_file() and file_sha256(source) != source_sha256:
+        raise ValueError(f"{source} changed after `prepare` wrote {path}; "
+                         "run `prepare` again")
+    return PreparedData(*parts, norm)

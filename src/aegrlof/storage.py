@@ -44,8 +44,9 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def write_npz(path: str | Path, arrays: Mapping[str, np.ndarray]) -> None:
-    """Write a deterministic uncompressed .npz readable by ``np.load``.
+def write_npz(path: str | Path, arrays: Mapping[str, np.ndarray]) -> str:
+    """Write a deterministic uncompressed .npz readable by ``np.load``, and
+    return the SHA-256 of the bytes written, as :func:`file_sha256` would.
 
     Keys are stored in sorted order with fixed zip timestamps so identical
     arrays always produce identical bytes.
@@ -58,7 +59,9 @@ def write_npz(path: str | Path, arrays: Mapping[str, np.ndarray]) -> None:
             np.lib.format.write_array(member, arr, allow_pickle=False)
             info = zipfile.ZipInfo(name + ".npy", date_time=_ZIP_EPOCH)
             zf.writestr(info, member.getvalue())
-    atomic_write_bytes(path, buf.getvalue())
+    data = buf.getvalue()
+    atomic_write_bytes(path, data)
+    return hashlib.sha256(data).hexdigest()
 
 
 @contextmanager

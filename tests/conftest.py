@@ -7,6 +7,7 @@ checked against an implementation that cannot share its bugs.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -98,6 +99,29 @@ def write_dataset_csv(path, ds: Dataset) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
 
 
+def write_experiment(tmp_path):
+    """Write a small labeled dataset plus a 2-variant config, ready to
+    prepare, under ``tmp_path``; return the config's path, its output
+    directory and the config itself."""
+    ds = make_embedded_blob(seed=0, n_normal=280, n_anom=20, ambient_dim=8)
+    csv_path = tmp_path / "blob.csv"
+    write_dataset_csv(csv_path, ds)
+    config = {
+        "dataset": {"path": str(csv_path), "has_header": True,
+                    "schema": {"label": "label"}},
+        "split": {"seed": 0},
+        "train": {"max_epochs": 8, "learning_rate": 0.05, "gr_start_epoch": 3,
+                  "patience": 4},
+        "lof": {"min_pts": 10},
+        "variants": ["lof_raw", "aegr_lof/prune"],
+        "seeds": [0, 1],
+        "output_dir": str(tmp_path / "out"),
+    }
+    config_path = tmp_path / "experiment.json"
+    config_path.write_text(json.dumps(config))
+    return config_path, tmp_path / "out", config
+
+
 # ---------------------------------------------------------------------------
 # from-definition LOF oracle
 
@@ -184,18 +208,23 @@ def pair_count_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 # independent plain-SGD trainer (no gradient-reversal machinery)
 
 
+def copy_network(net: ae.Network) -> ae.Network:
+    """A network with copies of ``net``'s weight and bias arrays."""
+    return ae.Network([(w.copy(), b.copy()) for w, b in net.params])
+
+
 def reference_plain_sgd(net: ae.Network, train_data: Dataset, val_data: Dataset,
                         cfg: ae.TrainConfig, seed: int = 0) -> tuple[ae.Network, int]:
     """Minimal minibatch-SGD trainer implementing the documented training
     contract without any gradient recording or reversal code paths; ``seed``
     drives the batch shuffling."""
-    net = net.copy()
+    net = copy_network(net)
     rng = np.random.default_rng(seed)
     x = train_data.features
     n = x.shape[0]
     order = np.arange(n)
     best_val = math.inf
-    best_net = net.copy()
+    best_net = copy_network(net)
     stall = 0
     epochs_run = 0
     for _ in range(cfg.max_epochs):
@@ -209,7 +238,7 @@ def reference_plain_sgd(net: ae.Network, train_data: Dataset, val_data: Dataset,
             ae.forward(net.params, val_data.features)[-1], val_data.features)
         if val_loss < best_val - cfg.min_improvement:
             best_val = val_loss
-            best_net = net.copy()
+            best_net = copy_network(net)
             stall = 0
         else:
             stall += 1

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from aegrlof import autoencoder as ae
 from aegrlof.data import Dataset
 
-from conftest import finite_difference_grads, reference_plain_sgd
+from conftest import (copy_network, finite_difference_grads,
+                      reference_plain_sgd)
 
 
 def _dataset(features):
@@ -407,7 +408,7 @@ class TestTrain:
                              gr_start_epoch=0, patience=0)
         net = ae.build_architecture(4, seed=5)
         _, history = ae.train(net, train, val, cfg)
-        replay, scores = net.copy(), []
+        replay, scores = copy_network(net), []
         for start in range(0, 50, 8):
             batch = train.features[start : start + 8]
             grads = ae.backward(replay.params,
@@ -536,6 +537,22 @@ class TestTrainStack:
         assert str(stacked[1]).startswith(
             "training diverged: non-finite loss at epoch 1, batch ")
         assert [len(result[1]) for result in (stacked[0], stacked[2])] == [6, 6]
+
+    @pytest.mark.parametrize("gr_start_epoch", [5, 9])
+    def test_twins_that_never_reverse_train_alike(self, gr_start_epoch):
+        # with gr_start_epoch >= max_epochs no epoch reverses, so a seed's
+        # plain and reversal networks are one training done twice
+        train = _random_dataset(60, 6, seed=0)
+        val = _random_dataset(20, 6, seed=1)
+        cfg = ae.TrainConfig(max_epochs=5, batch_size=8, learning_rate=0.05,
+                             gr_start_epoch=gr_start_epoch, patience=0)
+        keys = [(seed, reversal) for seed in (2, 7) for reversal in (False, True)]
+        nets = [ae.build_architecture(6, seed=seed) for seed, _ in keys]
+        stacked = ae.train_stack(nets, train, val, cfg, keys)
+        for plain, aegr in zip(stacked[::2], stacked[1::2]):
+            _assert_same_results([aegr], [plain])
+            assert len(aegr[1]) == 5
+            assert not any(h.reversal_applied for h in aegr[1])
 
     @pytest.mark.parametrize("nets,keys,message", [
         ([], [], "at least one network"),

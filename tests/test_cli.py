@@ -13,29 +13,12 @@ import pytest
 from aegrlof import autoencoder, cli, data, lof, pipeline, plots
 from aegrlof.storage import write_npz
 
-from conftest import make_embedded_blob, write_dataset_csv
+from conftest import make_embedded_blob, write_dataset_csv, write_experiment
 
 
 @pytest.fixture()
 def experiment(tmp_path):
-    """Small labeled dataset plus a 2-variant config, ready to prepare."""
-    ds = make_embedded_blob(seed=0, n_normal=280, n_anom=20, ambient_dim=8)
-    csv_path = tmp_path / "blob.csv"
-    write_dataset_csv(csv_path, ds)
-    config = {
-        "dataset": {"path": str(csv_path), "has_header": True,
-                    "schema": {"label": "label"}},
-        "split": {"seed": 0},
-        "train": {"max_epochs": 8, "learning_rate": 0.05, "gr_start_epoch": 3,
-                  "patience": 4},
-        "lof": {"min_pts": 10},
-        "variants": ["lof_raw", "aegr_lof/prune"],
-        "seeds": [0, 1],
-        "output_dir": str(tmp_path / "out"),
-    }
-    config_path = tmp_path / "experiment.json"
-    config_path.write_text(json.dumps(config))
-    return config_path, tmp_path / "out", config
+    return write_experiment(tmp_path)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -269,6 +252,24 @@ class TestPrepare:
         cli.main(["prepare", "--config", str(config_path)])
         assert (out_dir / "dataset_cache.npz").read_bytes() == first
 
+    def test_cache_digest_comes_from_the_bytes_written(self, experiment,
+                                                       monkeypatch):
+        # prepare hashes the CSV and takes the cache's digest from the
+        # bytes it wrote, without reading the cache back
+        config_path, out_dir, config = experiment
+        hashed = []
+
+        def counting_sha256(path):
+            hashed.append(Path(path))
+            return file_sha256(path)
+
+        file_sha256 = cli.file_sha256
+        monkeypatch.setattr(cli, "file_sha256", counting_sha256)
+        assert cli.main(["prepare", "--config", str(config_path)]) == 0
+        assert hashed == [Path(config["dataset"]["path"])]
+        summary = json.loads((out_dir / "prepare_summary.json").read_text())
+        assert summary["cache_sha256"] == file_sha256(out_dir / cli.CACHE_FILENAME)
+
     def test_summary_times_each_stage(self, experiment, caplog):
         config_path, out_dir, _ = experiment
         with caplog.at_level(logging.INFO, logger="aegrlof.cli"):
@@ -296,7 +297,8 @@ class TestPrepare:
         [line] = [record.getMessage() for record in caplog.records
                   if record.getMessage().startswith("prepare stages: ")]
         assert line.endswith(f"; csv parser {parser}")
-        norm = data.load_cache(tmp_path / "out" / cli.CACHE_FILENAME).norm
+        cache = tmp_path / "out" / cli.CACHE_FILENAME
+        norm = data.load_cache(cache, {}, csv_path).norm
         assert norm.maximum.tolist() == [1000.0]
 
     def test_feature_name_the_cache_cannot_hold_fails(self, tmp_path, capsys):
@@ -695,7 +697,8 @@ class TestRun:
         assert sorted(p.name for p in out_dir.glob("latents_*")) == [
             "latents_ae_0.npz", "latents_ae_1.npz",
             "latents_aegr_0.npz", "latents_aegr_1.npz"]
-        train_labels = data.load_cache(out_dir / cli.CACHE_FILENAME).train.labels
+        train_labels = data.load_cache(out_dir / cli.CACHE_FILENAME, {},
+                                       config["dataset"]["path"]).train.labels
         report = json.loads((out_dir / "report.json").read_text())["report"]
         for row in report["rows"]:
             if row["modifier"] != "prune":

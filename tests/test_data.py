@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aegrlof import data
+from aegrlof import data, storage
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -279,21 +279,20 @@ class TestCache:
         prepared = data.prepare(table, data.SplitSpec(seed=1))
         path = tmp_path / "cache.npz"
         data.save_cache(path, prepared, source_sha256="abc")
-        loaded = data.load_cache(path)
+        loaded = data.load_cache(path, {}, tmp_path / "gone.csv")
         for part in ("train", "val", "test"):
             a, b = getattr(prepared, part), getattr(loaded, part)
             np.testing.assert_array_equal(a.features, b.features)
             np.testing.assert_array_equal(a.labels, b.labels)
             assert a.feature_names == b.feature_names
         np.testing.assert_array_equal(prepared.norm.minimum, loaded.norm.minimum)
-        assert loaded.meta["source_sha256"] == "abc"
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         table = data.RawTable([("x", "numeric")], [[float(i) for i in range(10)]])
         prepared = data.prepare(table, data.SplitSpec(seed=0))
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
-        data.save_cache(p1, prepared)
-        data.save_cache(p2, prepared)
+        digest = data.save_cache(p1, prepared)
+        assert data.save_cache(p2, prepared) == digest == storage.file_sha256(p1)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_feature_name_with_trailing_nul_rejected_before_writing(self, tmp_path):
@@ -314,17 +313,58 @@ class TestCache:
         prepared = data.prepare(table, data.SplitSpec(seed=0))
         path = tmp_path / "cache.npz"
         data.save_cache(path, prepared)
-        import aegrlof.storage as storage
-
         with np.load(path) as npz:
             arrays = {k.removesuffix(".npy"): npz[k.removesuffix(".npy")]
                       for k in npz.files}
         arrays["cache_version"] = np.array(99, dtype=np.int64)
         storage.write_npz(path, arrays)
         with pytest.raises(ValueError) as error:
-            data.load_cache(path)
+            data.load_cache(path, {}, tmp_path / "gone.csv")
         assert str(error.value) == (f"{path}: cache version 99 unsupported "
                                     f"(expected {data.CACHE_VERSION})")
+
+    def test_missing_cache_refused(self, tmp_path):
+        path = tmp_path / "cache.npz"
+        with pytest.raises(FileNotFoundError) as error:
+            data.load_cache(path, {}, tmp_path / "d.csv")
+        assert str(error.value) == (
+            f"prepared dataset not found at {path}; run `prepare` first")
+
+    def test_cache_prepared_with_other_settings_refused(self, tmp_path):
+        table = data.RawTable([("x", "numeric")], [[float(i) for i in range(10)]])
+        prepared = data.prepare(table, data.SplitSpec(seed=0))
+        path = tmp_path / "cache.npz"
+        recorded = {"split": {"seed": 0, "val_fraction": 0.2}}
+        data.save_cache(path, prepared, settings=recorded)
+        gone = tmp_path / "gone.csv"
+        data.load_cache(path, recorded, gone)
+        # only the keys the caller gives are compared
+        data.load_cache(path, {"split": {"seed": 0}}, gone)
+        with pytest.raises(ValueError) as error:
+            data.load_cache(path, {"split": {"seed": 1, "val_fraction": 0.2},
+                                   "dataset": {"path": "d.csv"}}, gone)
+        assert str(error.value) == (
+            f"{path} was prepared with other settings (split.seed: cache 0, "
+            "config 1; dataset.path: cache None, config 'd.csv'); "
+            "run `prepare` again")
+
+    def test_cache_of_a_changed_source_refused(self, tmp_path):
+        # the refusal compares the source's bytes with the digest
+        # save_cache recorded; a source that is gone is not checked
+        table = data.RawTable([("x", "numeric")], [[float(i) for i in range(10)]])
+        prepared = data.prepare(table, data.SplitSpec(seed=0))
+        source = tmp_path / "d.csv"
+        source.write_text("x\n1\n")
+        path = tmp_path / "cache.npz"
+        data.save_cache(path, prepared,
+                        source_sha256=storage.file_sha256(source))
+        data.load_cache(path, {}, source)
+        data.load_cache(path, {}, tmp_path / "gone.csv")
+        source.write_text("x\n2\n")
+        with pytest.raises(ValueError) as error:
+            data.load_cache(path, {}, str(source))
+        assert str(error.value) == (
+            f"{source} changed after `prepare` wrote {path}; run `prepare` again")
 
 
 def test_prepare_subsamples_training_only():

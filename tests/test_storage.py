@@ -24,3 +24,9 @@ def test_failed_replace_keeps_the_old_file(tmp_path, monkeypatch):
         storage.atomic_write_text(path, "new report, cut short")
     assert path.read_bytes() == b"old report\n"
     assert list(tmp_path.glob("*.tmp*")) == []
+
+
+def test_write_npz_returns_the_digest_of_its_bytes(tmp_path):
+    path = tmp_path / "arrays.npz"
+    digest = storage.write_npz(path, {"b": np.arange(3), "a": np.eye(2)})
+    assert digest == storage.file_sha256(path)
