@@ -452,16 +452,16 @@ def cmd_run(
     Per seed, a plain network serves ``ae_re`` and ``ae_lof/*`` and a
     reversal network serves ``aegr_lof/*``. Every network of the run
     trains in one lockstep stack on the calling thread. After the stack,
-    each network's history and latents files are one unit of work, and
-    each head (its LOF fit and score, metrics and score file) is another.
-    ``lof_raw`` does not depend on the seed, so one unit fills every
-    seed's row. With ``jobs`` above 1 the units, and each epoch's
-    validation passes if their blocks are large enough to pay (see
-    :func:`autoencoder.train_stack`), run on a pool of ``jobs`` threads,
-    and ``lof_raw`` starts there before training. With 1, every unit runs
-    in order on the calling thread after the stack, ``lof_raw`` first.
-    ``timings.json`` records when and on which thread each unit ran. A
-    stale cache (see :func:`data.load_cache`) fails before anything runs.
+    every unit runs through one ``map``: ``lof_raw`` first (it does not
+    depend on the seed, so one unit fills every seed's row), then each
+    network's history and latents files and each of its heads (LOF fit
+    and score, metrics and score file), in key order. ``jobs`` picks only
+    that ``map`` and the one for each epoch's validation passes (see
+    :func:`autoencoder.train_stack`): a pool of ``jobs`` threads above 1,
+    the builtin, in order on the calling thread, at 1. A failed network's
+    heads are failures without a unit. ``timings.json`` records when and
+    on which thread each unit ran. A stale cache (see
+    :func:`data.load_cache`) fails before anything runs.
     """
     prepared, digest = _load_run_data(config, out_dir)
     for pattern in _RUN_FILES:
@@ -484,16 +484,7 @@ def cmd_run(
 
     with concurrent.futures.ThreadPoolExecutor(
             max_workers=jobs, thread_name_prefix="aegrlof") as pool:
-        # submit(fn, *args) returns a call that gives fn's outcomes: above
-        # 1 job the pool starts fn at once; at 1 the call itself runs it
-        submit, pool_map = (((lambda *call: pool.submit(*call).result), pool.map)
-                            if jobs > 1 else (partial, map))
-        # each unit's outcomes, in submission order: lof_raw, then every
-        # network's write and heads in key order
-        pending = [submit(evaluate, "lof_raw", {"variant": spec.key, "seeds": seeds},
-                          [replace(spec, seed=seed) for seed in seeds])
-                   for spec in config.variants if spec.reversal is None]
-
+        pool_map = pool.map if jobs > 1 else map
         networks: list = []
         if keys:
             with timeline.unit("train", networks=names) as record:
@@ -510,17 +501,24 @@ def cmd_run(
                     for name, n in zip(names, networks)}
             logger.info("trained stack: epochs %s", record["epochs"])
 
+        # every unit, as a call that gives its outcomes: lof_raw, then each
+        # network's write and heads in key order
+        outcomes: list[Outcome] = []
+        units = [partial(evaluate, "lof_raw", {"variant": spec.key, "seeds": seeds},
+                         [replace(spec, seed=seed) for seed in seeds])
+                 for spec in config.variants if spec.reversal is None]
         for key, name, network in zip(keys, names, networks):
             heads = network_heads[key]
             if not isinstance(network, TrainedNetwork):
                 logger.error("network %s failed: %s", name, network)
-                pending.append(partial(_failed, heads, network))
+                outcomes += _failed(heads, network)
                 continue
-            pending.append(submit(_write_network, timeline, out_dir,
-                                  prepared.train.labels, name, network))
-            pending += [submit(evaluate, "head", {"variant": spec.key, "seed": spec.seed},
-                               [spec], network) for spec in heads]
-        outcomes = [outcome for result in pending for outcome in result()]
+            units.append(partial(_write_network, timeline, out_dir,
+                                 prepared.train.labels, name, network))
+            units += [partial(evaluate, "head", {"variant": spec.key, "seed": spec.seed},
+                              [spec], network) for spec in heads]
+        for result in pool_map(lambda unit: unit(), units):
+            outcomes += result
 
     failures = _write_report(config, seeds, digest, outcomes, timeline, jobs, out_dir)
     print(f"completed {len(outcomes) - len(failures)}/{len(outcomes)} runs -> "
@@ -578,10 +576,9 @@ def _wilcoxon_comparisons(
     for pair in pairs:
         entry: dict[str, Any] = {"pair": list(pair), "metric": "pr_auc"}
         common = [s for s in seeds if all((key, s) in pr_auc for key in pair)]
-        if len(common) < 5:
-            entry["error"] = (
-                f"needs >= 5 completed seeds for both variants, got {len(common)}"
-            )
+        if len(common) < metrics.WILCOXON_MIN_PAIRS:
+            entry["error"] = (f"needs >= {metrics.WILCOXON_MIN_PAIRS} completed "
+                              f"seeds for both variants, got {len(common)}")
         else:
             a, b = (np.array([pr_auc[key, s] for s in common]) for key in pair)
             try:
@@ -726,9 +723,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="experiment config JSON")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--jobs", type=partial(_int_at_least, 1), default=1,
-                       help="worker threads for the LOF heads and for "
-                       "validation passes of large blocks; every network "
-                       "trains in one stack on the main thread (default 1)")
+                       help="worker threads for the units after training "
+                       "(LOF heads, file writes) and for validation passes "
+                       "of large blocks; every network trains in one stack "
+                       "on the main thread first (default 1)")
     p_run.add_argument("--seed-override", type=partial(_int_at_least, 0),
                        default=None,
                        help="run only this seed instead of the configured list")

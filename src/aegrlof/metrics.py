@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The fewest non-zero paired differences the signed-rank test takes.
+WILCOXON_MIN_PAIRS = 5
+
 
 @dataclass(frozen=True)
 class MetricResult:
@@ -43,6 +46,9 @@ def _check_binary(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
     bad = set(np.unique(labels)) - {0, 1}
     if bad:
         raise ValueError(f"labels must be 0/1, found {sorted(bad)}")
+    # NaN and inf have no agreed rank, and the two AUCs would rank them apart
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
     return scores, labels.astype(np.int64)
 
 
@@ -58,7 +64,8 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Probability a random positive outranks a random negative (ties 1/2).
 
     Raises:
-        ValueError: Fewer than one positive or one negative label.
+        ValueError: Non-finite scores, or fewer than one positive or one
+            negative label.
     """
     scores, labels = _check_binary(scores, labels)
     n_pos = int(labels.sum())
@@ -76,7 +83,7 @@ def pr_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Average precision over a descending-score sweep, ties as one block.
 
     Raises:
-        ValueError: No positive labels.
+        ValueError: Non-finite scores, or no positive labels.
     """
     scores, labels = _check_binary(scores, labels)
     n_pos = int(labels.sum())
@@ -98,7 +105,8 @@ def pr_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def compute_metrics(scores: np.ndarray, labels: np.ndarray) -> MetricResult:
-    """Both AUCs plus class counts; requires both classes present."""
+    """Both AUCs plus class counts; requires finite scores and both
+    classes present."""
     scores, labels = _check_binary(scores, labels)
     n_pos = int(labels.sum())
     return MetricResult(
@@ -115,7 +123,8 @@ def wilcoxon_signed_rank(
     """Paired Wilcoxon signed-rank test on differences a - b.
 
     The statistic is the signed rank sum W (positive when a tends to
-    exceed b). Zero differences are dropped; at least 5 must remain. For
+    exceed b). Zero differences are dropped; at least
+    ``WILCOXON_MIN_PAIRS`` (5) must remain. For
     up to 12 remaining differences the p-value is exact by enumerating
     all sign assignments; beyond that a tie-corrected normal
     approximation is used.
@@ -125,7 +134,7 @@ def wilcoxon_signed_rank(
 
     Raises:
         ValueError: Length mismatch, all differences zero, or fewer than
-            5 non-zero differences.
+            ``WILCOXON_MIN_PAIRS`` non-zero differences.
     """
     if alternative not in ("two-sided", "greater", "less"):
         raise ValueError(f"unknown alternative {alternative!r}")
@@ -138,8 +147,9 @@ def wilcoxon_signed_rank(
     n_eff = diff.size
     if n_eff == 0:
         raise ValueError("all differences zero")
-    if n_eff < 5:
-        raise ValueError(f"need at least 5 non-zero differences, got {n_eff}")
+    if n_eff < WILCOXON_MIN_PAIRS:
+        raise ValueError(f"need at least {WILCOXON_MIN_PAIRS} non-zero "
+                         f"differences, got {n_eff}")
 
     ranks = _average_ranks(np.abs(diff))
     w = float(np.sum(np.sign(diff) * ranks))

@@ -133,7 +133,8 @@ def prune(latents: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Returns (kept rows, kept mask). At least one row always survives
     because the minimum error cannot exceed the mean, and the survivors'
     mean error never exceeds the overall mean; the latter is checked on
-    every call.
+    every call. A non-finite error has no mean to compare with, so it
+    raises ``ValueError``.
     """
     latents = np.asarray(latents, dtype=np.float64)
     res = np.asarray(res, dtype=np.float64)
@@ -141,6 +142,10 @@ def prune(latents: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         raise ValueError(
             f"{res.shape[0] if res.ndim else 0} errors for {latents.shape[0]} rows"
         )
+    bad = np.flatnonzero(~np.isfinite(res))
+    if bad.size:
+        raise ValueError(f"reconstruction errors must be finite, got "
+                         f"{res[bad[0]]} at row {bad[0]}")
     mean = res.mean()
     mask = res <= mean
     if not mask.any():

@@ -526,20 +526,18 @@ class TestRun:
         assert train["epochs"] == {
             name: len((out_dir / f"history_{name}.csv").read_text().splitlines()) - 1
             for name in train["networks"]}
-        # the stack trains on the calling thread, never in a pool worker
+        # the stack trains on the calling thread, never in a pool worker,
+        # and every other unit starts after it, at any --jobs
         assert train["thread"] == "MainThread"
+        assert all(train["stop_s"] <= u["start_s"] for u in units if u is not train)
         if jobs == "1":
             # every unit runs in order on the calling thread, none overlapping
             assert {u["thread"] for u in units} == {"MainThread"}
             for before, after in zip(units, units[1:]):
                 assert before["stop_s"] <= after["start_s"]
         else:
-            # lof_raw starts on the pool before training; every write and
-            # head waits for the stack
             [lof_raw] = [u for u in units if u["kind"] == "lof_raw"]
             assert lof_raw["thread"].startswith("aegrlof_")
-            assert all(train["stop_s"] <= u["start_s"] for u in units
-                       if u["kind"] in ("write", "head"))
         assert sorted((u["variant"], u["seed"]) for u in units
                       if u["kind"] == "head") == sorted(
             (f"{d}/{m}", seed) for d, m in cli.VARIANT_MATRIX if d != "lof_raw"

@@ -200,3 +200,12 @@ class TestComputeMetrics:
         assert result.roc_auc == 0.75
         assert result.pr_auc == pytest.approx(5.0 / 6.0)
         assert (result.n_pos, result.n_neg) == (2, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("metric", [metrics.roc_auc, metrics.pr_auc,
+                                    metrics.compute_metrics])
+def test_non_finite_scores_rejected(metric, bad):
+    # ROC AUC would rank NaN highest and PR AUC lowest, so no AUC is given
+    with pytest.raises(ValueError, match="scores must be finite"):
+        metric(np.array([0.1, bad, 0.5, 0.3]), np.array([0, 1, 0, 1]))

@@ -57,6 +57,13 @@ class TestPrune:
         with pytest.raises(ValueError):
             pipeline.prune(np.zeros((3, 2)), np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_error_named(self, bad):
+        # a NaN mean would keep no row; the first bad error is named instead
+        latents = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ValueError, match=f"finite, got {bad} at row 1"):
+            pipeline.prune(latents, np.array([0.1, bad, 0.2, bad]))
+
 
 class TestAugment:
     def test_factor_one_is_identity(self):
