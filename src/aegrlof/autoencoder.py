@@ -22,25 +22,25 @@ network slice at a time with the single-network arithmetic, so each
 network ends bit-identical to training it alone, which :func:`train`
 does as a stack of one. The networks share one :class:`TrainConfig`, and
 each has its own (seed, reversal) key, so plain and reversal networks
-share a stack.
+share a stack. Networks of one seed and one initialization, such as a
+seed's plain and reversal twins, are the same network until the first
+reversing epoch, so they train as one stack slot until then.
 
 Early stopping reads each network's validation loss after every epoch,
-one pass per network. A pass runs the forward pass and smooth-L1 over
-row blocks of at least 512 rows, whose arrays stay in cache, writes each
-block's element losses into one full-size array and takes one mean over
-it, so its loss is bit-identical to ``smooth_l1_loss(forward(net.params,
-x)[-1], x)``. Passes of large blocks may run on a thread pool; small ones
-run on the calling thread, where the pool would cost more than it
-spreads. :func:`encode` runs the same blocked pass, writing latents and
-per-row errors block by block.
+one pass per network on the calling thread. A pass runs the forward pass
+and smooth-L1 over row blocks of at least 512 rows, whose arrays stay in
+cache, writes each block's element losses into one full-size array and
+takes one mean over it, so its loss is bit-identical to
+``smooth_l1_loss(forward(net.params, x)[-1], x)``. :func:`encode` runs
+the same blocked pass, writing latents and per-row errors block by block.
 """
 
 from __future__ import annotations
 
-import builtins
+import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -229,27 +229,12 @@ def smooth_l1_loss(output: np.ndarray, target: np.ndarray) -> float:
 _BLOCK_ROWS = 512
 
 
-# A validation pass whose largest block holds fewer elements (block rows
-# x width) than this runs on the calling thread whatever ``map`` is. On 2
-# vCPUs with one BLAS thread, a 2-thread pool lost or tied on every shape
-# measured whose block held under 26 000 elements (up to 3x slower) and
-# won or tied on every one from 32 000 up. A small block's numpy calls end
-# so soon that the threads contend for the GIL, so the block's size, not
-# the pass's, sets the crossover.
-_POOL_MIN_ELEMENTS = 32_000
-
-
 def _row_blocks(n_rows: int) -> list[slice]:
     """Consecutive row slices of ``_BLOCK_ROWS`` rows covering ``n_rows``,
     the last one holding the remainder as well."""
     bounds = [i * _BLOCK_ROWS for i in range(max(n_rows // _BLOCK_ROWS, 1))]
     bounds.append(n_rows)
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
-
-
-def _block_rows(n_rows: int) -> int:
-    """Rows of the largest of :func:`_row_blocks`, the last."""
-    return n_rows - _row_blocks(n_rows)[-1].start
 
 
 def _blocked_pass(params: Params, x: np.ndarray, losses: np.ndarray,
@@ -340,6 +325,12 @@ def _check_stack(nets: Sequence[Network], train_data: Dataset,
             )
 
 
+def _same_params(a: Network, b: Network) -> bool:
+    """Whether two networks' parameters are equal bit for bit."""
+    return all(wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
+               for (wa, ba), (wb, bb) in zip(a.params, b.params))
+
+
 def train_stack(
     nets: Sequence[Network],
     train_data: Dataset,
@@ -347,7 +338,7 @@ def train_stack(
     cfg: TrainConfig,
     keys: Sequence[tuple[int, bool]],
     *,
-    map: Callable = map,
+    shared_epochs: dict[int, int] | None = None,
 ) -> list[tuple[Network, list[EpochStats]] | RuntimeError]:
     """Train copies of S networks of one architecture in lockstep.
 
@@ -372,18 +363,19 @@ def train_stack(
     validation loss. A network whose training loss goes non-finite gets
     its error at that batch and trains on in its own slices, unvalidated.
     Networks leave the stack only at the end of an epoch, and the others
-    go on.
-
-    The batch steps run on the calling thread. At each epoch's end each
-    network still training gets one validation pass: forward and
-    smooth-L1 over row blocks of the validation split, each block's
+    go on. At each epoch's end each network still training gets one
+    validation pass over row blocks of the validation split, each block's
     element losses written into one full-size array whose mean is the
-    loss, bit-identical to an unblocked pass. The passes go through
-    ``map`` (say, a thread pool's ``map``) when the largest block holds
-    at least ``_POOL_MIN_ELEMENTS`` (32 000) elements, and through the
-    builtin ``map`` otherwise; they only read the stack, and each pass
-    allocates its own arrays. A pool must not be the one running this
-    call, or it waits on its own workers.
+    loss, bit-identical to an unblocked pass.
+
+    Networks with one seed and bit-identical initial parameters (a seed's
+    plain and reversal twins) take the same steps until a reversal, so
+    they train as one stack slot until epoch ``cfg.gr_start_epoch + 1``
+    begins, or until training ends. The slot is then repeated along the
+    stack axis, and each of its networks gets a copy of the slot's
+    generator state, history, best snapshot, stall count and error.
+    ``shared_epochs``, when given, receives by index each network that
+    shared a slot, with the epochs it trained there.
 
     The input networks are not modified, so repeated calls with the same
     config and keys produce bitwise-identical results.
@@ -398,35 +390,61 @@ def train_stack(
     n = x_train.shape[0]
     batch_size = cfg.batch_size or default_batch_size(n)
     n_nets = len(nets)
-    # the networks still training, on a leading axis: row k of ``params``
-    # and ``orders`` (its row order for the epoch) belongs to network ids[k]
-    ids = np.arange(n_nets)
-    params = [(np.stack([net.params[j][0] for net in nets]),
-               np.stack([net.params[j][1] for net in nets]))
+    # each network's slot leader: the first network of its seed and
+    # initialization, whose state stands for every network of the slot
+    # until the fork
+    leader = list(range(n_nets))
+    for i in range(1, n_nets):
+        leader[i] = next((j for j in range(i) if leader[j] == j
+                          and keys[j][0] == keys[i][0]
+                          and _same_params(nets[j], nets[i])), i)
+    followers = {j: [i for i in range(n_nets) if i != j and leader[i] == j]
+                 for j in range(n_nets) if leader.count(j) > 1}
+    # the slots still training, on a leading axis: row k of ``params`` and
+    # ``orders`` (its row order for the epoch) belongs to network ids[k]
+    ids = np.array([i for i in range(n_nets) if leader[i] == i])
+    params = [(np.stack([nets[i].params[j][0] for i in ids]),
+               np.stack([nets[i].params[j][1] for i in ids]))
               for j in range(len(nets[0].params))]
-    orders = np.tile(np.arange(n), (n_nets, 1))
+    orders = np.tile(np.arange(n), (ids.size, 1))
     reverses = np.array([reversal for _, reversal in keys], dtype=bool)
     rngs = [np.random.default_rng(seed) for seed, _ in keys]
-
-    def val_loss_of(k: int) -> float:
-        # one mean over every element's loss sums in the order of an
-        # unblocked pass
-        losses = np.empty(x_val.shape)
-        _blocked_pass([(w[k], b[k]) for w, b in params], x_val, losses)
-        return float(losses.mean())
-
-    val_map = (map if _block_rows(x_val.shape[0]) * x_val.shape[1]
-               >= _POOL_MIN_ELEMENTS else builtins.map)
 
     results: list = [None] * n_nets
     histories: list[list[EpochStats]] = [[] for _ in nets]
     best_val = [math.inf] * n_nets
     best_params = [[(w.copy(), b.copy()) for w, b in net.params] for net in nets]
     stall = [0] * n_nets
+    # epochs each slot leader trained while its slot was shared
+    slot_epochs = [0] * n_nets
+
+    def fork() -> None:
+        # every follower takes a copy of its leader's state, and each slot
+        # still training is repeated once per network it holds
+        nonlocal ids, orders, params
+        for j, members in followers.items():
+            for i in members:
+                (results[i], histories[i], best_val[i], best_params[i],
+                 stall[i], rngs[i]) = copy.deepcopy(
+                    (results[j], histories[j], best_val[j], best_params[j],
+                     stall[j], rngs[j]))
+            if shared_epochs is not None:
+                shared_epochs.update(dict.fromkeys([j, *members], slot_epochs[j]))
+        rows = {i: k for k, i in enumerate(ids.tolist())}
+        ids = np.array([i for i in range(n_nets) if leader[i] in rows], dtype=int)
+        take = [rows[leader[i]] for i in ids.tolist()]
+        orders = orders[take]
+        params = [(w[take], b[take]) for w, b in params]
+        followers.clear()
 
     for epoch in range(1, cfg.max_epochs + 1):
+        if followers and epoch > cfg.gr_start_epoch:
+            fork()
         if not ids.size:
             break
+        if followers:
+            for i in ids.tolist():
+                slot_epochs[i] = epoch
         reversing = reverses[ids] & (epoch > cfg.gr_start_epoch)
         # summed training loss; highest gradient score, its batch and grads
         loss_sum = np.zeros(ids.size)
@@ -477,9 +495,13 @@ def train_stack(
                          where=None if reversing.all() else reversing)
 
         leaving = np.array([results[i] is not None for i in ids.tolist()])
-        validated = np.flatnonzero(~leaving).tolist()
-        for k, val_loss in zip(validated, val_map(val_loss_of, validated)):
+        for k in np.flatnonzero(~leaving).tolist():
             i = int(ids[k])
+            # one mean over every element's loss sums in the order of an
+            # unblocked pass
+            losses = np.empty(x_val.shape)
+            _blocked_pass([(w[k], b[k]) for w, b in params], x_val, losses)
+            val_loss = float(losses.mean())
             if not math.isfinite(val_loss):
                 results[i] = RuntimeError(
                     f"training diverged: non-finite validation loss at epoch {epoch}"
@@ -504,6 +526,8 @@ def train_stack(
             staying = ~leaving
             ids, orders = ids[staying], orders[staying]
             params = [(w[staying], b[staying]) for w, b in params]
+    if followers:
+        fork()
 
     return [
         result if result is not None

@@ -22,9 +22,9 @@ import copy
 import json
 import logging
 import math
+import os
 import platform
 import sys
-import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -274,14 +274,18 @@ def _resolve_config(raw: Any) -> ExperimentConfig:
 
 
 class _Timeline:
-    """When each unit of a command ran, and on which thread, in seconds from
-    the timeline's creation."""
+    """When each unit of a command ran, and in which process (0 for the
+    calling one, k for worker k), in seconds from ``start``, a
+    ``time.perf_counter`` reading that defaults to the timeline's
+    creation. A worker's timeline takes the calling process's ``start``:
+    on Linux ``perf_counter`` reads ``CLOCK_MONOTONIC``, which every
+    process shares."""
 
-    def __init__(self) -> None:
+    def __init__(self, start: float | None = None, process: int = 0) -> None:
         self.started_unix = time.time()
-        self.start = time.perf_counter()
+        self.start = time.perf_counter() if start is None else start
+        self.process = process
         self.units: list[dict[str, Any]] = []
-        self._lock = threading.Lock()
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.start
@@ -293,14 +297,12 @@ class _Timeline:
         try:
             yield record
         finally:
-            record.update(thread=threading.current_thread().name,
-                          stop_s=self.elapsed())
-            with self._lock:
-                self.units.append(record)
+            record.update(process=self.process, stop_s=self.elapsed())
+            self.units.append(record)
 
 
 def _stage_seconds(units: list[dict[str, Any]]) -> dict[str, float]:
-    """Busy seconds per unit kind, summed over worker threads."""
+    """Busy seconds per unit kind, summed over processes."""
     seconds: Counter[str] = Counter()
     for unit in units:
         seconds[unit["kind"]] += unit["stop_s"] - unit["start_s"]
@@ -424,9 +426,8 @@ def _evaluate(timeline: _Timeline, prepared: PreparedData, min_pts: int,
 
 
 def _write_network(timeline: _Timeline, out_dir: Path, labels: np.ndarray | None,
-           name: str, network: TrainedNetwork) -> list[Outcome]:
-    """One unit: a trained network's history and latents files; it has no
-    outcome of its own."""
+                   name: str, network: TrainedNetwork) -> None:
+    """One unit: a trained network's history and latents files."""
     with timeline.unit("write", network=name):
         # a column per EpochStats field, reversal_applied as 0 or 1
         write_csv(out_dir / f"history_{name}.csv",
@@ -438,7 +439,126 @@ def _write_network(timeline: _Timeline, out_dir: Path, labels: np.ndarray | None
         if labels is not None:
             latents["labels"] = labels
         write_npz(out_dir / f"latents_{name}.npz", latents)
-    return []
+
+
+def _run_group(timeline: _Timeline, prepared: PreparedData, cfg: ae.TrainConfig,
+               min_pts: int, out_dir: Path,
+               network_heads: dict[tuple[int, bool], list[VariantSpec]],
+               ) -> list[Outcome]:
+    """Train one seed group's networks in one stack (one ``train`` unit),
+    then, network by network in key order, write its history and latents
+    files and run each of its heads. A failed network's heads are
+    failures without a unit."""
+    keys = list(network_heads)
+    names = [f"{NETWORKS[reversal]}_{seed}" for seed, reversal in keys]
+    n_train = prepared.train.n_rows
+    epoch_batches = -(-n_train // (cfg.batch_size or ae.default_batch_size(n_train)))
+    with timeline.unit("train", seeds=list(dict.fromkeys(seed for seed, _ in keys)),
+                       networks=names) as record:
+        shared: dict[int, int] = {}
+        try:
+            networks = train_networks(keys, prepared.train, prepared.val,
+                                      prepared.test, cfg, shared_epochs=shared)
+        except Exception as exc:  # every head fails alike
+            logger.exception("training networks %s failed", keys)
+            networks = [exc] * len(keys)
+        # epochs and batch steps per network, null for a failed one, and
+        # the epochs each seed's networks trained as one
+        epochs = {name: len(n.history) if isinstance(n, TrainedNetwork) else None
+                  for name, n in zip(names, networks)}
+        record.update(
+            epochs=epochs,
+            batches={name: None if e is None else e * epoch_batches
+                     for name, e in epochs.items()},
+            shared_epochs={keys[i][0]: n for i, n in shared.items()})
+    logger.info("trained stack: epochs %s", epochs)
+
+    outcomes: list[Outcome] = []
+    for key, name, network in zip(keys, names, networks):
+        heads = network_heads[key]
+        if not isinstance(network, TrainedNetwork):
+            logger.error("network %s failed: %s", name, network)
+            outcomes += _failed(heads, network)
+            continue
+        _write_network(timeline, out_dir, prepared.train.labels, name, network)
+        for spec in heads:
+            outcomes += _evaluate(timeline, prepared, min_pts, out_dir, "head",
+                                  {"variant": spec.key, "seed": spec.seed},
+                                  [spec], network)
+    return outcomes
+
+
+# A worker process's run data and index, which the pool's initializer sets
+# once; every group the worker runs reads them.
+_worker: dict[str, Any] = {}
+
+
+def _start_worker(prepared: PreparedData, counter: Any) -> None:
+    with counter.get_lock():
+        counter.value += 1
+        _worker.update(prepared=prepared, process=counter.value)
+
+
+def _run_worker_group(origin: float, *args: Any) -> tuple[list[Outcome],
+                                                          list[dict[str, Any]]]:
+    """:func:`_run_group` in a worker: its outcomes and its units, timed
+    from the calling process's ``origin``."""
+    timeline = _Timeline(origin, _worker["process"])
+    return _run_group(timeline, _worker["prepared"], *args), timeline.units
+
+
+def _single_thread() -> bool:
+    """Whether this process runs one OS thread (Linux; False elsewhere)."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+# The environment variables that set the BLAS libraries' thread counts.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _workers(prepared: PreparedData, origin: float, group_args: tuple,
+             groups: list[dict[tuple[int, bool], list[VariantSpec]]],
+             ) -> Iterator[list[concurrent.futures.Future]]:
+    """Run each group in a pool of as many worker processes, each given
+    ``prepared`` once, and yield the groups' futures; the pool shuts down,
+    its workers ended, when the block exits.
+
+    Workers fork, which takes milliseconds, only when this process runs a
+    single thread: a fork-context pool forks every worker before it starts
+    its manager thread, so no fork copies a live thread's state. Otherwise
+    (a BLAS thread pool, say) they spawn, importing numpy afresh, with
+    BLAS pinned to one thread: a spawned worker's own BLAS threads beside
+    this process's made kdd-tall ``--jobs 2`` runs 2-5x slower.
+    """
+    if not groups:
+        yield []
+        return
+    # imported here, so that prepare and one-group runs start without it
+    import multiprocessing
+
+    method = "fork" if _single_thread() else "spawn"
+    logger.info("%d worker processes by %s", len(groups), method)
+    context = multiprocessing.get_context(method)
+    with concurrent.futures.ProcessPoolExecutor(
+            len(groups), mp_context=context, initializer=_start_worker,
+            initargs=(prepared, context.Value("i", 0))) as pool:
+        # workers start in submit, with the environment of that moment
+        saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:
+            futures = [pool.submit(_run_worker_group, origin, *group_args, group)
+                       for group in groups]
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    del os.environ[var]
+                else:
+                    os.environ[var] = value
+        yield futures
 
 
 def cmd_run(
@@ -450,17 +570,18 @@ def cmd_run(
     """Run every (variant, seed), evaluate, and write reports.
 
     Per seed, a plain network serves ``ae_re`` and ``ae_lof/*`` and a
-    reversal network serves ``aegr_lof/*``. Every network of the run
-    trains in one lockstep stack on the calling thread. After the stack,
-    every unit runs through one ``map``: ``lof_raw`` first (it does not
-    depend on the seed, so one unit fills every seed's row), then each
-    network's history and latents files and each of its heads (LOF fit
-    and score, metrics and score file), in key order. ``jobs`` picks only
-    that ``map`` and the one for each epoch's validation passes (see
-    :func:`autoencoder.train_stack`): a pool of ``jobs`` threads above 1,
-    the builtin, in order on the calling thread, at 1. A failed network's
-    heads are failures without a unit. ``timings.json`` records when and
-    on which thread each unit ran. A stale cache (see
+    reversal network serves ``aegr_lof/*``. The seeds are dealt round
+    robin into min(``jobs``, seeds) groups, and each group's networks
+    train in one lockstep stack, where a seed's twins train as one until
+    the first reversal; then each network's history and latents files
+    and each of its heads (LOF fit and score, metrics and score file)
+    run in key order (see :func:`_run_group`). A pool of worker processes
+    runs every group but the first; meanwhile the calling process runs
+    group 0, then ``lof_raw``, which does not depend on the seed, so one
+    unit fills every seed's row. At ``jobs`` 1 there is one group and no
+    pool. A group whose worker died (a ``BrokenProcessPool``) has its
+    heads recorded as failures naming the error. ``timings.json`` records
+    when and in which process each unit ran. A stale cache (see
     :func:`data.load_cache`) fails before anything runs.
     """
     prepared, digest = _load_run_data(config, out_dir)
@@ -469,56 +590,41 @@ def cmd_run(
             path.unlink()
     seeds = [seed_override] if seed_override is not None else config.seeds
     timeline = _Timeline()
-    evaluate = partial(_evaluate, timeline, prepared, config.min_pts, out_dir)
 
-    # the heads each (seed, reversal) network serves
-    network_heads: dict[tuple[int, bool], list[VariantSpec]] = {}
-    for seed in seeds:
+    # the heads each (seed, reversal) network serves, by seed group
+    n_groups = min(jobs, len(seeds))
+    groups: list[dict[tuple[int, bool], list[VariantSpec]]] = [
+        {} for _ in range(n_groups)]
+    for g, seed in enumerate(seeds):
         for reversal in NETWORKS:
             heads = [replace(spec, seed=seed) for spec in config.variants
                      if spec.reversal == reversal]
             if heads:
-                network_heads[(seed, reversal)] = heads
-    keys = list(network_heads)
-    names = [f"{NETWORKS[reversal]}_{seed}" for seed, reversal in keys]
+                groups[g % n_groups][(seed, reversal)] = heads
+    groups = [group for group in groups if group]
+    group_args = (config.train, config.min_pts, out_dir)
 
-    with concurrent.futures.ThreadPoolExecutor(
-            max_workers=jobs, thread_name_prefix="aegrlof") as pool:
-        pool_map = pool.map if jobs > 1 else map
-        networks: list = []
-        if keys:
-            with timeline.unit("train", networks=names) as record:
-                try:
-                    networks = train_networks(keys, prepared.train, prepared.val,
-                                              prepared.test, config.train,
-                                              map=pool_map)
-                except Exception as exc:  # every head fails alike
-                    logger.exception("training networks %s failed", keys)
-                    networks = [exc] * len(keys)
-                # epochs run per network, null for a failed one
-                record["epochs"] = {
-                    name: len(n.history) if isinstance(n, TrainedNetwork) else None
-                    for name, n in zip(names, networks)}
-            logger.info("trained stack: epochs %s", record["epochs"])
-
-        # every unit, as a call that gives its outcomes: lof_raw, then each
-        # network's write and heads in key order
-        outcomes: list[Outcome] = []
-        units = [partial(evaluate, "lof_raw", {"variant": spec.key, "seeds": seeds},
-                         [replace(spec, seed=seed) for seed in seeds])
-                 for spec in config.variants if spec.reversal is None]
-        for key, name, network in zip(keys, names, networks):
-            heads = network_heads[key]
-            if not isinstance(network, TrainedNetwork):
-                logger.error("network %s failed: %s", name, network)
-                outcomes += _failed(heads, network)
+    outcomes: list[Outcome] = []
+    with _workers(prepared, timeline.start, group_args, groups[1:]) as futures:
+        if groups:
+            outcomes += _run_group(timeline, prepared, *group_args, groups[0])
+        for spec in config.variants:
+            if spec.reversal is None:
+                outcomes += _evaluate(timeline, prepared, config.min_pts, out_dir,
+                                      "lof_raw", {"variant": spec.key, "seeds": seeds},
+                                      [replace(spec, seed=seed) for seed in seeds])
+        for group, future in zip(groups[1:], futures):
+            try:
+                group_outcomes, units = future.result()
+            except concurrent.futures.BrokenExecutor as exc:
+                # a dead worker (BrokenProcessPool) fails its group's heads,
+                # and the run goes on
+                logger.error("worker for networks %s failed: %s", list(group), exc)
+                outcomes += _failed([spec for heads in group.values()
+                                     for spec in heads], exc)
                 continue
-            units.append(partial(_write_network, timeline, out_dir,
-                                 prepared.train.labels, name, network))
-            units += [partial(evaluate, "head", {"variant": spec.key, "seed": spec.seed},
-                              [spec], network) for spec in heads]
-        for result in pool_map(lambda unit: unit(), units):
-            outcomes += result
+            outcomes += group_outcomes
+            timeline.units += units
 
     failures = _write_report(config, seeds, digest, outcomes, timeline, jobs, out_dir)
     print(f"completed {len(outcomes) - len(failures)}/{len(outcomes)} runs -> "
@@ -723,10 +829,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="experiment config JSON")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--jobs", type=partial(_int_at_least, 1), default=1,
-                       help="worker threads for the units after training "
-                       "(LOF heads, file writes) and for validation passes "
-                       "of large blocks; every network trains in one stack "
-                       "on the main thread first (default 1)")
+                       help="processes to run on: the seeds are dealt into "
+                       "min(N, seeds) groups, each training its networks in "
+                       "one stack and running their heads, one group in this "
+                       "process and each other in a worker (default 1)")
     p_run.add_argument("--seed-override", type=partial(_int_at_least, 0),
                        default=None,
                        help="run only this seed instead of the configured list")

@@ -28,7 +28,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -202,21 +202,24 @@ def train_networks(
     test_data: Dataset,
     cfg: ae.TrainConfig,
     *,
-    map: Callable = map,
+    shared_epochs: dict[int, int] | None = None,
 ) -> list[TrainedNetwork | RuntimeError]:
     """Train one autoencoder per (seed, reversal) key, all in one
     :func:`autoencoder.train_stack` stack, encode the training and test
     splits with each, one forward pass per split, and prune its training
-    rows once. ``map`` runs the stack's validation passes when their
-    blocks are large enough to pay.
+    rows once.
 
-    A key's seed drives initialization and batch shuffling; a key without
-    reversal trains by plain SGD. A network whose training diverged gets
-    its ``RuntimeError`` in place of a result.
+    A key's seed drives initialization and batch shuffling, so a seed's
+    plain and reversal networks train as one until the first reversing
+    epoch; ``shared_epochs`` receives, by key index, the epochs each such
+    network trained shared. A key without reversal trains by plain SGD.
+    A network whose training diverged gets its ``RuntimeError`` in place
+    of a result.
     """
     nets = [ae.build_architecture(train_data.n_features, seed=seed)
             for seed, _ in keys]
-    results = ae.train_stack(nets, train_data, val_data, cfg, keys, map=map)
+    results = ae.train_stack(nets, train_data, val_data, cfg, keys,
+                             shared_epochs=shared_epochs)
     return [result if isinstance(result, RuntimeError)
             else _encode_splits(key, *result, train_data, test_data)
             for key, result in zip(keys, results)]

@@ -1,5 +1,5 @@
-import concurrent.futures
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -438,26 +438,15 @@ def _assert_same_results(got, want):
 
 
 def _train_alone_and_stacked(nets, train, val, cfg, keys):
-    """Train each network alone and all of them as one stack, with the
-    validation passes run in order and offered to a 2-thread pool; assert
-    the results are identical bit for bit, and that the pool ran passes
-    only if the validation blocks are large, and return the stacked
-    ones."""
+    """Train each network alone and all of them as one stack; assert the
+    results are identical bit for bit, and that the networks sharing a
+    seed and an initialization, and only they, trained as one slot for
+    the epochs before the first reversing one that the slot ran. Return
+    the stacked results."""
     # the stack trains first, so a stack that changed its input networks
     # would show here
-    stacked = ae.train_stack(nets, train, val, cfg, keys)
-    pooled = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-        def pool_map(fn, items):
-            pooled.append(items)
-            return pool.map(fn, items)
-
-        _assert_same_results(
-            ae.train_stack(nets, train, val, cfg, keys, map=pool_map), stacked)
-    # only passes whose largest block holds _POOL_MIN_ELEMENTS elements
-    # reach the pool
-    assert bool(pooled) == (
-        ae._block_rows(val.n_rows) * val.n_features >= ae._POOL_MIN_ELEMENTS)
+    shared = {}
+    stacked = ae.train_stack(nets, train, val, cfg, keys, shared_epochs=shared)
     alone = []
     for net, (seed, reversal) in zip(nets, keys):
         # alone, a plain network is one whose reversal starts after training
@@ -467,6 +456,15 @@ def _train_alone_and_stacked(nets, train, val, cfg, keys):
         except RuntimeError as exc:
             alone.append(exc)
     _assert_same_results(stacked, alone)
+    inits = [(seed, [a.tobytes() for layer in net.params for a in layer])
+             for net, (seed, _) in zip(nets, keys)]
+    twins = [i for i, init in enumerate(inits) if inits.count(init) > 1]
+    assert sorted(shared) == twins
+    for i in twins:
+        # a network that diverged ran through the epoch its error names
+        ran = (int(re.search(r"at epoch (\d+)", str(alone[i]))[1])
+               if isinstance(alone[i], RuntimeError) else len(alone[i][1]))
+        assert shared[i] == min(ran, cfg.gr_start_epoch, cfg.max_epochs)
     return stacked
 
 
@@ -495,6 +493,40 @@ class TestTrainStack:
                              min_improvement=min_improvement)
         _train_alone_and_stacked(nets, train, val, cfg, keys)
 
+    @settings(max_examples=40, deadline=None)
+    @given(keys=st.lists(st.tuples(st.integers(0, 2), st.booleans()),
+                         min_size=1, max_size=6),
+           batch_size=st.integers(2, 16),
+           learning_rate=st.sampled_from([0.01, 0.05, 0.3]),
+           gr_start_epoch=st.integers(0, 8),
+           patience=st.integers(0, 3),
+           min_improvement=st.sampled_from([0.0, 1e-3, 1e-2]),
+           diverging=st.sampled_from(["none", "seed", "network"]),
+           data_seed=st.integers(0, 1000))
+    def test_twins_train_as_one_until_the_fork(self, keys, batch_size,
+                                               learning_rate, gr_start_epoch,
+                                               patience, min_improvement,
+                                               diverging, data_seed):
+        # few seeds, so most keys have a twin (or a duplicate); the fork
+        # falls anywhere from before the first epoch to after the last
+        train = _random_dataset(40, 5, seed=data_seed)
+        val = _random_dataset(12, 5, seed=data_seed + 1)
+        nets = [ae.build_architecture(5, seed=seed) for seed, _ in keys]
+        # output weights near float64's maximum overflow the first output:
+        # every network of the first key's seed, whose slot then diverges
+        # before the fork unless the fork comes first, or only the first
+        # network, which then shares no slot
+        diverges = {"none": [], "network": [0],
+                    "seed": [i for i, (seed, _) in enumerate(keys)
+                             if seed == keys[0][0]]}[diverging]
+        for i in diverges:
+            nets[i].params[-1][0][:] *= 1e308
+        cfg = ae.TrainConfig(max_epochs=6, batch_size=batch_size,
+                             learning_rate=learning_rate,
+                             gr_start_epoch=gr_start_epoch, patience=patience,
+                             min_improvement=min_improvement)
+        _train_alone_and_stacked(nets, train, val, cfg, keys)
+
     def test_networks_stopping_at_different_epochs_leave_the_stack(self):
         train = _random_dataset(300, 7, seed=0)
         val = _random_dataset(100, 7, seed=1)
@@ -506,9 +538,8 @@ class TestTrainStack:
         epochs = [len(history) for _, history in stacked]
         assert len(set(epochs)) > 2 and max(epochs) < 60
 
-    def test_validation_of_large_blocks_runs_on_the_pool(self):
-        # 1100 rows make a 512-row and a 588-row block; 588 x 64 elements
-        # are above _POOL_MIN_ELEMENTS, so the passes go to the pool
+    def test_validation_over_several_blocks_matches_separate_training(self):
+        # 1100 rows make a 512-row and a 588-row block
         train = _random_dataset(48, 64, seed=0)
         val = _random_dataset(1100, 64, seed=1)
         keys = [(0, False), (0, True), (1, True)]
@@ -580,7 +611,7 @@ class TestBlockedPass:
         assert blocks[-1].stop == n_rows
         sizes = [b.stop - b.start for b in blocks]
         assert min(sizes) >= min(n_rows, ae._BLOCK_ROWS)
-        assert max(sizes) == sizes[-1] == ae._block_rows(n_rows)
+        assert max(sizes) == sizes[-1]
         assert sizes[-1] < 2 * ae._BLOCK_ROWS
 
     @pytest.mark.parametrize("width", [122, 16])

@@ -1,8 +1,10 @@
+import concurrent.futures
 import json
 import logging
 import math
+import multiprocessing
+import os
 import re
-import threading
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -500,11 +502,97 @@ class TestRun:
         assert {"report.md", "scores_aegr_lof_prune_1.csv",
                 "latents_aegr_1.npz",
                 "history_aegr_1.csv"} <= serial.keys()
-        # at 2 and 3 jobs the heads run on a pool, in another order than
-        # the serial run's; this validation split is too small for its
-        # passes to go there
+        # at 2 and 3 jobs each seed trains and runs its heads in its own
+        # process, in another order than the serial run's
         for jobs in ("2", "3"):
             assert run_outputs("--jobs", jobs) == serial
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_jobs_write_the_same_files_by_either_start_method(
+            self, experiment, tmp_path, monkeypatch, start_method):
+        _, out_dir, config = experiment
+        path = tmp_path / "three_seeds.json"
+        path.write_text(json.dumps({**config, "variants": "matrix",
+                                    "seeds": [0, 1, 2]}))
+        cli.main(["prepare", "--config", str(path)])
+        # workers fork only from a single-threaded process
+        monkeypatch.setattr(cli, "_single_thread", lambda: start_method == "fork")
+        methods = []
+
+        def get_context(method):
+            methods.append(method)
+            return real_get_context(method)
+
+        real_get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        # workers start in submit, and inherit its environment
+        blas_threads = []
+
+        def submit(pool, *args):
+            blas_threads.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+            return real_submit(pool, *args)
+
+        real_submit = concurrent.futures.ProcessPoolExecutor.submit
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", submit)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+
+        def run_outputs(jobs):
+            assert cli.main(["run", "--config", str(path), "--jobs", str(jobs)]) == 0
+            assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+            # a worker left running would outlive the run
+            assert multiprocessing.active_children() == []
+            # a worker may run more than one group
+            processes = {u["process"] for u in json.loads(
+                (out_dir / "timings.json").read_text())["units"]}
+            assert 0 in processes and processes <= set(range(jobs))
+            outputs = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
+                       if p.name != "timings.json"}
+            # report.json also holds the run's timings; compare its report
+            # block
+            outputs["report.json"] = json.loads(outputs["report.json"])["report"]
+            return outputs
+
+        serial = run_outputs(1)
+        assert len([name for name in serial if name.startswith("scores_")]) == 24
+        for jobs in (2, 3):
+            assert run_outputs(jobs) == serial
+        assert methods == [start_method] * 2
+        # workers run one BLAS thread each: 1 at --jobs 2, 2 at --jobs 3
+        assert blas_threads == ["1"] * 3
+
+    def test_dead_worker_fails_its_heads_and_the_run_reports(self, experiment,
+                                                            monkeypatch, capsys):
+        config_path, out_dir, _ = experiment
+        cli.main(["prepare", "--config", str(config_path)])
+        calling = os.getpid()
+
+        def train_networks(*args, **kwargs):
+            if os.getpid() != calling:
+                os._exit(3)  # as a worker killed for memory would end
+            return real_train_networks(*args, **kwargs)
+
+        real_train_networks = cli.train_networks
+        monkeypatch.setattr(cli, "train_networks", train_networks)
+        # a forked worker runs the patched function
+        monkeypatch.setattr(cli, "_single_thread", lambda: True)
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(config_path), "--jobs", "2"]) == 1
+        assert multiprocessing.active_children() == []
+        # seed 1's group ran in the worker that died
+        report = json.loads((out_dir / "report.json").read_text())["report"]
+        [failure] = report["failures"]
+        assert (failure["variant"], failure["seed"]) == ("aegr_lof/prune", 1)
+        assert failure["error"].startswith("BrokenProcessPool: ")
+        assert f"  FAILED aegr_lof/prune seed 1: {failure['error']}" in (
+            capsys.readouterr().err)
+        assert "\n## Failures\n" in (out_dir / "report.md").read_text()
+        assert sorted((r["detector"], r["seed"]) for r in report["rows"]) == [
+            ("aegr_lof", 0), ("lof_raw", 0), ("lof_raw", 1)]
+        units = json.loads((out_dir / "timings.json").read_text())["units"]
+        assert {u["process"] for u in units} == {0}
+        # the dead group wrote no network file; lof_raw filled seed 1's row
+        assert sorted(p.name for p in out_dir.glob("*_1.*")) == [
+            "scores_lof_raw_none_1.csv"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_timings_record_each_unit(self, experiment, tmp_path, jobs):
@@ -517,27 +605,38 @@ class TestRun:
         assert timings["jobs"] == int(jobs)
         units = timings["units"]
         by_kind = Counter(unit["kind"] for unit in units)
-        # 2 seeds x 7 network heads, one write per network, one lof_raw
-        assert by_kind == {"lof_raw": 1, "train": 1, "write": 4, "head": 14,
-                           "report": 1}
-        train = next(unit for unit in units if unit["kind"] == "train")
-        assert train["networks"] == ["ae_0", "aegr_0", "ae_1", "aegr_1"]
-        # each network's epochs, one history row apiece
-        assert train["epochs"] == {
-            name: len((out_dir / f"history_{name}.csv").read_text().splitlines()) - 1
-            for name in train["networks"]}
-        # the stack trains on the calling thread, never in a pool worker,
-        # and every other unit starts after it, at any --jobs
-        assert train["thread"] == "MainThread"
-        assert all(train["stop_s"] <= u["start_s"] for u in units if u is not train)
-        if jobs == "1":
-            # every unit runs in order on the calling thread, none overlapping
-            assert {u["thread"] for u in units} == {"MainThread"}
-            for before, after in zip(units, units[1:]):
+        # 2 seeds x 7 network heads, one write per network, one lof_raw,
+        # one stack per seed group
+        assert by_kind == {"lof_raw": 1, "train": int(jobs), "write": 4,
+                           "head": 14, "report": 1}
+        trains = [unit for unit in units if unit["kind"] == "train"]
+        # at --jobs 2 the 2 seeds make 2 groups: seed 0 in the calling
+        # process, seed 1 in worker 1
+        groups = [[0, 1]] if jobs == "1" else [[0], [1]]
+        assert sorted((t["process"], t["seeds"]) for t in trains) == list(
+            enumerate(groups))
+        for train in trains:
+            assert train["networks"] == [f"{network}_{seed}" for seed in train["seeds"]
+                                         for network in ("ae", "aegr")]
+            # each network's epochs, one history row apiece, of 12 batches
+            # of 16 of the 180 training rows
+            assert train["epochs"] == {
+                name: len((out_dir / f"history_{name}.csv").read_text()
+                          .splitlines()) - 1
+                for name in train["networks"]}
+            assert train["batches"] == {name: 12 * epochs
+                                        for name, epochs in train["epochs"].items()}
+            # a seed's twins train as one through gr_start_epoch 3
+            assert train["shared_epochs"] == {str(seed): 3 for seed in train["seeds"]}
+        # each process runs its units in order, none overlapping: its
+        # group's stack first; lof_raw runs in the calling process
+        [lof_raw] = [u for u in units if u["kind"] == "lof_raw"]
+        assert lof_raw["process"] == 0
+        for process in range(int(jobs)):
+            own = [u for u in units if u["process"] == process]
+            assert own[0]["kind"] == "train"
+            for before, after in zip(own, own[1:]):
                 assert before["stop_s"] <= after["start_s"]
-        else:
-            [lof_raw] = [u for u in units if u["kind"] == "lof_raw"]
-            assert lof_raw["thread"].startswith("aegrlof_")
         assert sorted((u["variant"], u["seed"]) for u in units
                       if u["kind"] == "head") == sorted(
             (f"{d}/{m}", seed) for d, m in cli.VARIANT_MATRIX if d != "lof_raw"
@@ -650,39 +749,22 @@ class TestRun:
         assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("jobs", [1, 2, 3], ids=str)
-    def test_matrix_trains_each_network_once(self, experiment, tmp_path,
-                                             monkeypatch, jobs):
+    def test_matrix_trains_each_network_once(self, experiment, tmp_path, jobs):
         _, out_dir, config = experiment
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps({**config, "variants": "matrix"}))
         cli.main(["prepare", "--config", str(path)])
-        calls = Counter()
-        # pool workers call lof.fit concurrently; += is not atomic
-        lock = threading.Lock()
-
-        def counted(name, func):
-            def wrapper(*args, **kwargs):
-                with lock:
-                    calls[name] += 1
-                return func(*args, **kwargs)
-            return wrapper
-
-        stacks = []
-
-        def train_stack(nets, train_data, val_data, cfg, keys, **kwargs):
-            stacks.append(list(keys))
-            return real_train_stack(nets, train_data, val_data, cfg, keys, **kwargs)
-
-        real_train_stack = autoencoder.train_stack
-        monkeypatch.setattr(autoencoder, "train_stack", train_stack)
-        monkeypatch.setattr(lof, "fit", counted("fit", lof.fit))
         assert cli.main(["run", "--config", str(path), "--jobs", str(jobs)]) == 0
-        # one stack holds the 2 seeds x (plain + reversal) networks, each
-        # once, whatever --jobs is; lof_raw is fitted once, plus 2 seeds x 6
-        # latent-LOF heads
-        assert len(stacks) == 1
-        assert sorted(stacks[0]) == [(0, False), (0, True), (1, False), (1, True)]
-        assert calls == {"fit": 13}
+        units = json.loads((out_dir / "timings.json").read_text())["units"]
+        # one stack per seed group, in as many processes; the stacks
+        # partition the 2 seeds x (plain + reversal) networks, so each
+        # trains once, whatever --jobs is
+        stacks = [(u["process"], u["networks"]) for u in units if u["kind"] == "train"]
+        assert sorted(process for process, _ in stacks) == list(range(min(jobs, 2)))
+        assert sorted(name for _, stack in stacks for name in stack) == [
+            "ae_0", "ae_1", "aegr_0", "aegr_1"]
+        # lof_raw is fitted once, plus 2 seeds x 6 latent-LOF heads
+        assert sum("lof_fit_s" in u for u in units) == 13
         report = json.loads((out_dir / "report.json").read_text())["report"]
         assert len(report["rows"]) == 16
 
