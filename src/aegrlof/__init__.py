@@ -10,6 +10,8 @@ Library layout:
     pipeline     Detection variants (raw LOF, reconstruction error,
                  latent LOF with pruning/augmentation).
     metrics      ROC AUC, PR AUC, Wilcoxon signed-rank.
+    report       The run's report block and report.md text, built from
+                 its head outcomes without IO.
     plots        Latent scatter and KDE curve data generation.
     storage      Writes and reads every artifact file: atomic writes, CSV,
                  deterministic .npz archives, hashing.

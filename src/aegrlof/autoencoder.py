@@ -149,6 +149,13 @@ def default_batch_size(n_train_rows: int) -> int:
     return 64 if n_train_rows > 2000 else 16
 
 
+def batch_starts(cfg: TrainConfig, n_train_rows: int) -> range:
+    """The first row of each minibatch of an epoch: steps of
+    ``cfg.batch_size``, or :func:`default_batch_size` when that is None.
+    Its length is the epoch's batch count."""
+    return range(0, n_train_rows, cfg.batch_size or default_batch_size(n_train_rows))
+
+
 def bottleneck_width(n_features: int) -> int:
     """floor(1 + sqrt(n)) bottleneck nodes for an n-feature input."""
     if n_features < 1:
@@ -388,7 +395,7 @@ def train_stack(
     x_train = train_data.features
     x_val = val_data.features
     n = x_train.shape[0]
-    batch_size = cfg.batch_size or default_batch_size(n)
+    starts = batch_starts(cfg, n)
     n_nets = len(nets)
     # each network's slot leader: the first network of its seed and
     # initialization, whose state stands for every network of the slot
@@ -455,8 +462,8 @@ def train_stack(
         # a diverged network's later steps overflow or compute on NaN; its
         # error is recorded, so numpy need not warn about them
         with np.errstate(over="ignore", invalid="ignore"):
-            for batch_id, start in enumerate(range(0, n, batch_size)):
-                batch = x_train[orders[:, start : start + batch_size]]
+            for batch_id, start in enumerate(starts):
+                batch = x_train[orders[:, start : start + starts.step]]
                 activations = forward(params, batch)
                 losses = _smooth_l1(activations[-1], batch).reshape(
                     ids.size, -1).mean(axis=1)

@@ -4,9 +4,9 @@ export plot data.
 Subcommands:
     prepare   Preprocess a CSV (encode, split, subsample, normalize) into a
               cached dataset and print a summary.
-    run       Execute every configured (variant, seed), write report.json,
-              report.md, timings.json, per-variant score CSVs, and each
-              trained network's history_*.csv and latents_*.npz.
+    run       Execute every configured (variant, seed), write report.json
+              and report.md (as :mod:`report` builds them), timings.json,
+              score CSVs, and each network's history_*.csv and latents_*.npz.
     plotdata  Export latent scatter and KDE curve CSVs from a finished run.
 
 All experiment settings live in a single JSON config; see the README for
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from . import autoencoder as ae
-from . import metrics
+from . import metrics, report
 from .data import (
     PreparedData,
     SplitSpec,
@@ -48,8 +48,6 @@ from .data import (
     save_cache,
 )
 from .pipeline import (
-    DETECTORS,
-    MODIFIERS,
     NETWORKS,
     VARIANT_MATRIX,
     TrainedNetwork,
@@ -58,16 +56,13 @@ from .pipeline import (
     train_networks,
 )
 from .plots import kde_curve
+from .report import FAILURE_LINE, Outcome
 from .storage import (atomic_write_text, file_sha256, read_npz, write_csv,
                       write_npz, write_scores_csv)
 
 logger = logging.getLogger(__name__)
 
 CACHE_FILENAME = "dataset_cache.npz"
-# A head and its outcome: its report row's metrics and run metadata, or the
-# error that stopped it; a failure's line in stderr and report.md.
-Outcome = tuple[VariantSpec, dict[str, Any] | str]
-FAILURE_LINE = "{variant} seed {seed}: {error}"
 
 # Each kind of config value: the JSON types it takes, and how an error
 # names it. A float field takes any JSON number; booleans, which Python
@@ -451,8 +446,7 @@ def _run_group(timeline: _Timeline, prepared: PreparedData, cfg: ae.TrainConfig,
     failures without a unit."""
     keys = list(network_heads)
     names = [f"{NETWORKS[reversal]}_{seed}" for seed, reversal in keys]
-    n_train = prepared.train.n_rows
-    epoch_batches = -(-n_train // (cfg.batch_size or ae.default_batch_size(n_train)))
+    epoch_batches = len(ae.batch_starts(cfg, prepared.train.n_rows))
     with timeline.unit("train", seeds=list(dict.fromkeys(seed for seed, _ in keys)),
                        networks=names) as record:
         shared: dict[int, int] = {}
@@ -581,15 +575,16 @@ def cmd_run(
     unit fills every seed's row. At ``jobs`` 1 there is one group and no
     pool. A group whose worker died (a ``BrokenProcessPool``) has its
     heads recorded as failures naming the error. ``timings.json`` records
-    when and in which process each unit ran. A stale cache (see
-    :func:`data.load_cache`) fails before anything runs.
+    when and in which process each unit ran, from the ``load`` unit on. A
+    stale cache (see :func:`data.load_cache`) fails before any deletion.
     """
-    prepared, digest = _load_run_data(config, out_dir)
+    timeline = _Timeline()
+    with timeline.unit("load"):
+        prepared, digest = _load_run_data(config, out_dir)
     for pattern in _RUN_FILES:
         for path in out_dir.glob(pattern):
             path.unlink()
     seeds = [seed_override] if seed_override is not None else config.seeds
-    timeline = _Timeline()
 
     # the heads each (seed, reversal) network serves, by seed group
     n_groups = min(jobs, len(seeds))
@@ -637,25 +632,12 @@ def cmd_run(
 def _write_report(config: ExperimentConfig, seeds: list[int], dataset_sha256: str,
                   outcomes: list[Outcome], timeline: _Timeline, jobs: int,
                   out_dir: Path) -> list[dict[str, Any]]:
-    """Write report.json, with a row or a failure per head in spec order and
-    the run's versions and stage seconds in its ``environment`` block,
-    report.md and timings.json; return the report's failures."""
+    """Write report.json, with the :func:`report.build` block and the run's
+    versions and stage seconds in its ``environment`` block, report.md and
+    timings.json; return the report's failures."""
     with timeline.unit("report"):
-        rows, failures = [], []
-        for spec, outcome in sorted(outcomes, key=lambda pair: pair[0]):
-            head = dict(detector=spec.detector, modifier=spec.modifier, seed=spec.seed)
-            if isinstance(outcome, str):
-                failures.append(dict(variant=spec.key, seed=spec.seed, error=outcome))
-            else:
-                rows.append({**head, **outcome,
-                             "metadata": {**outcome["metadata"], **head}})
-        report = {
-            "config": {**config.resolved, "seeds": seeds},
-            "dataset_sha256": dataset_sha256,
-            "rows": rows,
-            "wilcoxon": _wilcoxon_comparisons(config.wilcoxon_pairs, outcomes, seeds),
-            "failures": failures,
-        }
+        block = report.build(config.resolved, seeds, dataset_sha256,
+                             config.wilcoxon_pairs, outcomes)
     duration_s = timeline.elapsed()
     units = sorted(timeline.units, key=lambda unit: unit["start_s"])
     environment = {
@@ -666,75 +648,11 @@ def _write_report(config: ExperimentConfig, seeds: list[int], dataset_sha256: st
         "duration_s": duration_s,
         "stage_s": _stage_seconds(units),
     }
-    _write_json(out_dir / "report.json", {"report": report, "environment": environment})
-    atomic_write_text(out_dir / "report.md", _render_markdown(report))
+    _write_json(out_dir / "report.json", {"report": block, "environment": environment})
+    atomic_write_text(out_dir / "report.md", report.markdown(block))
     _write_json(out_dir / "timings.json",
                 {"jobs": jobs, "duration_s": duration_s, "units": units})
-    return failures
-
-
-def _wilcoxon_comparisons(
-    pairs: list[list[str]], outcomes: list[Outcome], seeds: list[int]
-) -> list[dict[str, Any]]:
-    pr_auc = {(spec.key, spec.seed): outcome["pr_auc"]
-              for spec, outcome in outcomes if not isinstance(outcome, str)}
-    out = []
-    for pair in pairs:
-        entry: dict[str, Any] = {"pair": list(pair), "metric": "pr_auc"}
-        common = [s for s in seeds if all((key, s) in pr_auc for key in pair)]
-        if len(common) < metrics.WILCOXON_MIN_PAIRS:
-            entry["error"] = (f"needs >= {metrics.WILCOXON_MIN_PAIRS} completed "
-                              f"seeds for both variants, got {len(common)}")
-        else:
-            a, b = (np.array([pr_auc[key, s] for s in common]) for key in pair)
-            try:
-                entry.update(asdict(metrics.wilcoxon_signed_rank(a, b)))
-            except ValueError as exc:
-                entry["error"] = str(exc)
-        out.append(entry)
-    return out
-
-
-def _render_markdown(report: dict[str, Any]) -> str:
-    grouped: dict[tuple[str, str], list[dict[str, Any]]] = {}
-    for row in report["rows"]:
-        grouped.setdefault((row["detector"], row["modifier"]), []).append(row)
-
-    lines = [
-        "# Detection benchmark",
-        "",
-        f"Seeds: {report['config']['seeds']}",
-        f"Dataset sha256: `{report['dataset_sha256']}`",
-        "",
-        "| Detection approach | Modification method | PR AUC | ROC AUC |",
-        "|---|---|---|---|",
-    ]
-    for detector, modifier in (key for key in VARIANT_MATRIX if key in grouped):
-        entries = grouped[detector, modifier]
-        pr = np.array([e["pr_auc"] for e in entries])
-        roc = np.array([e["roc_auc"] for e in entries])
-        lines.append(
-            "| {} | {} | {:.3f} ± {:.3f} | {:.3f} ± {:.3f} |".format(
-                DETECTORS[detector][0], MODIFIERS[modifier],
-                pr.mean(), pr.std(), roc.mean(), roc.std(),
-            )
-        )
-    if report["wilcoxon"]:
-        lines += ["", "## Wilcoxon signed-rank (PR AUC across seeds)", ""]
-        for entry in report["wilcoxon"]:
-            if "error" in entry:
-                lines.append(f"- {entry['pair'][0]} vs {entry['pair'][1]}: "
-                             f"not computed ({entry['error']})")
-            else:
-                lines.append(
-                    f"- {entry['pair'][0]} vs {entry['pair'][1]}: "
-                    f"W={entry['w_statistic']:.1f}, p={entry['p_value']:.4g}, "
-                    f"n={entry['n_effective']}"
-                )
-    if report["failures"]:
-        lines += ["", "## Failures", ""]
-        lines += ["- " + FAILURE_LINE.format(**f) for f in report["failures"]]
-    return "\n".join(lines) + "\n"
+    return block["failures"]
 
 
 def cmd_plotdata(

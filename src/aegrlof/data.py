@@ -483,15 +483,17 @@ def prepare(table: RawTable, spec: SplitSpec,
 
     Normalization statistics are fitted on the final (post-subsample)
     training split and applied unchanged to validation and test. The
-    ``"encode"`` and ``"split_normalize"`` steps each run inside the
-    context manager ``timed(step)`` returns, so a caller can time them.
+    ``"encode"``, ``"split"`` (split and subsample) and ``"normalize"``
+    steps each run inside the context manager ``timed(step)`` returns, so
+    a caller can time them.
     """
     with timed("encode"):
         encoded = one_hot_encode(table)
-    with timed("split_normalize"):
+    with timed("split"):
         train, val, test = split(encoded, spec)
         if spec.subsample_fraction is not None and spec.subsample_fraction < 1.0:
             train = subsample(train, spec.subsample_fraction, spec.seed)
+    with timed("normalize"):
         norm = normalize_fit(train)
         return PreparedData(
             train=normalize_apply(norm, train),

@@ -278,7 +278,7 @@ class TestPrepare:
             assert cli.main(["prepare", "--config", str(config_path)]) == 0
         summary = json.loads((out_dir / "prepare_summary.json").read_text())
         stage_s = summary["stage_s"]
-        assert set(stage_s) == {"load_csv", "encode", "split_normalize", "write"}
+        assert set(stage_s) == {"load_csv", "encode", "split", "normalize", "write"}
         assert all(seconds >= 0.0 for seconds in stage_s.values())
         assert any(record.getMessage().startswith("prepare stages: load_csv ")
                    for record in caplog.records)
@@ -465,7 +465,8 @@ class TestRun:
                 else:
                     assert applied == "1" and 0 <= int(batch) < 12
         stage_s = report["environment"]["stage_s"]
-        assert set(stage_s) == {"lof_raw", "train", "write", "head", "report"}
+        assert set(stage_s) == {"load", "lof_raw", "train", "write", "head",
+                                "report"}
         assert all(seconds > 0 for seconds in stage_s.values())
 
     def test_report_block_deterministic(self, experiment, tmp_path):
@@ -605,9 +606,9 @@ class TestRun:
         assert timings["jobs"] == int(jobs)
         units = timings["units"]
         by_kind = Counter(unit["kind"] for unit in units)
-        # 2 seeds x 7 network heads, one write per network, one lof_raw,
-        # one stack per seed group
-        assert by_kind == {"lof_raw": 1, "train": int(jobs), "write": 4,
+        # one cache load, 2 seeds x 7 network heads, one write per
+        # network, one lof_raw, one stack per seed group
+        assert by_kind == {"load": 1, "lof_raw": 1, "train": int(jobs), "write": 4,
                            "head": 14, "report": 1}
         trains = [unit for unit in units if unit["kind"] == "train"]
         # at --jobs 2 the 2 seeds make 2 groups: seed 0 in the calling
@@ -629,12 +630,14 @@ class TestRun:
             # a seed's twins train as one through gr_start_epoch 3
             assert train["shared_epochs"] == {str(seed): 3 for seed in train["seeds"]}
         # each process runs its units in order, none overlapping: its
-        # group's stack first; lof_raw runs in the calling process
+        # group's stack first, after the cache load in the calling
+        # process; lof_raw runs in the calling process
         [lof_raw] = [u for u in units if u["kind"] == "lof_raw"]
         assert lof_raw["process"] == 0
         for process in range(int(jobs)):
             own = [u for u in units if u["process"] == process]
-            assert own[0]["kind"] == "train"
+            first = ["load", "train"] if process == 0 else ["train"]
+            assert [u["kind"] for u in own[:len(first)]] == first
             for before, after in zip(own, own[1:]):
                 assert before["stop_s"] <= after["start_s"]
         assert sorted((u["variant"], u["seed"]) for u in units
@@ -823,7 +826,7 @@ class TestRun:
         # the heads of a failed network never run
         timings = json.loads((out_dir / "timings.json").read_text())
         assert Counter(u["kind"] for u in timings["units"]) == {
-            "lof_raw": 1, "train": 1, "report": 1}
+            "load": 1, "lof_raw": 1, "train": 1, "report": 1}
         [train] = [u for u in timings["units"] if u["kind"] == "train"]
         assert train["epochs"] == dict.fromkeys(train["networks"])
         # no failed network writes its history or latents
