@@ -22,9 +22,13 @@ network slice at a time with the single-network arithmetic, so each
 network ends bit-identical to training it alone, which :func:`train`
 does as a stack of one. The networks share one :class:`TrainConfig`, and
 each has its own (seed, reversal) key, so plain and reversal networks
-share a stack. Networks of one seed and one initialization, such as a
-seed's plain and reversal twins, are the same network until the first
-reversing epoch, so they train as one stack slot until then.
+share a stack. Each network's training state (shuffle generator,
+history, best validation loss and parameters, stall count, error and
+shared epochs) is one record. Networks of one seed and bit-identical
+initial parameters, such as a seed's plain and reversal twins, are the
+same network until the first reversing epoch; a dict keyed on the seed
+and the parameters' bytes finds them, they train as one stack slot until
+then, and each then takes a deep copy of the slot leader's record.
 
 Early stopping reads each network's validation loss after every epoch,
 one pass per network on the calling thread. A pass runs the forward pass
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -332,10 +336,19 @@ def _check_stack(nets: Sequence[Network], train_data: Dataset,
             )
 
 
-def _same_params(a: Network, b: Network) -> bool:
-    """Whether two networks' parameters are equal bit for bit."""
-    return all(wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
-               for (wa, ba), (wb, bb) in zip(a.params, b.params))
+@dataclass
+class _Training:
+    """One network's training state in :func:`train_stack`."""
+
+    rng: np.random.Generator  # its batch shuffles
+    history: list[EpochStats] = field(default_factory=list)
+    # its best validation loss and its parameters then; every network's
+    # first validated epoch sets them
+    best_val: float = math.inf
+    best_params: Params | None = None
+    stall: int = 0  # epochs since its validation loss last improved
+    error: RuntimeError | None = None
+    shared_epochs: int = 0  # epochs it trained in a shared slot
 
 
 def train_stack(
@@ -376,13 +389,13 @@ def train_stack(
     loss, bit-identical to an unblocked pass.
 
     Networks with one seed and bit-identical initial parameters (a seed's
-    plain and reversal twins) take the same steps until a reversal, so
-    they train as one stack slot until epoch ``cfg.gr_start_epoch + 1``
-    begins, or until training ends. The slot is then repeated along the
-    stack axis, and each of its networks gets a copy of the slot's
-    generator state, history, best snapshot, stall count and error.
-    ``shared_epochs``, when given, receives by index each network that
-    shared a slot, with the epochs it trained there.
+    plain and reversal twins, found by a dict keyed on both) take the same
+    steps until a reversal, so they train as one stack slot until epoch
+    ``cfg.gr_start_epoch + 1`` begins, or until training ends. The slot is
+    then repeated along the stack axis, and each of its networks gets a
+    deep copy of the slot leader's training record. ``shared_epochs``,
+    when given, receives by index each network that shared a slot, with
+    the epochs it trained there.
 
     The input networks are not modified, so repeated calls with the same
     config and keys produce bitwise-identical results.
@@ -396,62 +409,52 @@ def train_stack(
     x_val = val_data.features
     n = x_train.shape[0]
     starts = batch_starts(cfg, n)
-    n_nets = len(nets)
-    # each network's slot leader: the first network of its seed and
-    # initialization, whose state stands for every network of the slot
-    # until the fork
-    leader = list(range(n_nets))
-    for i in range(1, n_nets):
-        leader[i] = next((j for j in range(i) if leader[j] == j
-                          and keys[j][0] == keys[i][0]
-                          and _same_params(nets[j], nets[i])), i)
-    followers = {j: [i for i in range(n_nets) if i != j and leader[i] == j]
-                 for j in range(n_nets) if leader.count(j) > 1}
+    runs = [_Training(np.random.default_rng(seed)) for seed, _ in keys]
+    # the networks of each slot, by seed and initial parameters; the first
+    # leads, and its record stands for the whole slot until the fork
+    slots: dict[tuple, list[int]] = {}
+    for i, (net, (seed, _)) in enumerate(zip(nets, keys)):
+        initial = tuple(array.tobytes() for layer in net.params for array in layer)
+        slots.setdefault((seed, initial), []).append(i)
+    leader = {i: members[0] for members in slots.values() for i in members}
+    shared = {members[0]: members[1:] for members in slots.values()
+              if len(members) > 1}
     # the slots still training, on a leading axis: row k of ``params`` and
     # ``orders`` (its row order for the epoch) belongs to network ids[k]
-    ids = np.array([i for i in range(n_nets) if leader[i] == i])
+    ids = np.array([members[0] for members in slots.values()])
     params = [(np.stack([nets[i].params[j][0] for i in ids]),
                np.stack([nets[i].params[j][1] for i in ids]))
               for j in range(len(nets[0].params))]
     orders = np.tile(np.arange(n), (ids.size, 1))
     reverses = np.array([reversal for _, reversal in keys], dtype=bool)
-    rngs = [np.random.default_rng(seed) for seed, _ in keys]
 
-    results: list = [None] * n_nets
-    histories: list[list[EpochStats]] = [[] for _ in nets]
-    best_val = [math.inf] * n_nets
-    best_params = [[(w.copy(), b.copy()) for w, b in net.params] for net in nets]
-    stall = [0] * n_nets
-    # epochs each slot leader trained while its slot was shared
-    slot_epochs = [0] * n_nets
+    def restack(rows: Sequence[int], row_ids: Sequence[int]) -> None:
+        # row k of the stack becomes old row rows[k], of network row_ids[k]
+        nonlocal ids, orders, params
+        ids, orders = np.asarray(row_ids, dtype=int), orders[rows]
+        params = [(w[rows], b[rows]) for w, b in params]
 
     def fork() -> None:
-        # every follower takes a copy of its leader's state, and each slot
-        # still training is repeated once per network it holds
-        nonlocal ids, orders, params
-        for j, members in followers.items():
+        # every network of a shared slot, also of one that left the stack
+        # already, takes a copy of its leader's record, and each slot still
+        # training is repeated once per network it holds
+        for j, members in shared.items():
             for i in members:
-                (results[i], histories[i], best_val[i], best_params[i],
-                 stall[i], rngs[i]) = copy.deepcopy(
-                    (results[j], histories[j], best_val[j], best_params[j],
-                     stall[j], rngs[j]))
+                runs[i] = copy.deepcopy(runs[j])
             if shared_epochs is not None:
-                shared_epochs.update(dict.fromkeys([j, *members], slot_epochs[j]))
-        rows = {i: k for k, i in enumerate(ids.tolist())}
-        ids = np.array([i for i in range(n_nets) if leader[i] in rows], dtype=int)
-        take = [rows[leader[i]] for i in ids.tolist()]
-        orders = orders[take]
-        params = [(w[take], b[take]) for w, b in params]
-        followers.clear()
+                shared_epochs.update(dict.fromkeys([j, *members], runs[j].shared_epochs))
+        row = {i: k for k, i in enumerate(ids.tolist())}
+        row_ids = [i for i in range(len(nets)) if leader[i] in row]
+        restack([row[leader[i]] for i in row_ids], row_ids)
+        shared.clear()
 
     for epoch in range(1, cfg.max_epochs + 1):
-        if followers and epoch > cfg.gr_start_epoch:
+        if shared and epoch > cfg.gr_start_epoch:
             fork()
         if not ids.size:
             break
-        if followers:
-            for i in ids.tolist():
-                slot_epochs[i] = epoch
+        for j in shared.keys() & set(ids.tolist()):
+            runs[j].shared_epochs = epoch
         reversing = reverses[ids] & (epoch > cfg.gr_start_epoch)
         # summed training loss; highest gradient score, its batch and grads
         loss_sum = np.zeros(ids.size)
@@ -470,8 +473,8 @@ def train_stack(
                 finite = np.isfinite(losses)
                 if not finite.all():
                     for i in ids[~finite].tolist():
-                        if results[i] is None:
-                            results[i] = RuntimeError(
+                        if runs[i].error is None:
+                            runs[i].error = RuntimeError(
                                 f"training diverged: non-finite loss at epoch "
                                 f"{epoch}, batch {batch_id} (lr={cfg.learning_rate})")
                 loss_sum += losses * batch.shape[1]
@@ -501,46 +504,42 @@ def train_stack(
                 sgd_step(params, best_grads, -cfg.learning_rate,
                          where=None if reversing.all() else reversing)
 
-        leaving = np.array([results[i] is not None for i in ids.tolist()])
+        leaving = np.array([runs[i].error is not None for i in ids.tolist()])
         for k in np.flatnonzero(~leaving).tolist():
-            i = int(ids[k])
+            run = runs[int(ids[k])]
             # one mean over every element's loss sums in the order of an
             # unblocked pass
             losses = np.empty(x_val.shape)
             _blocked_pass([(w[k], b[k]) for w, b in params], x_val, losses)
             val_loss = float(losses.mean())
             if not math.isfinite(val_loss):
-                results[i] = RuntimeError(
+                run.error = RuntimeError(
                     f"training diverged: non-finite validation loss at epoch {epoch}"
                 )
                 leaving[k] = True
                 continue
-            histories[i].append(EpochStats(
+            run.history.append(EpochStats(
                 epoch, float(loss_sum[k]) / n, val_loss, float(best_score[k]),
                 bool(reversing[k]), int(best_batch[k]),
             ))
-            if val_loss < best_val[i] - cfg.min_improvement:
-                best_val[i] = val_loss
-                best_params[i] = [(w[k].copy(), b[k].copy()) for w, b in params]
-                stall[i] = 0
+            if val_loss < run.best_val - cfg.min_improvement:
+                run.best_val = val_loss
+                run.best_params = [(w[k].copy(), b[k].copy()) for w, b in params]
+                run.stall = 0
             else:
-                stall[i] += 1
-                if cfg.patience > 0 and stall[i] >= cfg.patience:
+                run.stall += 1
+                if cfg.patience > 0 and run.stall >= cfg.patience:
                     leaving[k] = True
                     continue
-            orders[k] = rngs[i].permutation(n)
+            orders[k] = run.rng.permutation(n)
         if leaving.any():
-            staying = ~leaving
-            ids, orders = ids[staying], orders[staying]
-            params = [(w[staying], b[staying]) for w, b in params]
-    if followers:
+            staying = np.flatnonzero(~leaving)
+            restack(staying, ids[staying])
+    if shared:
         fork()
 
-    return [
-        result if result is not None
-        else (Network(net_params), history)
-        for result, net_params, history in zip(results, best_params, histories)
-    ]
+    return [run.error if run.error is not None
+            else (Network(run.best_params), run.history) for run in runs]
 
 
 def train(

@@ -402,7 +402,9 @@ def _evaluate(timeline: _Timeline, prepared: PreparedData, min_pts: int,
               heads: list[VariantSpec],
               network: TrainedNetwork | None = None) -> list[Outcome]:
     """One unit: one run of the first head gives each head given its
-    outcome and its score file."""
+    outcome and its score file. The unit records the run's
+    ``ScoredRun.timings``, the test rows it scored, the seconds of its
+    metrics and of its writes, and the bytes of its score files."""
     with timeline.unit(kind, **tags) as record:
         try:
             run = run_variant(heads[0], prepared.train, prepared.test, min_pts,
@@ -412,11 +414,17 @@ def _evaluate(timeline: _Timeline, prepared: PreparedData, min_pts: int,
             logger.exception("variant %s seed %d failed", heads[0].key,
                              heads[0].seed)
             return _failed(heads, exc)
+        start = time.perf_counter()
         outcome = {**asdict(metrics.compute_metrics(run.scores, prepared.test.labels)),
                    "metadata": run.metadata}
-        for spec in heads:
-            write_scores_csv(out_dir / f"scores_{spec.detector}_"
-                             f"{spec.modifier}_{spec.seed}.csv", run.scores)
+        scored = time.perf_counter()
+        paths = [out_dir / f"scores_{spec.detector}_{spec.modifier}_{spec.seed}.csv"
+                 for spec in heads]
+        for path in paths:
+            write_scores_csv(path, run.scores)
+        record.update(queries=run.scores.shape[0], metrics_s=scored - start,
+                      write_s=time.perf_counter() - scored,
+                      bytes_written=sum(path.stat().st_size for path in paths))
         return [(spec, outcome) for spec in heads]
 
 
@@ -456,16 +464,18 @@ def _run_group(timeline: _Timeline, prepared: PreparedData, cfg: ae.TrainConfig,
         except Exception as exc:  # every head fails alike
             logger.exception("training networks %s failed", keys)
             networks = [exc] * len(keys)
-        # epochs and batch steps per network, null for a failed one, and
-        # the epochs each seed's networks trained as one
-        epochs = {name: len(n.history) if isinstance(n, TrainedNetwork) else None
-                  for name, n in zip(names, networks)}
-        record.update(
-            epochs=epochs,
-            batches={name: None if e is None else e * epoch_batches
-                     for name, e in epochs.items()},
-            shared_epochs={keys[i][0]: n for i, n in shared.items()})
-    logger.info("trained stack: epochs %s", epochs)
+        # per network, null for a failed one: its epochs, batch steps and
+        # seconds encoding both splits and pruning; and the epochs each
+        # seed's networks trained as one
+        trained = {name: {"epochs": len(n.history),
+                          "batches": len(n.history) * epoch_batches, **n.timings}
+                   if isinstance(n, TrainedNetwork) else None
+                   for name, n in zip(names, networks)}
+        for key in ("epochs", "batches", "encode_s", "prune_s"):
+            record[key] = {name: None if values is None else values[key]
+                           for name, values in trained.items()}
+        record.update(shared_epochs={keys[i][0]: n for i, n in shared.items()})
+    logger.info("trained stack: epochs %s", record["epochs"])
 
     outcomes: list[Outcome] = []
     for key, name, network in zip(keys, names, networks):

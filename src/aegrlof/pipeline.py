@@ -112,9 +112,9 @@ class VariantSpec:
 class ScoredRun:
     """Scores for one executed variant plus run metadata.
 
-    ``timings`` holds the seconds of the LOF fit and score, for
-    ``timings.json``; they vary from run to run, so they never enter the
-    report.
+    ``timings`` holds, for ``timings.json``, the LOF reference rows and
+    the seconds of the augmentation and of the LOF fit and score; the
+    seconds vary from run to run, so they never enter the report.
     """
 
     scores: np.ndarray
@@ -180,19 +180,21 @@ def augment(
 
 @dataclass
 class TrainedNetwork:
-    """One trained autoencoder and everything its heads read: its latents
-    and per-row reconstruction errors on the training and test splits,
-    and ``kept``, the training rows :func:`prune` keeps."""
+    """Everything the heads read of one trained autoencoder: its history,
+    its latents and per-row reconstruction errors on the training and
+    test splits, and ``kept``, the training rows :func:`prune` keeps.
+    ``timings`` holds the seconds of encoding both splits and of pruning,
+    ``encode_s`` and ``prune_s``, for ``timings.json``."""
 
     seed: int
     reversal: bool
-    net: ae.Network
     history: list[ae.EpochStats]
     train_latents: np.ndarray
     train_errors: np.ndarray
     test_latents: np.ndarray
     test_errors: np.ndarray
     kept: np.ndarray
+    timings: dict
 
 
 def train_networks(
@@ -228,11 +230,15 @@ def train_networks(
 def _encode_splits(key: tuple[int, bool], net: ae.Network,
                    history: list[ae.EpochStats], train_data: Dataset,
                    test_data: Dataset) -> TrainedNetwork:
+    start = time.perf_counter()
     train_latents, train_errors = ae.encode(net, train_data)
     test_latents, test_errors = ae.encode(net, test_data)
-    return TrainedNetwork(*key, net, history, train_latents, train_errors,
-                          test_latents, test_errors,
-                          kept=prune(train_latents, train_errors)[1])
+    encoded = time.perf_counter()
+    kept = prune(train_latents, train_errors)[1]
+    return TrainedNetwork(*key, history, train_latents, train_errors,
+                          test_latents, test_errors, kept,
+                          {"encode_s": encoded - start,
+                           "prune_s": time.perf_counter() - encoded})
 
 
 def run_variant(
@@ -289,11 +295,14 @@ def run_variant(
         return ScoredRun(network.test_errors, meta)
 
     reference = network.train_latents
+    timings: dict = {}
     if spec.modifier != "none":
         reference = reference[network.kept]
         meta["rows_after_prune"] = int(reference.shape[0])
     if spec.modifier == "prune_da":
+        start = time.perf_counter()
         reference = augment(reference, spec.aug_factor, spec.aug_sigma, spec.seed + 1)
+        timings["augment_s"] = time.perf_counter() - start
         meta["rows_after_augment"] = int(reference.shape[0])
     if spec.modifier != "none" and reference.shape[0] <= min_pts:
         raise ValueError(
@@ -302,20 +311,22 @@ def run_variant(
             f"reference rows; LOF needs more than min_pts={min_pts}"
         )
 
-    model, scores, timings = _lof_scores(reference, network.test_latents, min_pts)
+    model, scores, lof_timings = _lof_scores(reference, network.test_latents, min_pts)
     meta.update(min_pts=min_pts, reference_rows=model.n_reference,
-                latent_dim=network.net.bottleneck_width)
+                latent_dim=network.train_latents.shape[1])
     logger.info("variant %s seed %d: %d reference rows, %d epochs",
                 spec.key, spec.seed, model.n_reference, len(history))
-    return ScoredRun(scores, meta, timings)
+    return ScoredRun(scores, meta, {**timings, **lof_timings})
 
 
 def _lof_scores(reference: np.ndarray, queries: np.ndarray, min_pts: int,
                 ) -> tuple[lof.LofModel, np.ndarray, dict]:
-    """Fit LOF on ``reference`` and score ``queries``, timing both."""
+    """Fit LOF on ``reference`` and score ``queries``; the dict gives the
+    reference rows and the seconds of the fit and of the score."""
     start = time.perf_counter()
     model = lof.fit(reference, min_pts)
     fitted = time.perf_counter()
     scores = lof.score(model, queries)
-    return model, scores, {"lof_fit_s": fitted - start,
+    return model, scores, {"reference_rows": model.n_reference,
+                           "lof_fit_s": fitted - start,
                            "lof_score_s": time.perf_counter() - fitted}

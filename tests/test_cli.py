@@ -629,6 +629,13 @@ class TestRun:
                                         for name, epochs in train["epochs"].items()}
             # a seed's twins train as one through gr_start_epoch 3
             assert train["shared_epochs"] == {str(seed): 3 for seed in train["seeds"]}
+            # each network's seconds encoding both splits and pruning
+            for key in ("encode_s", "prune_s"):
+                assert train[key].keys() == set(train["networks"])
+                assert all(0 <= seconds for seconds in train[key].values())
+            assert train.keys() == {
+                "kind", "process", "start_s", "stop_s", "seeds", "networks",
+                "epochs", "batches", "shared_epochs", "encode_s", "prune_s"}
         # each process runs its units in order, none overlapping: its
         # group's stack first, after the cache load in the calling
         # process; lof_raw runs in the calling process
@@ -648,19 +655,40 @@ class TestRun:
                 if u["kind"] == "lof_raw"] == [("lof_raw/none", [0, 1])]
         assert sorted(u["network"] for u in units if u["kind"] == "write") == [
             "ae_0", "ae_1", "aegr_0", "aegr_1"]
+        report_rows = {(f"{row['detector']}/{row['modifier']}", row["seed"]): row
+                       for row in json.loads((out_dir / "report.json").read_text())[
+                           "report"]["rows"]}
         for unit in units:
             assert 0 <= unit["start_s"] <= unit["stop_s"] <= timings["duration_s"]
-            # every unit that fits and scores LOF says how long each took;
-            # ae_re fits none
-            lof_keys = {"lof_fit_s", "lof_score_s"}
-            if unit["kind"] == "lof_raw" or (unit["kind"] == "head"
-                                             and unit["variant"] != "ae_re/none"):
-                assert lof_keys <= unit.keys()
-                assert 0 <= unit["lof_fit_s"] and 0 <= unit["lof_score_s"]
-                assert (unit["lof_fit_s"] + unit["lof_score_s"]
-                        <= unit["stop_s"] - unit["start_s"])
-            else:
-                assert not lof_keys & unit.keys()
+            if unit["kind"] not in ("head", "lof_raw"):
+                assert "lof_fit_s" not in unit and "queries" not in unit
+                continue
+            # each head and lof_raw unit gives the test rows it scored, the
+            # seconds of its metrics and score file writes, and the bytes
+            # of its score files (lof_raw writes one per seed); every unit
+            # that fits and scores LOF gives its reference rows and how
+            # long each took (ae_re fits none), and prune_da how long
+            # augmenting took
+            seeds = unit["seeds"] if unit["kind"] == "lof_raw" else [unit["seed"]]
+            variant = unit["variant"]
+            files = [out_dir / f"scores_{variant.replace('/', '_')}_{seed}.csv"
+                     for seed in seeds]
+            assert unit["queries"] == len(files[0].read_text().splitlines()) - 1 == 60
+            assert unit["bytes_written"] == sum(f.stat().st_size for f in files)
+            fits = variant != "ae_re/none"
+            assert unit.keys() == (
+                {"kind", "variant", "process", "start_s", "stop_s", "queries",
+                 "metrics_s", "write_s", "bytes_written",
+                 "seeds" if unit["kind"] == "lof_raw" else "seed"}
+                | ({"reference_rows", "lof_fit_s", "lof_score_s"} if fits else set())
+                | ({"augment_s"} if variant.endswith("prune_da") else set()))
+            seconds = [unit[key] for key in ("lof_fit_s", "lof_score_s", "augment_s",
+                                             "metrics_s", "write_s") if key in unit]
+            assert all(0 <= s for s in seconds)
+            assert sum(seconds) <= unit["stop_s"] - unit["start_s"]
+            if fits:
+                assert unit["reference_rows"] == report_rows[variant, seeds[0]][
+                    "metadata"]["reference_rows"]
         environment = json.loads((out_dir / "report.json").read_text())[
             "environment"]
         assert environment["duration_s"] == timings["duration_s"]
@@ -829,6 +857,7 @@ class TestRun:
             "load": 1, "lof_raw": 1, "train": 1, "report": 1}
         [train] = [u for u in timings["units"] if u["kind"] == "train"]
         assert train["epochs"] == dict.fromkeys(train["networks"])
+        assert train["encode_s"] == train["prune_s"] == train["epochs"]
         # no failed network writes its history or latents
         assert not [*out_dir.glob("history_*"), *out_dir.glob("latents_*")]
 

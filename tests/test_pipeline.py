@@ -294,11 +294,10 @@ _NETWORK_VARIANTS = [v for v in pipeline.VARIANT_MATRIX if v[0] != "lof_raw"]
 
 
 def _network_arrays(network):
-    arrays = [network.train_latents, network.train_errors,
-              network.test_latents, network.test_errors, network.kept]
-    for weights, bias in network.net.params:
-        arrays += [weights, bias]
-    return [a.copy() for a in arrays]
+    # every array a head reads
+    return [a.copy() for a in (network.train_latents, network.train_errors,
+                               network.test_latents, network.test_errors,
+                               network.kept)]
 
 
 class TestSharedNetwork:
